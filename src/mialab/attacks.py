@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DOMAIN_HIGH, DOMAIN_LOW, Dataset
-from .errors import FingerprintMismatchError, FormatError, IsolationError
-from .farm import ShadowFarm, TargetOracle, in_out_partition, model_confidence_batch
+from .errors import ConfigError, FingerprintMismatchError, FormatError, IsolationError
+from .farm import ShadowFarm, TargetOracle, model_confidence_batch
 from .nn import (
     IN_MINIMIZE,
     OUT_MAXIMIZE,
@@ -33,6 +33,10 @@ from .rng import TAG_ALT_LABEL, substream
 
 SIGMA_FLOOR = 1e-4
 CONF_CLAMP = 1e-6
+# run_attack processes targets in blocks of at most this many
+# (target, query) rows x widest layer elements, which bounds the activations
+# one stacked shadow-model pass holds. Scores do not depend on it.
+BLOCK_ELEMENTS = 1 << 16
 
 METHODS = ("lira", "canary", "random_noise")
 MODES = ("online", "offline")
@@ -59,12 +63,23 @@ def scale_confidence_batch(f: np.ndarray, delta: float = CONF_CLAMP) -> np.ndarr
     return np.log(f / (1.0 - f))
 
 
+def fit_gaussians(rows, sigma_floor: float = SIGMA_FLOOR) -> list[GaussianStats]:
+    """One fit per row of a 2-D array: mean and floored population std.
+
+    Reduces over the contiguous last axis, where each row is summed
+    exactly as a 1-D array is; a reduction over any other axis differs
+    in the last bits once a row holds 8 or more scores.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.shape[-1] == 0:
+        raise ValueError("cannot fit a Gaussian to zero scores")
+    mu, sd = np.mean(rows, axis=-1), np.std(rows, axis=-1)
+    return [GaussianStats(float(m), max(float(s), sigma_floor)) for m, s in zip(mu, sd)]
+
+
 def fit_gaussian(scores, sigma_floor: float = SIGMA_FLOOR) -> GaussianStats:
     """Mean and population standard deviation, floored to keep scores finite."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("cannot fit a Gaussian to zero scores")
-    return GaussianStats(float(np.mean(scores)), max(float(np.std(scores)), sigma_floor))
+    return fit_gaussians(np.asarray(scores, dtype=np.float64).reshape(1, -1), sigma_floor)[0]
 
 
 def _log_pdf(x: float, stats: GaussianStats) -> float:
@@ -136,6 +151,10 @@ class CanaryConfig:
     conf_clamp: float = CONF_CLAMP
 
     def __post_init__(self):
+        for name in ("epsilon", "lr", "init_noise_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.steps < 0 or self.shadow_batch < 1 or self.num_queries < 1:
@@ -176,7 +195,7 @@ class CanaryConfig:
             lr=float(d.get("lr", 0.05)),
             objective=str(d.get("objective", "raw_logit")),
             init=str(d.get("init", "target_plus_noise")),
-            init_noise_scale=d.get("init_noise_scale"),
+            init_noise_scale=None if d.get("init_noise_scale") is None else float(d["init_noise_scale"]),
             num_queries=int(d.get("num_queries", 10)),
             mode=str(d.get("mode", "online")),
             offline_density=bool(d.get("offline_density", False)),
@@ -199,6 +218,82 @@ def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float, lo: float, h
     return delta, x
 
 
+def _model_groups(picks: np.ndarray):
+    """(model id, flat positions) for each model in a pick matrix, ascending."""
+    flat = picks.ravel()
+    order = np.argsort(flat, kind="stable")
+    models, starts = np.unique(flat[order], return_index=True)
+    return zip(models.tolist(), np.split(order, starts[1:]))
+
+
+def _optimize_rows(
+    x_star: np.ndarray,
+    y: np.ndarray,
+    member: np.ndarray,
+    records,
+    config: CanaryConfig,
+    rngs,
+    alt: np.ndarray | None,
+    bounds: tuple[float, float],
+) -> tuple[np.ndarray, int]:
+    """Canaries for a block of rows, optimised together.
+
+    Row r starts at x_star[r] with label y[r]; member[r, m] says whether
+    records[m] is an IN model for the row's target. Each row draws from its
+    own rng in a fixed order (the init noise, then per step the OUT and, when
+    online, the IN permutation), so its canary does not depend on the other
+    rows of the block. At each step the (row, picked model) pairs are grouped
+    by model, one stacked input_gradient per model and side; Adam and the
+    projection run once on the whole block.
+
+    Returns the canaries and the number of evaluated (row, model) pairs whose
+    model is IN for the row, counted from the ids actually evaluated.
+    """
+    n, dim = x_star.shape
+    lo, hi = bounds
+    online = config.mode == "online"
+    b, steps = config.shadow_batch, config.steps
+    delta = np.zeros_like(x_star)
+    noisy = config.init == "target_plus_noise" and config.noise_scale > 0
+    out_picks = np.empty((steps, n, b), dtype=np.intp)
+    in_picks = np.empty((steps, n, b), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        if noisy:
+            delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
+        out_ids, in_ids = np.flatnonzero(~member[r]), np.flatnonzero(member[r])
+        for s in range(steps):
+            out_picks[s, r] = out_ids[rng.permutation(out_ids.size)[:b]]
+            if online:
+                in_picks[s, r] = in_ids[rng.permutation(in_ids.size)[:b]]
+
+    in_evaluations = 0
+
+    def mean_gradient(x: np.ndarray, picks: np.ndarray, direction: str) -> np.ndarray:
+        nonlocal in_evaluations
+        per_pick = np.empty((n, b, dim))
+        for m, pos in _model_groups(picks):
+            rows, slots = np.divmod(pos, b)
+            in_evaluations += int(member[rows, m].sum())
+            kind = ObjectiveKind(config.objective, direction,
+                                 None if alt is None else alt[rows], config.conf_clamp)
+            rec = records[m]
+            per_pick[rows, slots] = input_gradient(rec.arch, rec.params, x[rows], y[rows], kind)
+        total = np.zeros((n, dim))
+        for j in range(b):  # summed in pick order, as one row at a time would
+            total += per_pick[:, j]
+        return total / b
+
+    delta, x = _project(x_star, delta, config.epsilon, lo, hi)
+    adam = init_adam(x_star.shape)
+    for s in range(steps):
+        grad = mean_gradient(x, out_picks[s], OUT_MAXIMIZE)
+        if online:
+            grad += mean_gradient(x, in_picks[s], IN_MINIMIZE)
+        delta, adam = adam_step(adam, delta, grad, config.lr)
+        delta, x = _project(x_star, delta, config.epsilon, lo, hi)
+    return x, in_evaluations
+
+
 def optimize_canary(
     x_star: np.ndarray,
     y_star: int,
@@ -216,10 +311,10 @@ def optimize_canary(
     the in-side objective over shadow_batch IN models when online), takes
     one Adam step on the perturbation, and projects back onto the
     epsilon ball intersected with the input domain. Offline mode never
-    evaluates an IN model.
+    evaluates an IN model. This is one row of the block optimiser that
+    run_attack drives over many targets at once.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    lo, hi = bounds
     offline = config.mode == "offline"
     b = config.shadow_batch
     if len(s_out) < b:
@@ -228,31 +323,12 @@ def optimize_canary(
         raise ValueError(
             f"shadow batch {b} exceeds {0 if s_in is None else len(s_in)} available IN models"
         )
-    out_obj = ObjectiveKind(config.objective, OUT_MAXIMIZE, alt_label, config.conf_clamp)
-    in_obj = ObjectiveKind(config.objective, IN_MINIMIZE, alt_label, config.conf_clamp)
-
-    delta = np.zeros_like(x_star)
-    if config.init == "target_plus_noise" and config.noise_scale > 0:
-        delta = rng.normal(0.0, config.noise_scale, size=x_star.shape)
-    delta, x = _project(x_star, delta, config.epsilon, lo, hi)
-    adam = init_adam(x_star.shape)
-    for _ in range(config.steps):
-        out_pick = rng.permutation(len(s_out))[:b]
-        grad = np.zeros_like(x_star)
-        for i in out_pick:
-            m = s_out[i]
-            grad += input_gradient(m.arch, m.params, x, y_star, out_obj)
-        grad /= b
-        if not offline:
-            in_pick = rng.permutation(len(s_in))[:b]
-            g_in = np.zeros_like(x_star)
-            for i in in_pick:
-                m = s_in[i]
-                g_in += input_gradient(m.arch, m.params, x, y_star, in_obj)
-            grad += g_in / b
-        delta, adam = adam_step(adam, delta, grad, config.lr)
-        delta, x = _project(x_star, delta, config.epsilon, lo, hi)
-    return x
+    records = list(s_out) + ([] if offline else list(s_in))
+    member = np.arange(len(records))[None, :] >= len(s_out)
+    alt = None if alt_label is None else np.array([alt_label])
+    x, _ = _optimize_rows(x_star[None, :], np.array([y_star]), member, records, config,
+                          [rng], alt, bounds)
+    return x[0]
 
 
 def random_noise_query(
@@ -330,6 +406,61 @@ def _draw_alt_label(seed: int, target_index: int, y: int, num_classes: int) -> i
     return draw + (draw >= y)
 
 
+def _score_block(
+    queries: np.ndarray,
+    y: np.ndarray,
+    member: np.ndarray,
+    records,
+    oracle: TargetOracle,
+    cfg: CanaryConfig,
+) -> tuple[list[list[float]], int]:
+    """Query scores of a block of targets, and the IN evaluations made.
+
+    queries is (targets, Q, d). Each shadow model does one stacked forward
+    over the blocks of the targets it may see: all of them online, only
+    those it is OUT for offline. The Gaussian fits reduce over contiguous
+    (Q, models) rows; conf_t and the scores stay scalar math.
+    """
+    offline = cfg.mode == "offline"
+    k, n_queries = queries.shape[:2]
+    phi = np.full((len(records), k, n_queries), np.nan)
+    in_evaluations = 0
+    for m, rec in enumerate(records):
+        sel = np.flatnonzero(~member[:, m]) if offline else np.arange(k)
+        if sel.size:
+            in_evaluations += int(member[sel, m].sum())
+            phi[m, sel] = model_confidence_batch(rec, queries[sel], y[sel])
+    phi = scale_confidence_batch(phi, cfg.conf_clamp)
+    conf = oracle.confidences(queries, y)
+    scores = []
+    for t in range(k):
+        out_stats = fit_gaussians(phi[~member[t], t].T, cfg.sigma_floor)
+        if not offline:
+            in_stats = fit_gaussians(phi[member[t], t].T, cfg.sigma_floor)
+        row = []
+        for q in range(n_queries):
+            conf_t = scale_confidence(float(conf[t, q]), cfg.conf_clamp)
+            if offline:
+                row.append(lira_offline_score(conf_t, out_stats[q], density=cfg.offline_density))
+            else:
+                row.append(lira_online_score(conf_t, in_stats[q], out_stats[q]))
+        scores.append(row)
+    return scores, in_evaluations
+
+
+def _check_eligible(index: np.ndarray, member: np.ndarray, need: int, online: bool) -> None:
+    """Every target needs `need` OUT shadow models, and as many IN ones online."""
+    sides = [("OUT", (~member).sum(axis=1))] + ([("IN", member.sum(axis=1))] if online else [])
+    for side, counts in sides:
+        short = np.flatnonzero(counts < need)
+        if short.size:
+            i = short[0]
+            raise ConfigError(
+                f"target {index[i]} has {counts[i]} {side} shadow models, the attack needs "
+                f"{need} ({short.size} of {index.size} targets are short)"
+            )
+
+
 def run_attack(
     dataset: Dataset,
     oracle: TargetOracle,
@@ -345,8 +476,14 @@ def run_attack(
 
     targets is a sequence of (dataset index, is_member) pairs whose
     membership bits come from the held-out target model's own split mask.
-    Offline mode never touches IN shadow models; this is enforced with
-    access counters on every target.
+    Every target is checked for enough IN/OUT shadow models before any
+    work is done. Targets are then processed in fixed-size blocks: all
+    (target, query) rows of a block are optimised together and each
+    shadow model scores the block in one stacked pass. Every row is
+    computed exactly as it would be alone, so the scores depend neither on
+    the block size nor on which other targets are attacked. Offline mode
+    never evaluates an IN shadow model; the evaluated ids are counted and
+    any IN evaluation raises IsolationError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -364,64 +501,47 @@ def run_attack(
         )
     cfg = replace(config, mode=mode)
     offline = mode == "offline"
-    random_label = cfg.objective.endswith("random_label")
-    in_access_total = 0
+    targets = [(int(t), bool(is_member)) for t, is_member in targets]
+    index = np.array([t for t, _ in targets], dtype=np.int64)
+    if index.size and (index.min() < 0 or index.max() >= farm.n_points):
+        bad = index[(index < 0) | (index >= farm.n_points)][0]
+        raise IndexError(f"target index {bad} out of range for {farm.n_points} points")
+    member = farm.splits[:, index].T  # (targets, models): model is IN for the target
+    _check_eligible(index, member, cfg.shadow_batch if method == "canary" else 1, not offline)
 
-    rows = []
-    for target_index, is_member in targets:
-        x_star, y_star = dataset.point(target_index)
-        s_in, s_out = in_out_partition(farm, target_index)
-        if not s_out:
-            raise ValueError(f"target {target_index} has no OUT shadow models")
-        if not offline and not s_in:
-            raise ValueError(f"target {target_index} has no IN shadow models")
-        in_before = [rec.access_count for rec in s_in]
-        alt = _draw_alt_label(seed, target_index, y_star, farm.arch.num_classes) if random_label else None
-
-        queries = []
-        for q in range(cfg.num_queries):
-            rng = substream(seed, target_index, q)
-            if method == "lira":
-                queries.append(x_star)
-            elif method == "random_noise":
-                queries.append(random_noise_query(x_star, cfg.epsilon, rng))
-            else:
-                queries.append(
-                    optimize_canary(
-                        x_star, y_star, None if offline else s_in, s_out, cfg, rng, alt_label=alt
-                    )
-                )
-        query_batch = np.stack(queries)
-        # one batched forward per shadow model across all query points
-        out_phi = scale_confidence_batch(
-            np.stack([model_confidence_batch(m, query_batch, y_star) for m in s_out]),
-            cfg.conf_clamp,
-        )
-        in_phi = None
-        if not offline:
-            in_phi = scale_confidence_batch(
-                np.stack([model_confidence_batch(m, query_batch, y_star) for m in s_in]),
-                cfg.conf_clamp,
+    num_classes = farm.arch.num_classes
+    n_queries = cfg.num_queries
+    block = max(1, BLOCK_ELEMENTS // (n_queries * max(farm.arch.dims)))
+    rows, in_evaluations = [], 0
+    for start in range(0, len(targets), block):
+        idx = index[start:start + block]
+        blk_member = member[start:start + block]
+        x_star, y = dataset.take(idx)
+        # one row per (target, query), target-major; LiRA rows draw no stream
+        x_rows = x_star.repeat(n_queries, axis=0)
+        if method != "lira":
+            rngs = [substream(seed, t, q) for t in idx for q in range(n_queries)]
+        if method == "random_noise":
+            x_rows = np.stack([random_noise_query(x, cfg.epsilon, rng)
+                               for x, rng in zip(x_rows, rngs)])
+        elif method == "canary":
+            alt = None
+            if cfg.objective.endswith("random_label"):
+                alt = np.array([_draw_alt_label(seed, t, lbl, num_classes)
+                                for t, lbl in zip(idx, y)]).repeat(n_queries)
+            x_rows, hits = _optimize_rows(
+                x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
+                farm.records, cfg, rngs, alt, (DOMAIN_LOW, DOMAIN_HIGH),
             )
-        query_scores = []
-        for q in range(cfg.num_queries):
-            conf_t = scale_confidence(oracle.confidence(queries[q], y_star), cfg.conf_clamp)
-            out_stats = fit_gaussian(out_phi[:, q], cfg.sigma_floor)
-            if offline:
-                score = lira_offline_score(conf_t, out_stats, density=cfg.offline_density)
-            else:
-                score = lira_online_score(conf_t, fit_gaussian(in_phi[:, q], cfg.sigma_floor), out_stats)
-            query_scores.append(score)
-
-        if offline:
-            touched = sum(rec.access_count - b for rec, b in zip(s_in, in_before))
-            in_access_total += touched
-            if touched:
-                raise IsolationError(
-                    f"offline attack touched IN models of target {target_index} "
-                    f"({touched} accesses)"
-                )
-        rows.append(ScoreRow(int(target_index), bool(is_member), query_scores,
-                             ensemble_scores(query_scores)))
+            in_evaluations += hits
+        queries = x_rows.reshape(len(idx), n_queries, -1)
+        scores, hits = _score_block(queries, y, blk_member, farm.records, oracle, cfg)
+        in_evaluations += hits
+        if offline and in_evaluations:
+            raise IsolationError(
+                f"offline attack evaluated IN shadow models ({in_evaluations} (row, model) pairs)"
+            )
+        for (t, is_member), row in zip(targets[start:start + block], scores):
+            rows.append(ScoreRow(t, is_member, row, ensemble_scores(row)))
     return ScoreTable(rows, method=method, mode=mode,
-                      in_model_accesses=in_access_total if offline else None)
+                      in_model_accesses=in_evaluations if offline else None)

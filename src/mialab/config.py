@@ -16,6 +16,9 @@ from .errors import ConfigError
 from .training import TrainConfig
 
 DATASET_KINDS = ("synthetic", "csv", "idx-pair")
+# attack.canary and train accept exactly the keys a manifest records for them
+CANARY_KEYS = set(CanaryConfig(epsilon=0.0).to_dict())
+TRAIN_KEYS = set(TrainConfig().to_dict())
 
 
 def _require(d: dict, key: str, where: str):
@@ -24,7 +27,15 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -140,6 +151,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Validate a config dict; every malformed value raises ConfigError."""
+        try:
+            return ExperimentConfig._parse(d)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+
+    @staticmethod
+    def _parse(d: dict) -> "ExperimentConfig":
         _check_keys(
             d,
             {"dataset", "arch", "train", "n_models", "master_seed", "seeds", "attack", "targets"},
@@ -150,27 +171,30 @@ class ExperimentConfig:
         attack = d.get("attack", {})
         _check_keys(attack, {"method", "mode", "canary"}, "attack")
         method = str(attack.get("method", "lira"))
-        canary_dict = dict(attack.get("canary", {}))
+        canary_dict = attack.get("canary", {})
+        _check_keys(canary_dict, CANARY_KEYS, "attack.canary")
+        canary_dict = dict(canary_dict)
         if "epsilon" not in canary_dict:
             if method in ("canary", "random_noise"):
                 raise ConfigError(f"attack.canary.epsilon is required for method {method!r}")
             canary_dict["epsilon"] = 0.0
-        try:
-            train = TrainConfig.from_dict(d.get("train", {}))
-            canary = CanaryConfig.from_dict(canary_dict)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(str(exc)) from exc
+        train_dict = d.get("train", {})
+        _check_keys(train_dict, TRAIN_KEYS, "train")
+        if train_dict.get("dp") is not None:
+            _check_keys(train_dict["dp"], {"clip_norm", "noise_multiplier"}, "train.dp")
+        train = TrainConfig.from_dict(train_dict)
         return ExperimentConfig(
             dataset=DatasetSpec.from_dict(_require(d, "dataset", "")),
-            hidden_dims=tuple(int(h) for h in _require(arch, "hidden_dims", "arch")),
+            hidden_dims=tuple(int(h) for h in _list(_require(arch, "hidden_dims", "arch"),
+                                                   "arch.hidden_dims")),
             activation=str(arch.get("activation", "relu")),
             train=train,
             n_models=int(_require(d, "n_models", "")),
             master_seed=int(_require(d, "master_seed", "")),
-            seeds=tuple(int(s) for s in _require(d, "seeds", "")),
+            seeds=tuple(int(s) for s in _list(_require(d, "seeds", ""), "seeds")),
             method=method,
             mode=str(attack.get("mode", "online")),
-            canary=canary,
+            canary=CanaryConfig.from_dict(canary_dict),
             targets=TargetsSpec.from_dict(d.get("targets", {})),
         )
 
@@ -184,10 +208,11 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if "resolved_config" in data:
+    if isinstance(data, dict) and "resolved_config" in data:
         data = data["resolved_config"]
     return ExperimentConfig.from_dict(data)
 
 
 def write_manifest(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON: a NaN or infinity raises ValueError instead."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -19,6 +19,7 @@ from .data import Dataset
 from .errors import (
     FormatError,
     QueryBudgetError,
+    ShapeError,
     UnsupportedVersionError,
 )
 from .nn import ArchDescriptor, Params, forward_batch, forward_logits, softmax, softmax_conf
@@ -67,11 +68,30 @@ class TargetOracle:
         self.budget = budget
 
     def confidence(self, x: np.ndarray, y: int) -> float:
-        if self.budget is not None and self.query_count >= self.budget:
-            raise QueryBudgetError(f"query budget of {self.budget} exhausted")
-        self.query_count += 1
-        logits = forward_logits(self._record.arch, self._record._params, x)
-        return softmax_conf(logits, y)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ShapeError(f"expected one query point, got shape {x.shape}")
+        return float(self.confidences(x[None, :], y)[0])
+
+    def confidences(self, X: np.ndarray, y) -> np.ndarray:
+        """Confidences of a (B, d) batch with one label, or of (T, Q, d)
+        query blocks with one label per block; one query per row.
+
+        Rows are evaluated one at a time (stacked as (rows, 1, d)), so each
+        confidence is bitwise that of a single-row query.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        arch = self._record.arch
+        if X.ndim not in (2, 3) or X.shape[-1] != arch.input_dim:
+            raise ShapeError(f"expected queries of shape (..., {arch.input_dim}), got {X.shape}")
+        n = X.size // arch.input_dim
+        if self.budget is not None and self.query_count + n > self.budget:
+            raise QueryBudgetError(
+                f"query budget of {self.budget} exhausted ({self.query_count} used, {n} asked)"
+            )
+        self.query_count += n
+        logits = forward_batch(arch, self._record._params, X.reshape(-1, 1, arch.input_dim))
+        return _label_confidence(logits.reshape(*X.shape[:-1], arch.num_classes), y)
 
     @property
     def hidden_param_reads(self) -> int:
@@ -84,9 +104,25 @@ def model_confidence(record: ModelRecord, x: np.ndarray, y: int) -> float:
     return softmax_conf(forward_logits(record.arch, record.params, x), y)
 
 
-def model_confidence_batch(record: ModelRecord, X: np.ndarray, y: int) -> np.ndarray:
-    logits = forward_batch(record.arch, record.params, X)
-    return softmax(logits)[:, y]
+def _label_confidence(logits: np.ndarray, y) -> np.ndarray:
+    """Softmax confidence on the label: (B, K) logits with an int label, or
+    (T, Q, K) logits with one label per block, giving (B,) or (T, Q)."""
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"expected (B, d) or (T, Q, d) queries, got logits {logits.shape}")
+    y = np.asarray(y, dtype=np.intp)
+    K = logits.shape[-1]
+    if y.shape != logits.shape[:-2] or np.any((y < 0) | (y >= K)):
+        raise IndexError(f"class labels {y} do not fit logits of shape {logits.shape}")
+    p = softmax(logits)
+    if logits.ndim == 2:
+        return p[:, y]
+    return p[np.arange(len(y)), :, y]
+
+
+def model_confidence_batch(record: ModelRecord, X: np.ndarray, y) -> np.ndarray:
+    """Shadow confidences of a (B, d) batch with one label, or of stacked
+    (T, Q, d) query blocks with one label per block; one counted params read."""
+    return _label_confidence(forward_batch(record.arch, record.params, X), y)
 
 
 def _train_one(args) -> np.ndarray:

@@ -185,9 +185,13 @@ def _forward_cached(arch: ArchDescriptor, params: Params, X: np.ndarray):
 
 
 def forward_batch(arch: ArchDescriptor, params: Params, X: np.ndarray) -> np.ndarray:
-    """Logits for a (B, input_dim) batch."""
+    """Logits for a (B, input_dim) batch or a stack of them, (..., B, input_dim).
+
+    A stack is multiplied slice by slice, so each slice's logits are
+    bitwise those of forward_batch on that slice alone.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != arch.input_dim:
+    if X.ndim < 2 or X.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected batch of shape (B, {arch.input_dim}), got {X.shape}")
     _check_params(arch, params)
     logits, _, _ = _forward_cached(arch, params, X)
@@ -240,12 +244,6 @@ def cw_margin(logits: np.ndarray, y: int) -> float:
     return float(logits[y] - np.max(others))
 
 
-def _runner_up(logits: np.ndarray, y: int) -> int:
-    masked = logits.copy()
-    masked[y] = -np.inf
-    return int(np.argmax(masked))
-
-
 @dataclass(frozen=True)
 class ObjectiveKind:
     """One side of an attack objective pair.
@@ -253,12 +251,13 @@ class ObjectiveKind:
     kind names the pair; direction selects the side. Descending the
     in_minimize loss raises softmax confidence on y, descending the
     out_maximize loss lowers it. Random-label kinds carry a fixed
-    alternative label (chosen once per target, never equal to y).
+    alternative label (chosen once per target, never equal to y); for a
+    batched gradient it may hold one label per row.
     """
 
     kind: str
     direction: str = IN_MINIMIZE
-    alt_label: int | None = None
+    alt_label: int | np.ndarray | None = None
     conf_clamp: float = DEFAULT_CONF_CLAMP
 
     def __post_init__(self):
@@ -270,10 +269,10 @@ class ObjectiveKind:
             raise ValueError(f"{self.kind} requires alt_label")
 
 
-def _check_alt(y: int, kind: ObjectiveKind) -> int:
-    if kind.alt_label == y:
+def _check_alt(y, kind: ObjectiveKind):
+    if np.any(np.asarray(kind.alt_label) == y):
         raise ValueError("alternative label must differ from the true label")
-    return int(kind.alt_label)
+    return kind.alt_label
 
 
 def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
@@ -304,41 +303,55 @@ def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
     return float(logits[y]) if d == IN_MINIMIZE else -float(logits[y])
 
 
-def objective_grad_logits(logits: np.ndarray, y: int, kind: ObjectiveKind) -> np.ndarray:
-    """Exact gradient of objective_value with respect to the logits."""
+def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
+    e = np.zeros((labels.size, K))
+    e[np.arange(labels.size), labels] = 1.0
+    return e
+
+
+def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndarray:
+    """Exact gradient of objective_value with respect to the logits.
+
+    Batch-first: logits is (n, K) with y (and a random-label kind's
+    alt_label) an int or one label per row; a (K,) vector gives a (K,)
+    gradient. Every operation is row-wise, so each row is bitwise the
+    gradient of that row alone.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    K = logits.shape[-1]
-    p = softmax(logits)
-    e_y = np.zeros(K)
-    e_y[y] = 1.0
+    z = np.atleast_2d(logits)
+    n, K = z.shape
+    rows = np.arange(n)
+
+    def per_row(labels) -> np.ndarray:
+        return np.broadcast_to(np.asarray(labels, dtype=np.intp), (n,))
+
+    y = per_row(y)
+    p = softmax(z)
+    e_y = _one_hot(y, K)
     k, d = kind.kind, kind.direction
     if k in ("cross_entropy", "cross_entropy_random_label"):
         if d == IN_MINIMIZE or k == "cross_entropy_random_label":
-            label = y if d == IN_MINIMIZE else _check_alt(y, kind)
-            e = np.zeros(K)
-            e[label] = 1.0
-            return p - e
-        fy = p[y]
-        return (fy / (1.0 - fy)) * (e_y - p)
-    if k in ("cw_margin", "cw_margin_random_label"):
-        if d == IN_MINIMIZE or k == "cw_margin":
-            label = y
+            label = y if d == IN_MINIMIZE else per_row(_check_alt(y, kind))
+            g = p - _one_hot(label, K)
         else:
-            label = _check_alt(y, kind)
-        e = np.zeros(K)
-        e[label] = 1.0
-        e_run = np.zeros(K)
-        e_run[_runner_up(logits, label)] = 1.0
-        margin_grad = e - e_run
-        return margin_grad if (d == OUT_MAXIMIZE and k == "cw_margin") else -margin_grad
-    if k == "scaled_log_score":
-        fy = p[y]
-        if fy <= kind.conf_clamp or fy >= 1.0 - kind.conf_clamp:
-            return np.zeros(K)  # clamp region: phi is constant
-        g = (e_y - p) / (1.0 - fy)
-        return g if d == IN_MINIMIZE else -g
-    # raw_logit
-    return e_y if d == IN_MINIMIZE else -e_y
+            fy = p[rows, y]
+            g = (fy / (1.0 - fy))[:, None] * (e_y - p)
+    elif k in ("cw_margin", "cw_margin_random_label"):
+        label = y if d == IN_MINIMIZE or k == "cw_margin" else per_row(_check_alt(y, kind))
+        masked = z.copy()
+        masked[rows, label] = -np.inf
+        margin_grad = _one_hot(label, K) - _one_hot(np.argmax(masked, axis=-1), K)
+        g = margin_grad if (d == OUT_MAXIMIZE and k == "cw_margin") else -margin_grad
+    elif k == "scaled_log_score":
+        fy = p[rows, y]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (e_y - p) / (1.0 - fy)[:, None]
+        if d != IN_MINIMIZE:
+            g = -g
+        g[(fy <= kind.conf_clamp) | (fy >= 1.0 - kind.conf_clamp)] = 0.0  # phi is constant there
+    else:  # raw_logit
+        g = e_y if d == IN_MINIMIZE else -e_y
+    return g[0] if logits.ndim == 1 else g
 
 
 def _backprop_to_input(arch, params, pre, dlogits):
@@ -354,16 +367,24 @@ def _backprop_to_input(arch, params, pre, dlogits):
 
 
 def input_gradient(
-    arch: ArchDescriptor, params: Params, x: np.ndarray, y: int, kind: ObjectiveKind
+    arch: ArchDescriptor, params: Params, x: np.ndarray, y, kind: ObjectiveKind
 ) -> np.ndarray:
-    """Gradient of the objective with respect to the input vector."""
+    """Gradient of the objective with respect to the input.
+
+    Batch-first: x is (n, input_dim) with y an int or one label per row,
+    or a single (input_dim,) vector. Rows are stacked as (n, 1, input_dim)
+    so every matmul runs per row: each row's gradient is bitwise that of
+    the row alone, which a flat (n, input_dim) product would not be.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (arch.input_dim,):
-        raise ShapeError(f"expected input of shape ({arch.input_dim},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != arch.input_dim:
+        raise ShapeError(f"expected input of shape (n, {arch.input_dim}), got {x.shape}")
     _check_params(arch, params)
-    logits, _, pre = _forward_cached(arch, params, x[None, :])
-    dlogits = objective_grad_logits(logits[0], y, kind)
-    return _backprop_to_input(arch, params, pre, dlogits[None, :])[0]
+    rows = x.reshape(-1, 1, arch.input_dim)
+    logits, _, pre = _forward_cached(arch, params, rows)
+    dlogits = objective_grad_logits(logits[:, 0], y, kind)
+    grad = _backprop_to_input(arch, params, pre, dlogits[:, None, :])[:, 0]
+    return grad[0] if x.ndim == 1 else grad
 
 
 def param_gradient(

@@ -5,6 +5,8 @@ differences for gradients, explicit pairwise counting for AUC, and a
 hand-rolled recurrence for Adam.
 """
 
+import math
+
 import numpy as np
 
 from mialab.nn import forward_logits, objective_value, batch_cross_entropy, Params
@@ -70,3 +72,184 @@ def adam_recurrence(grads, x0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
     return x
+
+
+# ---- per-target attack reference ----------------------------------------------
+# The attack loop as it ran one target and one single-row gradient at a time,
+# written in plain numpy over the raw weight arrays. The library's batched
+# engine must reproduce its scores bit for bit.
+
+
+def _ref_softmax(z):
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _ref_forward(params, activation, x):
+    """Single-row forward pass; returns logits (K,) and hidden pre-activations."""
+    h = x[None, :]
+    pre = []
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ W.T + b
+        if l == len(params.weights) - 1:
+            return z[0], pre
+        pre.append(z)
+        h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+
+
+def _ref_dlogits(logits, y, kind, direction, alt, clamp):
+    K = logits.shape[-1]
+    p = _ref_softmax(logits)
+    e_y = np.zeros(K)
+    e_y[y] = 1.0
+    in_side = direction == "in_minimize"
+    if kind in ("cross_entropy", "cross_entropy_random_label"):
+        if in_side or kind == "cross_entropy_random_label":
+            e = np.zeros(K)
+            e[y if in_side else alt] = 1.0
+            return p - e
+        fy = p[y]
+        return (fy / (1.0 - fy)) * (e_y - p)
+    if kind in ("cw_margin", "cw_margin_random_label"):
+        label = y if in_side or kind == "cw_margin" else alt
+        e = np.zeros(K)
+        e[label] = 1.0
+        masked = logits.copy()
+        masked[label] = -np.inf
+        e_run = np.zeros(K)
+        e_run[int(np.argmax(masked))] = 1.0
+        g = e - e_run
+        return g if (not in_side and kind == "cw_margin") else -g
+    if kind == "scaled_log_score":
+        fy = p[y]
+        if fy <= clamp or fy >= 1.0 - clamp:
+            return np.zeros(K)
+        g = (e_y - p) / (1.0 - fy)
+        return g if in_side else -g
+    return e_y if in_side else -e_y
+
+
+def _ref_input_gradient(params, activation, x, y, kind, direction, alt, clamp):
+    logits, pre = _ref_forward(params, activation, x)
+    delta = _ref_dlogits(logits, y, kind, direction, alt, clamp)[None, :]
+    for l in range(len(params.weights) - 1, -1, -1):
+        dh = delta @ params.weights[l]
+        if l == 0:
+            return dh[0]
+        if activation == "relu":
+            delta = dh * (pre[l - 1] > 0.0).astype(np.float64)
+        else:
+            t = np.tanh(pre[l - 1])
+            delta = dh * (1.0 - t * t)
+
+
+def _ref_project(x_star, delta, epsilon):
+    delta = np.clip(delta, -epsilon, epsilon)
+    x = np.clip(x_star + delta, 0.0, 1.0)
+    return x - x_star, x
+
+
+def _ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline):
+    b = cfg.shadow_batch
+    delta = np.zeros_like(x_star)
+    if cfg.init == "target_plus_noise" and cfg.noise_scale > 0:
+        delta = rng.normal(0.0, cfg.noise_scale, size=x_star.shape)
+    delta, x = _ref_project(x_star, delta, cfg.epsilon)
+    m = np.zeros_like(x_star)
+    v = np.zeros_like(x_star)
+    for t in range(1, cfg.steps + 1):
+        sides = [(s_out, "out_maximize")] + ([] if offline else [(s_in, "in_minimize")])
+        grad = None
+        for models, direction in sides:
+            g = np.zeros_like(x_star)
+            for i in rng.permutation(len(models))[:b]:
+                rec = models[i]
+                g += _ref_input_gradient(rec._params, rec.arch.activation, x, y,
+                                         cfg.objective, direction, alt, cfg.conf_clamp)
+            grad = g / b if grad is None else grad + g / b
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        delta = delta - cfg.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        delta, x = _ref_project(x_star, delta, cfg.epsilon)
+    return x
+
+
+def _ref_confidence(rec, X, y):
+    """Softmax confidence of label y for each row of a (Q, d) batch."""
+    h = X
+    for l, (W, b) in enumerate(zip(rec._params.weights, rec._params.biases)):
+        h = h @ W.T + b
+        if l < len(rec._params.weights) - 1:
+            h = np.maximum(h, 0.0) if rec.arch.activation == "relu" else np.tanh(h)
+    return _ref_softmax(h)[:, y]
+
+
+def _ref_phi(f, clamp):
+    f = min(max(float(f), clamp), 1.0 - clamp)
+    return math.log(f / (1.0 - f))
+
+
+def _ref_fit(column, floor):
+    return float(np.mean(column)), max(float(np.std(column)), floor)
+
+
+def _ref_log_pdf(x, mu, sigma):
+    z = (x - mu) / sigma
+    return -0.5 * z * z - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+
+
+def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, seed):
+    """Per-target scores as (target, is_member, query scores, aggregate) tuples."""
+    from mialab.rng import TAG_ALT_LABEL, substream
+
+    offline = mode == "offline"
+    out = []
+    for t, is_member in targets:
+        x_star, y = dataset.features[t].copy(), int(dataset.labels[t])
+        column = farm.splits[:, t]
+        s_in = [r for r, flag in zip(farm.records, column) if flag]
+        s_out = [r for r, flag in zip(farm.records, column) if not flag]
+        alt = None
+        if cfg.objective.endswith("random_label"):
+            draw = int(substream(seed, TAG_ALT_LABEL, t).integers(farm.arch.num_classes - 1))
+            alt = draw + (draw >= y)
+        queries = []
+        for q in range(cfg.num_queries):
+            if method == "lira":
+                queries.append(x_star)
+                continue
+            rng = substream(seed, t, q)
+            if method == "random_noise":
+                noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x_star.shape) if cfg.epsilon > 0 else 0.0
+                queries.append(np.clip(x_star + noise, 0.0, 1.0))
+            else:
+                queries.append(_ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline))
+        batch = np.stack(queries)
+        clamp = cfg.conf_clamp
+
+        def phis(models):
+            conf = np.stack([_ref_confidence(r, batch, y) for r in models])
+            conf = np.clip(conf, clamp, 1.0 - clamp)
+            return np.log(conf / (1.0 - conf))
+
+        out_phi = phis(s_out)
+        in_phi = None if offline else phis(s_in)
+        scores = []
+        for q in range(cfg.num_queries):
+            conf_t = _ref_phi(_ref_confidence(target_record, batch[q:q + 1].copy(), y)[0], clamp)
+            mu_o, sd_o = _ref_fit(out_phi[:, q], cfg.sigma_floor)
+            if offline:
+                if cfg.offline_density:
+                    scores.append(1.0 - math.exp(_ref_log_pdf(conf_t, mu_o, sd_o)))
+                else:
+                    scores.append(0.5 * math.erfc(-((conf_t - mu_o) / sd_o) / math.sqrt(2.0)))
+            else:
+                mu_i, sd_i = _ref_fit(in_phi[:, q], cfg.sigma_floor)
+                log_ratio = _ref_log_pdf(conf_t, mu_i, sd_i) - _ref_log_pdf(conf_t, mu_o, sd_o)
+                scores.append(math.inf if log_ratio > 709.0 else
+                              0.0 if log_ratio < -745.0 else math.exp(log_ratio))
+        out.append((t, is_member, scores, float(np.mean(scores))))
+    return out

@@ -19,12 +19,15 @@ from mialab.attacks import (
     run_attack,
     scale_confidence,
 )
+from mialab import attacks
 from mialab.data import synthetic_mixture
-from mialab.errors import FingerprintMismatchError
+from mialab.errors import ConfigError, FingerprintMismatchError
 from mialab.farm import build_farm, hold_out_target, in_out_partition
-from mialab.nn import ArchDescriptor
+from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
 from mialab.rng import substream
 from mialab.training import TrainConfig
+
+from oracles import reference_attack
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +351,90 @@ class TestScoreTableCsv:
         table.write_csv(a)
         table.write_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def deep_tanh_farm():
+    ds = synthetic_mixture(96, 6, 3, seed=4, noise=0.1)
+    arch = ArchDescriptor(6, (10, 7), 3, "tanh")
+    farm = build_farm(ds, 12, arch, TrainConfig(epochs=15, batch_size=16, lr=0.03), master_seed=8)
+    return ds, farm
+
+
+def _engine_and_reference(ds, farm, held, method, mode, cfg, seed, n_each=6):
+    targets = _targets_for(farm, held, n_each, np.random.default_rng(held))
+    oracle, rest = hold_out_target(farm, held)
+    table = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=seed)
+    ref = reference_attack(ds, farm.records[held], rest, targets, method, mode, cfg, seed)
+    got = [(r.target_index, r.is_member, r.query_scores, r.aggregated) for r in table.rows]
+    return repr(got), repr(ref), oracle, targets  # repr tells -0.0 from 0.0
+
+
+class TestEngineMatchesReference:
+    """The batched engine reproduces the per-target, single-row loop bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("method", ["lira", "canary", "random_noise"])
+    def test_methods_and_modes(self, toy_farm, method, mode):
+        ds, farm = toy_farm
+        cfg = CanaryConfig(epsilon=0.15, steps=6, shadow_batch=2, lr=0.05, num_queries=3)
+        got, ref, oracle, targets = _engine_and_reference(ds, farm, 2, method, mode, cfg, seed=51)
+        assert got == ref
+        assert oracle.query_count == len(targets) * 3
+
+    @pytest.mark.parametrize("objective", OBJECTIVE_KINDS)
+    def test_every_objective(self, toy_farm, deep_tanh_farm, objective):
+        for (ds, farm), mode in ((toy_farm, "online"), (deep_tanh_farm, "offline")):
+            cfg = CanaryConfig(epsilon=0.2, steps=5, shadow_batch=3, lr=0.08, num_queries=2,
+                               objective=objective, init_noise_scale=0.07)
+            got, ref, _, _ = _engine_and_reference(ds, farm, 1, "canary", mode, cfg, seed=52)
+            assert got == ref
+
+    def test_offline_density_variant(self, deep_tanh_farm):
+        ds, farm = deep_tanh_farm
+        cfg = CanaryConfig(epsilon=0.1, steps=3, num_queries=2, offline_density=True,
+                           init="target")
+        got, ref, _, _ = _engine_and_reference(ds, farm, 0, "canary", "offline", cfg, seed=53)
+        assert got == ref
+
+
+class TestBatchComposition:
+    @pytest.mark.parametrize("method,mode", [("canary", "online"), ("canary", "offline"),
+                                             ("random_noise", "online"), ("lira", "offline")])
+    def test_permuted_subset_gives_same_rows(self, toy_farm, monkeypatch, method, mode):
+        ds, farm = toy_farm
+        targets = _targets_for(farm, 3, 8, np.random.default_rng(54))
+        oracle, rest = hold_out_target(farm, 3)
+        cfg = CanaryConfig(epsilon=0.1, steps=4, shadow_batch=2, num_queries=3,
+                           objective="cw_margin_random_label")
+        full = {r.target_index: r for r in
+                run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=55).rows}
+        subset = [targets[i] for i in np.random.default_rng(56).permutation(len(targets))[:7]]
+        # blocks of 2 targets: 3 queries x widest layer 12 x 2 = 72 elements
+        monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
+        part = run_attack(ds, oracle, rest, subset, method, mode, cfg, seed=55)
+        assert [r.target_index for r in part.rows] == [t for t, _ in subset]
+        assert all(repr(r) == repr(full[r.target_index]) for r in part.rows)
+
+
+class TestEligibility:
+    def test_small_farm_fails_before_any_query(self):
+        ds = synthetic_mixture(40, 4, 2, seed=9, noise=0.1)
+        farm = build_farm(ds, 3, ArchDescriptor(4, (5,), 2),
+                          TrainConfig(epochs=2, batch_size=8), master_seed=3)
+        oracle, rest = hold_out_target(farm, 0)
+        targets = [(t, bool(farm.splits[0, t])) for t in range(ds.n)]
+        cases = [("lira", "online", 1), ("lira", "offline", 1), ("canary", "offline", 2)]
+        for method, mode, batch in cases:
+            cfg = CanaryConfig(epsilon=0.1, steps=2, shadow_batch=batch, num_queries=2)
+            with pytest.raises(ConfigError, match="shadow models"):
+                run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=1)
+        assert oracle.query_count == 0
+        assert all(r.access_count == 0 for r in rest.records)
+
+    def test_out_of_range_target(self, toy_farm):
+        ds, farm = toy_farm
+        oracle, rest = hold_out_target(farm, 0)
+        cfg = CanaryConfig(epsilon=0.1, num_queries=1)
+        with pytest.raises(IndexError, match="out of range"):
+            run_attack(ds, oracle, rest, [(ds.n, True)], "lira", "online", cfg, seed=1)

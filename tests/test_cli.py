@@ -87,6 +87,35 @@ class TestTrainShadows:
         assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "error:ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("arch", "hidden_dims", 5),
+        (None, "train", [1]),
+        ("train", "dp", 3),
+        ("train", "epochz", 3),
+        (None, "seeds", 0),
+        ("canary", "stepz", 3),
+        ("canary", "epsilon", float("nan")),
+        ("canary", "lr", float("inf")),
+        ("canary", "init_noise_scale", float("-inf")),
+        ("canary", "steps", [2]),
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
+        cfg = base_config()
+        target = cfg if block is None else cfg["attack"]["canary"] if block == "canary" else cfg[block]
+        target[key] = value
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))  # NaN and infinities as JSON literals
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_refuses_non_finite_values(self, tmp_path):
+        from mialab.config import write_manifest
+
+        with pytest.raises(ValueError):
+            write_manifest(tmp_path / "m.json", {"wall_time_s": float("nan")})
+
 
 class TestAttack:
     def test_scores_written_per_seed(self, trained):

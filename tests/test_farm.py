@@ -14,6 +14,7 @@ from mialab.farm import (
     in_out_partition,
     load_farm,
     model_confidence,
+    model_confidence_batch,
     save_farm,
 )
 from mialab.nn import ArchDescriptor, forward_logits, softmax_conf
@@ -108,6 +109,36 @@ class TestOracle:
             y = int(rng.integers(3))
             direct = softmax_conf(forward_logits(rec.arch, rec._params, x), y)
             assert oracle.confidence(x, y) == direct
+
+    def test_confidences_are_single_queries_bitwise(self, toy):
+        ds, _, _, farm = toy
+        oracle, _ = hold_out_target(farm, 3)
+        X = np.random.default_rng(5).uniform(0, 1, (4, 3, ds.input_dim))
+        y = np.array([0, 2, 1, 2])
+        conf = oracle.confidences(X, y)
+        assert conf.shape == (4, 3) and oracle.query_count == 12
+        single = [[oracle.confidence(X[t, q], int(y[t])) for q in range(3)] for t in range(4)]
+        assert np.array_equal(conf, np.array(single))
+        assert np.array_equal(oracle.confidences(X[1], 2), conf[1])
+
+    def test_confidences_budget_counts_rows(self, toy):
+        ds, _, _, farm = toy
+        oracle, _ = hold_out_target(farm, 0, budget=5)
+        oracle.confidences(ds.features[:4], 0)
+        with pytest.raises(QueryBudgetError):
+            oracle.confidences(ds.features[:2], 0)
+        assert oracle.query_count == 4
+
+    def test_stacked_blocks_equal_each_block(self, toy):
+        ds, _, _, farm = toy
+        rec = farm.records[2]
+        X = np.random.default_rng(6).uniform(0, 1, (5, 4, ds.input_dim))
+        y = np.array([1, 0, 2, 2, 1])
+        stacked = model_confidence_batch(rec, X, y)
+        for t in range(5):
+            assert np.array_equal(stacked[t], model_confidence_batch(rec, X[t], int(y[t])))
+        with pytest.raises(IndexError):
+            model_confidence_batch(rec, X, np.array([1, 0, 3, 2, 1]))
 
     def test_remaining_farm_excludes_target(self, toy):
         _, _, _, farm = toy

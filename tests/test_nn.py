@@ -208,6 +208,26 @@ class TestInputGradient:
             worst = max(worst, err)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    @pytest.mark.parametrize("direction", [IN_MINIMIZE, OUT_MAXIMIZE])
+    def test_rows_of_a_batch_equal_single_rows_bitwise(self, kind, direction):
+        rng = np.random.default_rng(11)
+        arch, params = random_net(np.random.default_rng(12), input_dim=20, hidden=(128, 9),
+                                  classes=10, activation="tanh" if kind[0] == "c" else "relu")
+        X = rng.uniform(0, 1, (17, 20))
+        y = rng.integers(0, 10, 17)
+        alt = (y + 1 + rng.integers(0, 9, 17)) % 10 if "random" in kind else None
+        batch = input_gradient(arch, params, X, y, ObjectiveKind(kind, direction, alt))
+        for i in range(len(X)):
+            obj = ObjectiveKind(kind, direction, None if alt is None else int(alt[i]))
+            assert np.array_equal(batch[i], input_gradient(arch, params, X[i], int(y[i]), obj))
+
+    def test_batch_rejects_alt_equal_to_label(self):
+        arch, params = random_net(np.random.default_rng(13))
+        obj = ObjectiveKind("cross_entropy_random_label", OUT_MAXIMIZE, np.array([1, 2]))
+        with pytest.raises(ValueError, match="alternative label"):
+            input_gradient(arch, params, np.zeros((2, 5)), np.array([0, 2]), obj)
+
 
 class TestParamGradient:
     def test_empty_batch_errors(self):
