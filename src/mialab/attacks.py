@@ -289,7 +289,7 @@ def _optimize_rows(
         grad = mean_gradient(x, out_picks[s], OUT_MAXIMIZE)
         if online:
             grad += mean_gradient(x, in_picks[s], IN_MINIMIZE)
-        delta, adam = adam_step(adam, delta, grad, config.lr)
+        adam_step(adam, delta, grad, config.lr)
         delta, x = _project(x_star, delta, config.epsilon, lo, hi)
     return x, in_evaluations
 
@@ -395,6 +395,8 @@ class ScoreTable:
                     score, agg = float(rec[3]), float(rec[4])
                 except ValueError as exc:
                     raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
+                    raise FormatError(f"{path}: line {lineno}: score is NaN")
                 if idx not in rows:
                     rows[idx] = ScoreRow(idx, member, [], agg)
                 rows[idx].query_scores.append(score)

@@ -9,8 +9,7 @@ model's parameters as little-endian float64.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,13 @@ from .errors import (
 )
 from .nn import ArchDescriptor, Params, forward_batch, forward_logits, softmax, softmax_conf
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seed
-from .training import ModelRecord, TrainConfig, make_even_splits, retrain_config, train_model
+from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
+    ModelRecord,
+    TrainConfig,
+    make_even_splits,
+    train_model,
+    train_models,
+)
 
 MAGIC = b"SHDWFARM"
 VERSION = 1
@@ -125,13 +130,6 @@ def model_confidence_batch(record: ModelRecord, X: np.ndarray, y) -> np.ndarray:
     return _label_confidence(forward_batch(record.arch, record.params, X), y)
 
 
-def _train_one(args) -> np.ndarray:
-    features, labels, num_classes, mask, arch, config = args
-    ds = Dataset(features, labels, num_classes=num_classes)
-    record = train_model(ds, mask, arch, config)
-    return record._params.to_vector()
-
-
 def build_farm(
     dataset: Dataset,
     n_models: int,
@@ -140,29 +138,19 @@ def build_farm(
     master_seed: int,
     jobs: int = 1,
 ) -> ShadowFarm:
-    """Train n_models models on randomized even splits; fully seed-determined."""
+    """Train n_models models on randomized even splits; fully seed-determined.
+
+    Training runs in lock-step model groups (training.train_models), spread
+    over jobs worker processes; neither changes any model's parameters.
+    """
     if n_models < 2:
         raise ValueError("a farm needs at least 2 models")
     if arch.input_dim != dataset.input_dim or arch.num_classes < dataset.num_classes:
         raise ValueError("architecture does not fit the dataset")
     splits = make_even_splits(dataset.n, n_models, derive_seed(master_seed, TAG_SPLITS))
-    seeds = [derive_seed(master_seed, TAG_MODEL, i) for i in range(n_models)]
-    configs = [retrain_config(train_config, s) for s in seeds]
-
-    records: list[ModelRecord] = []
-    if jobs > 1:
-        work = [
-            (dataset.features, dataset.labels, dataset.num_classes, splits[i], arch, configs[i])
-            for i in range(n_models)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vectors = list(pool.map(_train_one, work))
-        for i, vec in enumerate(vectors):
-            records.append(ModelRecord(arch, seeds[i], i, Params.from_vector(arch, vec)))
-    else:
-        for i in range(n_models):
-            rec = train_model(dataset, splits[i], arch, configs[i])
-            records.append(ModelRecord(arch, seeds[i], i, rec._params))
+    configs = [replace(train_config, seed=derive_seed(master_seed, TAG_MODEL, i))
+               for i in range(n_models)]
+    records = train_models(dataset, splits, arch, configs, jobs=jobs)
     return ShadowFarm(dataset.fingerprint(), arch, splits, records, int(master_seed))
 
 

@@ -23,12 +23,15 @@ def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """FPR/TPR arrays from a descending threshold sweep over unique scores.
 
     The curve starts at (0, 0) and ends at (1, 1); both coordinates are
-    nondecreasing. Higher scores mean "more likely member".
+    nondecreasing. Higher scores mean "more likely member"; +-inf is a
+    score, NaN is refused.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be matching vectors")
+    if np.isnan(scores).any():
+        raise FormatError(f"{int(np.isnan(scores).sum())} NaN scores cannot be ranked")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

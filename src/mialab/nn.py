@@ -1,7 +1,7 @@
 """Minimal differentiable MLP substrate in float64 numpy.
 
 Provides forward evaluation, exact parameter gradients, exact input-space
-gradients for the attack objectives, and a standalone Adam step. Weights
+gradients for the attack objectives, and an in-place Adam step. Weights
 use the (fan_out, fan_in) layout, so a single linear layer computes
 ``W @ x + b`` and the input gradient of ``logits[y]`` is row ``y`` of W.
 """
@@ -9,7 +9,7 @@ use the (fan_out, fan_in) layout, so a single linear layer computes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,13 +107,8 @@ class Params:
             raise ShapeError(
                 f"expected parameter vector of length {arch.param_count()}, got {vec.shape}"
             )
-        weights, biases, off = [], [], 0
-        for out_d, in_d in arch.layer_shapes():
-            weights.append(vec[off:off + out_d * in_d].reshape(out_d, in_d).copy())
-            off += out_d * in_d
-            biases.append(vec[off:off + out_d].copy())
-            off += out_d
-        return Params(weights, biases)
+        views = layer_views(arch, vec)
+        return Params([W.copy() for W in views.weights], [b.copy() for b in views.biases])
 
     def copy(self) -> "Params":
         return Params([W.copy() for W in self.weights], [b.copy() for b in self.biases])
@@ -131,6 +126,22 @@ class Params:
             and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
             and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
         )
+
+
+def layer_views(arch: ArchDescriptor, flat: np.ndarray) -> Params:
+    """Per-layer views into a (..., param_count) buffer, in to_vector order.
+
+    A (G, P) buffer gives stacked (G, out, in) weights and (G, out) biases,
+    so G models' parameters are updated through one array.
+    """
+    lead = flat.shape[:-1]
+    weights, biases, off = [], [], 0
+    for out_d, in_d in arch.layer_shapes():
+        weights.append(flat[..., off:off + out_d * in_d].reshape(*lead, out_d, in_d))
+        off += out_d * in_d
+        biases.append(flat[..., off:off + out_d])
+        off += out_d
+    return Params(weights, biases)
 
 
 def init_params(arch: ArchDescriptor, rng: np.random.Generator) -> Params:
@@ -161,20 +172,26 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _activate_grad(z: np.ndarray, activation: str) -> np.ndarray:
+    """Activation derivative; relu's is a boolean mask, which multiplies as 1.0/0.0."""
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
 
 def _forward_cached(arch: ArchDescriptor, params: Params, X: np.ndarray):
-    """Forward pass on a (B, input_dim) batch, keeping activations for backprop."""
+    """Forward pass on a (..., B, input_dim) batch, keeping activations for backprop.
+
+    Stacked (G, out, in) weights pair slice g of a (G, B, input_dim) batch
+    with model g; every product runs slice by slice.
+    """
     acts = [X]  # inputs to each layer
     pre = []    # pre-activations of hidden layers
     h = X
     n_layers = len(params.weights)
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
+        z = h @ W.mT
+        z += b[..., None, :]
         if l < n_layers - 1:
             pre.append(z)
             h = _activate(z, arch.activation)
@@ -388,29 +405,37 @@ def input_gradient(
 
 
 def param_gradient(
-    arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray
+    arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray, out: Params | None = None
 ) -> Params:
-    """Mean cross-entropy gradient over a batch, shaped like Params."""
+    """Mean cross-entropy gradient over a batch, shaped like Params.
+
+    Batch-first: with stacked (G, out, in) params, X is (G, B, input_dim)
+    and y is (G, B), one batch per model. The gradient is written into out
+    (views shaped like params, see layer_views) when given. Each model's
+    gradient is bitwise that of the model alone, since every product runs
+    slice by slice. The parameter shapes are the caller's to check.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != arch.input_dim:
+    if X.ndim < 2 or X.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected batch of shape (B, {arch.input_dim}), got {X.shape}")
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise ValueError("empty batch")
-    _check_params(arch, params)
-    B = X.shape[0]
+    B = X.shape[-2]
     logits, acts, pre = _forward_cached(arch, params, X)
     delta = softmax(logits)
-    delta[np.arange(B), y] -= 1.0
+    delta[(*np.indices(y.shape), y)] -= 1.0
     delta /= B
-    gw = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
-    for l in range(len(params.weights) - 1, -1, -1):
-        gw[l] = delta.T @ acts[l]
-        gb[l] = delta.sum(axis=0)
+    n_layers = len(params.weights)
+    gw = [None] * n_layers if out is None else out.weights
+    gb = [None] * n_layers if out is None else out.biases
+    for l in range(n_layers - 1, -1, -1):
+        gw[l] = np.matmul(delta.mT, acts[l], out=gw[l])
+        gb[l] = np.sum(delta, axis=-2, out=gb[l])
         if l > 0:
-            delta = (delta @ params.weights[l]) * _activate_grad(pre[l - 1], arch.activation)
-    return Params(gw, gb)
+            delta = delta @ params.weights[l]
+            delta *= _activate_grad(pre[l - 1], arch.activation)
+    return Params(gw, gb) if out is None else out
 
 
 def per_example_grad_vectors(
@@ -459,7 +484,7 @@ def batch_cross_entropy(arch: ArchDescriptor, params: Params, X, y) -> float:
 
 @dataclass
 class AdamState:
-    """Adam moments for one optimized variable; zeroed at step 0."""
+    """Adam moments for one optimized variable, updated in place; zeroed at step 0."""
 
     step: int
     m: np.ndarray
@@ -467,24 +492,43 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_adam(shape) -> AdamState:
     return AdamState(step=0, m=np.zeros(shape), v=np.zeros(shape))
 
 
-def adam_step(
-    state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: float
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new variable and state."""
-    variable = np.asarray(variable, dtype=np.float64)
+def adam_step(state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of variable and state, in place.
+
+    The operations follow m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    x -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) one rounding at a
+    time, so the result is bitwise that of the allocating expression. A
+    (G, P) variable updates G models' parameters in one pass.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
+    if not isinstance(variable, np.ndarray) or variable.dtype != np.float64:
+        raise ShapeError("Adam updates a float64 array in place")
     if variable.shape != gradient.shape or variable.shape != state.m.shape:
         raise ShapeError("variable, gradient and Adam state shapes must agree")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * gradient
-    v = state.beta2 * state.v + (1.0 - state.beta2) * gradient * gradient
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_var = variable - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_var, AdamState(t, m, v, state.beta1, state.beta2, state.eps)
+    a, b = state.work
+    state.m *= state.beta1
+    np.multiply(gradient, 1.0 - state.beta1, out=a)
+    state.m += a
+    state.v *= state.beta2
+    np.multiply(gradient, 1.0 - state.beta2, out=a)
+    a *= gradient
+    state.v += a
+    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)
+    a *= lr
+    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    variable -= a
+    state.step = t

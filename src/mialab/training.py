@@ -1,4 +1,4 @@
-"""Training one model on one split: plain mini-batch SGD/Adam or DP-SGD.
+"""Training models on their splits, in lock-step groups: mini-batch SGD/Adam or DP-SGD.
 
 The DP path clips every per-example gradient to an L2 norm bound, sums,
 adds Gaussian noise with per-coordinate standard deviation
@@ -9,6 +9,8 @@ surface (see NOISE_PRESETS for illustrative budget stand-ins).
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from .nn import (
     forward_batch,
     init_adam,
     init_params,
+    layer_views,
     param_gradient,
     per_example_grad_vectors,
 )
@@ -32,6 +35,11 @@ from .rng import substream
 NOISE_PRESETS = {"loose": 0.5, "strict": 2.0}
 
 OPTIMIZERS = ("sgd", "adam")
+
+# train_models trains models in lock-step groups of at most this many
+# models x parameters (x batch size for DP models), which bounds the
+# buffers one group holds. Parameters do not depend on it.
+TRAIN_GROUP_ELEMENTS = 1 << 15
 
 # How many times dp_step verified its post-clip norm bound (test hook).
 clip_checks = 0
@@ -198,6 +206,105 @@ def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) 
     return evaluate_accuracy(record.arch, record._params, X, y)
 
 
+def plan_groups(masks: np.ndarray, arch: ArchDescriptor, configs) -> list[list[int]]:
+    """Model indices in lock-step training groups, in order of first index.
+
+    Models share a group when their training sets have one size and their
+    configs differ at most in seed. A group holds at most
+    TRAIN_GROUP_ELEMENTS // cost models (at least one), where cost is the
+    parameter count, times the batch size for DP models.
+    """
+    sizes = np.asarray(masks, dtype=bool).sum(axis=1)
+    open_groups: dict = {}
+    plan: list[list[int]] = []
+    for i, config in enumerate(configs):
+        cost = arch.param_count() * (config.batch_size if config.dp is not None else 1)
+        key = (int(sizes[i]), replace(config, seed=0))
+        group = open_groups.get(key)
+        if group is None or len(group) >= max(1, TRAIN_GROUP_ELEMENTS // cost):
+            group = open_groups[key] = []
+            plan.append(group)
+        group.append(i)
+    return plan
+
+
+def _train_group(dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, configs) -> np.ndarray:
+    """Train one plan_groups group in lock-step; returns its (G, P) parameters.
+
+    Each step gathers every model's own batch as (G, B, input_dim), writes
+    all gradients into one (G, P) buffer and takes one in-place optimizer
+    step on the (G, P) parameters. Each model draws its init, batch order
+    and DP noise from its own seed's substreams.
+    """
+    train_idx = [np.flatnonzero(mask) for mask in masks]
+    n = train_idx[0].size
+    if n == 0:
+        raise ValueError("empty training set")
+    config, seeds = configs[0], [c.seed for c in configs]
+    theta = np.stack([init_params(arch, substream(seed, 0)).to_vector() for seed in seeds])
+    grad = np.empty_like(theta)
+    params, grads = layer_views(arch, theta), layer_views(arch, grad)
+    adam = init_adam(theta.shape) if config.optimizer == "adam" else None
+    dp = config.dp
+    for epoch in range(config.epochs):
+        order = np.stack([idx[substream(seed, 1, epoch).permutation(n)]
+                          for idx, seed in zip(train_idx, seeds)])
+        noise_rngs = [substream(seed, 2, epoch) for seed in seeds] if dp is not None else None
+        for start in range(0, n, config.batch_size):
+            Xb, yb = dataset.take(order[:, start:start + config.batch_size])
+            if dp is not None:
+                for g, rng in enumerate(noise_rngs):
+                    model = Params([W[g] for W in params.weights], [b[g] for b in params.biases])
+                    per_ex = per_example_grad_vectors(arch, model, Xb[g], yb[g])
+                    grad[g] = dp_step(per_ex, dp.clip_norm, dp.noise_multiplier, yb.shape[1], rng)
+            else:
+                param_gradient(arch, params, Xb, yb, out=grads)
+            if adam is not None:
+                adam_step(adam, theta, grad, config.lr)
+            else:
+                grad *= config.lr
+                theta -= grad
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("training diverged: non-finite parameters")
+    return theta
+
+
+def _train_group_job(args) -> np.ndarray:
+    features, labels, num_classes, masks, arch, configs = args
+    return _train_group(Dataset(features, labels, num_classes=num_classes), masks, arch, configs)
+
+
+def train_models(
+    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, configs, jobs: int = 1
+) -> list[ModelRecord]:
+    """Train model i on exactly the points of mask row i; record i has split_row i.
+
+    Models train in the lock-step groups of plan_groups, spread over jobs
+    worker processes when jobs > 1. Each model is bitwise what it is when
+    trained alone: it depends on its config (and seed) only.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    if masks.shape != (len(configs), dataset.n):
+        raise ShapeError(
+            f"masks {masks.shape} do not give one row per config over {dataset.n} points"
+        )
+    plan = plan_groups(masks, arch, configs)
+    work = [(masks[group], [configs[i] for i in group]) for group in plan]
+    if jobs > 1:
+        jobs_args = [(dataset.features, dataset.labels, dataset.num_classes, m, arch, c)
+                     for m, c in work]
+        context = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS threads run
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            thetas = list(pool.map(_train_group_job, jobs_args))
+    else:
+        thetas = [_train_group(dataset, m, arch, c) for m, c in work]
+    records: list = [None] * len(configs)
+    for group, theta in zip(plan, thetas):
+        for i, row in zip(group, theta):
+            records[i] = ModelRecord(arch, configs[i].seed, i, Params.from_vector(arch, row))
+    return records
+
+
 def train_model(
     dataset: Dataset, mask: np.ndarray, arch: ArchDescriptor, config: TrainConfig
 ) -> ModelRecord:
@@ -205,38 +312,5 @@ def train_model(
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (dataset.n,):
         raise ShapeError(f"mask length {mask.shape} does not match dataset size {dataset.n}")
-    train_idx = np.flatnonzero(mask)
-    if train_idx.size == 0:
-        raise ValueError("empty training set")
-    X, y = dataset.take(train_idx)
-
-    params = init_params(arch, substream(config.seed, 0))
-    theta = params.to_vector()
-    adam = init_adam(theta.shape) if config.optimizer == "adam" else None
-    n = train_idx.size
-    for epoch in range(config.epochs):
-        order = substream(config.seed, 1, epoch).permutation(n)
-        noise_rng = substream(config.seed, 2, epoch) if config.dp is not None else None
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            Xb, yb = X[batch], y[batch]
-            if config.dp is not None:
-                per_ex = per_example_grad_vectors(arch, params, Xb, yb)
-                grad = dp_step(
-                    per_ex, config.dp.clip_norm, config.dp.noise_multiplier,
-                    batch.size, noise_rng,
-                )
-            else:
-                grad = param_gradient(arch, params, Xb, yb).to_vector()
-            if adam is not None:
-                theta, adam = adam_step(adam, theta, grad, config.lr)
-            else:
-                theta = theta - config.lr * grad
-            params = Params.from_vector(arch, theta)
-    if not params.all_finite():
-        raise ValueError("training diverged: non-finite parameters")
-    return ModelRecord(arch, config.seed, split_row=-1, params=params)
-
-
-def retrain_config(config: TrainConfig, seed: int) -> TrainConfig:
-    return replace(config, seed=seed)
+    record = train_models(dataset, mask[None, :], arch, [config])[0]
+    return ModelRecord(arch, config.seed, -1, record._params)

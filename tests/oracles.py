@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own code paths: finite
-differences for gradients, explicit pairwise counting for AUC, and a
-hand-rolled recurrence for Adam.
+differences for gradients, explicit pairwise counting for AUC, a
+hand-rolled recurrence for Adam, and the one-target attack and one-model
+training loops the batched library code must reproduce bit for bit.
 """
 
 import math
@@ -253,3 +254,110 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
                               0.0 if log_ratio < -745.0 else math.exp(log_ratio))
         out.append((t, is_member, scores, float(np.mean(scores))))
     return out
+
+
+# ---- per-model training reference -----------------------------------------------
+# The training loop as it ran one model at a time: parameters repacked from
+# the flat vector every step, allocating Adam. Plain numpy throughout; the
+# library's lock-step group trainer must reproduce its parameters bit for bit.
+
+
+def _ref_unpack(shapes, theta):
+    weights, biases, off = [], [], 0
+    for out_d, in_d in shapes:
+        weights.append(theta[off:off + out_d * in_d].reshape(out_d, in_d).copy())
+        off += out_d * in_d
+        biases.append(theta[off:off + out_d].copy())
+        off += out_d
+    return weights, biases
+
+
+def _ref_backprop(weights, biases, activation, X, y):
+    """Per-layer (delta, layer input) pairs of the summed cross-entropy, last layer first."""
+    acts, pre, h = [X], [], X
+    for l, (W, b) in enumerate(zip(weights, biases)):
+        z = h @ W.T + b
+        if l < len(weights) - 1:
+            pre.append(z)
+            h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+            acts.append(h)
+    delta = _ref_softmax(z)
+    delta[np.arange(X.shape[0]), y] -= 1.0
+    return delta, acts, pre
+
+
+def _ref_hidden_delta(delta, W, z, activation):
+    if activation == "relu":
+        return (delta @ W) * (z > 0.0).astype(np.float64)
+    t = np.tanh(z)
+    return (delta @ W) * (1.0 - t * t)
+
+
+def _ref_mean_gradient(weights, biases, activation, X, y):
+    delta, acts, pre = _ref_backprop(weights, biases, activation, X, y)
+    delta /= X.shape[0]
+    per_layer = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        per_layer[l] = ((delta.T @ acts[l]).ravel(), delta.sum(axis=0))
+        if l > 0:
+            delta = _ref_hidden_delta(delta, weights[l], pre[l - 1], activation)
+    return np.concatenate([part for layer in per_layer for part in layer])
+
+
+def _ref_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier, rng):
+    B = X.shape[0]
+    delta, acts, pre = _ref_backprop(weights, biases, activation, X, y)
+    per_layer = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        per_layer[l] = ((delta[:, :, None] * acts[l][:, None, :]).reshape(B, -1), delta)
+        if l > 0:
+            delta = _ref_hidden_delta(delta, weights[l], pre[l - 1], activation)
+    g = np.concatenate([part for gw, gb in per_layer for part in (gw, gb)], axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    factors = np.ones_like(norms)
+    over = norms > clip
+    factors[over] = clip / norms[over]
+    total = (g * factors[:, None]).sum(axis=0)
+    if noise_multiplier > 0:
+        total = total + rng.normal(0.0, noise_multiplier * clip, size=total.shape)
+    return total / B
+
+
+def reference_train(dataset, mask, arch, config):
+    """Flat parameter vector of one model trained alone on its masked-in points."""
+    from mialab.rng import substream
+
+    shapes = arch.layer_shapes()
+    idx = np.flatnonzero(mask)
+    X, y, n = dataset.features[idx], dataset.labels[idx], idx.size
+    init = substream(config.seed, 0)
+    gain = 2.0 if arch.activation == "relu" else 1.0
+    theta = np.concatenate([
+        part for out_d, in_d in shapes
+        for part in (init.normal(0.0, math.sqrt(gain / in_d), size=(out_d, in_d)).ravel(),
+                     np.zeros(out_d))
+    ])
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    t = 0
+    for epoch in range(config.epochs):
+        order = substream(config.seed, 1, epoch).permutation(n)
+        noise = substream(config.seed, 2, epoch) if config.dp is not None else None
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            weights, biases = _ref_unpack(shapes, theta)
+            if config.dp is None:
+                g = _ref_mean_gradient(weights, biases, arch.activation, X[batch], y[batch])
+            else:
+                g = _ref_dp_gradient(weights, biases, arch.activation, X[batch], y[batch],
+                                     config.dp.clip_norm, config.dp.noise_multiplier, noise)
+            if config.optimizer == "adam":
+                t += 1
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                m_hat = m / (1.0 - 0.9 ** t)
+                v_hat = v / (1.0 - 0.999 ** t)
+                theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            else:
+                theta = theta - config.lr * g
+    return theta

@@ -241,6 +241,36 @@ class TestEvalCompare:
         assert per_seed[0]["auc"] == 1.0
         assert per_seed[0]["tpr_at_fpr_0.01"] == 1.0
 
+    def test_nan_scores_rejected_with_one_error_line(self, tmp_path, capsys):
+        # ranked as if NaN were a score, this table used to give AUC 0.75 and exit 0
+        scores = tmp_path / "nan_seed0.csv"
+        scores.write_text(
+            "target_index,is_member,query_id,score,aggregated_score\n"
+            "0,1,0,0.9,0.9\n"
+            "1,1,0,nan,nan\n"
+            "2,0,0,0.1,0.1\n"
+            "3,0,0,nan,nan\n"
+        )
+        out = tmp_path / "ev"
+        assert main(["eval", str(scores), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:FormatError: ") and err.count("\n") == 1
+        assert "line 3: score is NaN" in err
+        assert not (out / "report.csv").exists()
+
+    def test_infinite_scores_still_evaluate(self, tmp_path):
+        scores = tmp_path / "inf_seed0.csv"
+        scores.write_text(
+            "target_index,is_member,query_id,score,aggregated_score\n"
+            "0,1,0,inf,inf\n"
+            "1,1,0,0.7,0.7\n"
+            "2,0,0,0.2,0.2\n"
+            "3,0,0,-inf,-inf\n"
+        )
+        assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 0
+        per_seed, _ = read_report_csv(tmp_path / "ev" / "report.csv")
+        assert per_seed[0]["auc"] == 1.0
+
     def test_identical_tables_aggregate_to_zero_std(self, trained, tmp_path):
         root, _, _ = trained
         src = (root / "att" / "scores_seed0.csv").read_bytes()

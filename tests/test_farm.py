@@ -1,7 +1,16 @@
 """Shadow farm: build determinism, partition, oracle, binary round trips."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mialab
+import mialab.training as training
 
 from mialab.data import synthetic_mixture
 from mialab.errors import FormatError, QueryBudgetError, UnsupportedVersionError
@@ -19,6 +28,8 @@ from mialab.farm import (
 )
 from mialab.nn import ArchDescriptor, forward_logits, softmax_conf
 from mialab.training import ModelRecord, TrainConfig, record_accuracy
+
+from oracles import reference_train
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +71,40 @@ class TestBuild:
         ds, arch, cfg, farm = toy
         parallel = build_farm(ds, 8, arch, cfg, master_seed=77, jobs=2)
         assert farms_equal(farm, parallel)
+
+    def test_parallel_uneven_groups_match_serial_and_reference(self, toy, monkeypatch):
+        ds, arch, cfg, _ = toy
+        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", 3 * arch.param_count())
+        serial = build_farm(ds, 7, arch, cfg, master_seed=78)
+        configs = [replace(cfg, seed=rec.seed) for rec in serial.records]
+        assert [len(g) for g in training.plan_groups(serial.splits, arch, configs)] == [3, 3, 1]
+        assert farms_equal(serial, build_farm(ds, 7, arch, cfg, master_seed=78, jobs=2))
+        for rec, mask, config in zip(serial.records, serial.splits, configs):
+            assert np.array_equal(rec._params.to_vector(), reference_train(ds, mask, arch, config))
+
+    def test_store_bytes_identical_across_blas_threads(self, tmp_path):
+        # batch 128 x hidden 256: products large enough for a 2-thread BLAS to split
+        script = (
+            "import sys\n"
+            "from mialab.data import synthetic_mixture\n"
+            "from mialab.farm import build_farm, save_farm\n"
+            "from mialab.nn import ArchDescriptor\n"
+            "from mialab.training import TrainConfig\n"
+            "ds = synthetic_mixture(400, 20, 10, seed=5, noise=0.25)\n"
+            "farm = build_farm(ds, 6, ArchDescriptor(20, (256,), 10),\n"
+            "                  TrainConfig(epochs=2, batch_size=128, lr=0.01), master_seed=9)\n"
+            "save_farm(farm, sys.argv[1])\n"
+        )
+        src = str(Path(mialab.__file__).resolve().parents[1])
+        stores = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            path = tmp_path / f"farm_{threads}.bin"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            stores.append(path.read_bytes())
+        assert stores[0] == stores[1]
 
 
 class TestPartition:

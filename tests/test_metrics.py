@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mialab.errors import FormatError
 from mialab.metrics import (
     aggregate_runs,
     auc,
@@ -72,6 +73,12 @@ class TestRocCurve:
         scores = np.array([np.inf, 1.0, -np.inf, 0.0])
         labels = np.array([True, True, False, False])
         assert roc_auc(scores, labels) == 1.0
+
+    def test_nan_scores_refused(self):
+        scores = np.array([0.9, np.nan, 0.1, np.nan])
+        labels = np.array([True, True, False, False])
+        with pytest.raises(FormatError, match="2 NaN scores"):
+            roc_curve(scores, labels)
 
 
 class TestAucInvariance:

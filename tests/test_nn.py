@@ -267,30 +267,51 @@ class TestAdam:
     def test_zero_gradient_keeps_variable(self):
         state = init_adam(3)
         var = np.array([1.0, -2.0, 0.5])
-        new, state2 = adam_step(state, var, np.zeros(3), lr=0.1)
-        assert np.array_equal(new, var)
-        assert state2.step == 1
+        before = var.copy()
+        adam_step(state, var, np.zeros(3), lr=0.1)
+        assert np.array_equal(var, before)
+        assert state.step == 1
 
     def test_first_step_magnitude_is_lr(self):
         for g in (0.5, -3.0, 1e-3):
             state = init_adam(())
-            new, _ = adam_step(state, np.float64(0.0), np.float64(g), lr=0.05)
+            x = np.zeros(())
+            adam_step(state, x, np.array(g), lr=0.05)
             expected = 0.05 * abs(g) / (abs(g) + 1e-8)
-            assert abs(abs(float(new)) - expected) < 1e-12
-            assert np.sign(float(new)) == -np.sign(g)
+            assert abs(abs(float(x)) - expected) < 1e-12
+            assert np.sign(float(x)) == -np.sign(g)
 
     def test_two_constant_gradient_steps_match_recurrence(self):
         grads = [0.7, 0.7]
         state = init_adam(())
-        x = np.float64(1.0)
+        x = np.ones(())
         for g in grads:
-            x, state = adam_step(state, x, np.float64(g), lr=0.05)
+            adam_step(state, x, np.array(g), lr=0.05)
         expected = adam_recurrence(grads, 1.0, lr=0.05)
         assert float(x) == pytest.approx(expected, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             adam_step(init_adam(3), np.zeros(3), np.zeros(4), lr=0.1)
+
+    def test_stacked_rows_match_recurrence_bitwise(self):
+        # one (G, P) update is G independent scalar recurrences, bit for bit
+        rng = np.random.default_rng(13)
+        grads = rng.normal(0.0, 2.0, (5, 3, 4))
+        x0 = rng.normal(0.0, 1.0, (3, 4))
+        x = x0.copy()
+        state = init_adam(x.shape)
+        for g in grads:
+            adam_step(state, x, g, lr=0.01)
+        assert state.step == 5
+        for i, j in np.ndindex(*x.shape):
+            assert x[i, j] == adam_recurrence(grads[:, i, j], x0[i, j], lr=0.01)
+
+    def test_gradient_left_untouched(self):
+        state = init_adam(3)
+        g = np.array([0.3, -1.0, 2.0])
+        adam_step(state, np.zeros(3), g, lr=0.1)
+        assert np.array_equal(g, [0.3, -1.0, 2.0])
 
 
 class TestScaleConfidence:

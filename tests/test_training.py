@@ -1,20 +1,27 @@
 """Training: splits, determinism, masked-data isolation, DP mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mialab.training as training
 from mialab.data import Dataset, synthetic_mixture
 from mialab.nn import ArchDescriptor
+from mialab.rng import substream
 from mialab.training import (
     DpConfig,
     TrainConfig,
     clip_per_example,
     dp_step,
     make_even_splits,
+    plan_groups,
     record_accuracy,
     train_model,
+    train_models,
 )
+
+from oracles import reference_train
 
 
 def separable_dataset():
@@ -209,3 +216,80 @@ class TestDpTraining:
             DpConfig(clip_norm=0.0, noise_multiplier=1.0)
         with pytest.raises(ValueError):
             DpConfig(clip_norm=1.0, noise_multiplier=-0.1)
+
+
+# 31 points split in halves of 15 with batch 4: every epoch ends on a batch of 3.
+GROUP_DS = synthetic_mixture(31, 5, 3, seed=40, noise=0.3)
+N_GROUP_MODELS = 7
+
+
+def group_budget(arch, config, group):
+    """TRAIN_GROUP_ELEMENTS value that makes groups of `group` models (None: all)."""
+    if group is None:
+        return 1 << 40
+    return group * arch.param_count() * (config.batch_size if config.dp is not None else 1)
+
+
+class TestLockStepTraining:
+    @pytest.mark.parametrize("group", [1, 3, None])
+    @pytest.mark.parametrize("dp", [None, DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
+                             ids=["plain", "dp"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden,
+                                                 optimizer, dp, group):
+        arch = ArchDescriptor(5, hidden, 3, activation)
+        masks = make_even_splits(GROUP_DS.n, N_GROUP_MODELS, seed=41)
+        configs = [TrainConfig(epochs=3, batch_size=4, lr=0.05, optimizer=optimizer,
+                               seed=100 + i, dp=dp) for i in range(N_GROUP_MODELS)]
+        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, configs[0], group))
+        sizes = [len(g) for g in plan_groups(masks, arch, configs)]
+        assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
+        records = train_models(GROUP_DS, masks, arch, configs)
+        for rec, mask, config in zip(records, masks, configs):
+            assert rec.seed == config.seed
+            assert np.array_equal(rec._params.to_vector(),
+                                  reference_train(GROUP_DS, mask, arch, config))
+
+    def test_mixed_configs_and_sizes_group_apart(self):
+        # models whose configs (beyond seed) or training-set sizes differ never share a group
+        arch = ArchDescriptor(5, (6,), 3)
+        masks = make_even_splits(GROUP_DS.n, 5, seed=42)
+        masks[4, :] = False
+        masks[4, :9] = True
+        base = TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=0)
+        configs = [replace(base, seed=1), replace(base, seed=2, lr=0.01),
+                   replace(base, seed=3), replace(base, seed=4, dp=DpConfig(1.0, 0.0)),
+                   replace(base, seed=5)]
+        assert plan_groups(masks, arch, configs) == [[0, 2], [1], [3], [4]]
+        for rec, mask, config in zip(train_models(GROUP_DS, masks, arch, configs), masks, configs):
+            assert np.array_equal(rec._params.to_vector(),
+                                  reference_train(GROUP_DS, mask, arch, config))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model's NaN softmax
+    def test_one_diverging_model_fails_the_group(self, monkeypatch):
+        arch = ArchDescriptor(5, (6,), 3)
+        masks = make_even_splits(GROUP_DS.n, 4, seed=43)
+        configs = [TrainConfig(epochs=2, batch_size=4, seed=200 + i) for i in range(4)]
+        assert plan_groups(masks, arch, configs) == [[0, 1, 2, 3]]
+        init = training.init_params
+
+        def poisoned(arch, rng, _init=init):
+            target = rng.bit_generator.state == substream(202, 0).bit_generator.state
+            params = _init(arch, rng)
+            if target:
+                params.weights[0][0, 0] = np.inf
+            return params
+
+        monkeypatch.setattr(training, "init_params", poisoned)
+        with pytest.raises(ValueError, match="training diverged: non-finite parameters"):
+            train_models(GROUP_DS, masks, arch, configs)
+
+    def test_mask_rows_must_match_configs(self):
+        arch = ArchDescriptor(5, (6,), 3)
+        from mialab.errors import ShapeError
+
+        with pytest.raises(ShapeError):
+            train_models(GROUP_DS, make_even_splits(GROUP_DS.n, 3, seed=44), arch,
+                         [TrainConfig(epochs=1, seed=0)] * 2)
