@@ -9,7 +9,7 @@ model's parameters as little-endian float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +148,8 @@ def build_farm(
     if arch.input_dim != dataset.input_dim or arch.num_classes < dataset.num_classes:
         raise ValueError("architecture does not fit the dataset")
     splits = make_even_splits(dataset.n, n_models, derive_seed(master_seed, TAG_SPLITS))
-    configs = [replace(train_config, seed=derive_seed(master_seed, TAG_MODEL, i))
-               for i in range(n_models)]
-    records = train_models(dataset, splits, arch, configs, jobs=jobs)
+    seeds = [derive_seed(master_seed, TAG_MODEL, i) for i in range(n_models)]
+    records = train_models(dataset, splits, arch, train_config, seeds, jobs=jobs)
     return ShadowFarm(dataset.fingerprint(), arch, splits, records, int(master_seed))
 
 

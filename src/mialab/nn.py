@@ -155,13 +155,16 @@ def init_params(arch: ArchDescriptor, rng: np.random.Generator) -> Params:
 
 
 def _check_params(arch: ArchDescriptor, params: Params) -> None:
+    """Layer shapes must match arch; stacked (G, out, in) layers share one G."""
     shapes = arch.layer_shapes()
     if len(params.weights) != len(shapes) or len(params.biases) != len(shapes):
         raise ShapeError("parameter layer count does not match architecture")
+    lead = np.shape(params.weights[0])[:-2]
     for (W, b), (out_d, in_d) in zip(zip(params.weights, params.biases), shapes):
-        if W.shape != (out_d, in_d) or b.shape != (out_d,):
+        if np.shape(W) != (*lead, out_d, in_d) or np.shape(b) != (*lead, out_d):
             raise ShapeError(
-                f"layer shape mismatch: got {W.shape}/{b.shape}, expected {(out_d, in_d)}"
+                f"layer shape mismatch: got {np.shape(W)}/{np.shape(b)}, "
+                f"expected {(*lead, out_d, in_d)}"
             )
 
 
@@ -190,7 +193,7 @@ def _forward_cached(arch: ArchDescriptor, params: Params, X: np.ndarray):
     h = X
     n_layers = len(params.weights)
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.mT
+        z = h @ np.swapaxes(W, -1, -2)
         z += b[..., None, :]
         if l < n_layers - 1:
             pre.append(z)
@@ -413,7 +416,9 @@ def param_gradient(
     and y is (G, B), one batch per model. The gradient is written into out
     (views shaped like params, see layer_views) when given. Each model's
     gradient is bitwise that of the model alone, since every product runs
-    slice by slice. The parameter shapes are the caller's to check.
+    slice by slice. Parameter shapes are checked unless out is given: the
+    training loop's layer_views of its (G, P) buffers have them by
+    construction.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -421,6 +426,8 @@ def param_gradient(
         raise ShapeError(f"expected batch of shape (B, {arch.input_dim}), got {X.shape}")
     if X.shape[-2] == 0:
         raise ValueError("empty batch")
+    if out is None:
+        _check_params(arch, params)
     B = X.shape[-2]
     logits, acts, pre = _forward_cached(arch, params, X)
     delta = softmax(logits)
@@ -430,7 +437,7 @@ def param_gradient(
     gw = [None] * n_layers if out is None else out.weights
     gb = [None] * n_layers if out is None else out.biases
     for l in range(n_layers - 1, -1, -1):
-        gw[l] = np.matmul(delta.mT, acts[l], out=gw[l])
+        gw[l] = np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=gw[l])
         gb[l] = np.sum(delta, axis=-2, out=gb[l])
         if l > 0:
             delta = delta @ params.weights[l]

@@ -9,9 +9,8 @@ surface (see NOISE_PRESETS for illustrative budget stand-ins).
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,29 +205,26 @@ def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) 
     return evaluate_accuracy(record.arch, record._params, X, y)
 
 
-def plan_groups(masks: np.ndarray, arch: ArchDescriptor, configs) -> list[list[int]]:
-    """Model indices in lock-step training groups, in order of first index.
+def plan_groups(
+    n_models: int, arch: ArchDescriptor, config: TrainConfig, jobs: int = 1
+) -> list[range]:
+    """Consecutive model indices in lock-step training groups.
 
-    Models share a group when their training sets have one size and their
-    configs differ at most in seed. A group holds at most
-    TRAIN_GROUP_ELEMENTS // cost models (at least one), where cost is the
-    parameter count, times the batch size for DP models.
+    A group holds at most TRAIN_GROUP_ELEMENTS // cost models (at least
+    one), where cost is the parameter count, times the batch size for DP
+    models; with jobs > 1, at most ceil(n_models / jobs), so that every
+    worker gets a group.
     """
-    sizes = np.asarray(masks, dtype=bool).sum(axis=1)
-    open_groups: dict = {}
-    plan: list[list[int]] = []
-    for i, config in enumerate(configs):
-        cost = arch.param_count() * (config.batch_size if config.dp is not None else 1)
-        key = (int(sizes[i]), replace(config, seed=0))
-        group = open_groups.get(key)
-        if group is None or len(group) >= max(1, TRAIN_GROUP_ELEMENTS // cost):
-            group = open_groups[key] = []
-            plan.append(group)
-        group.append(i)
-    return plan
+    cost = arch.param_count() * (config.batch_size if config.dp is not None else 1)
+    size = max(1, TRAIN_GROUP_ELEMENTS // cost)
+    if jobs > 1:
+        size = min(size, -(-n_models // jobs))
+    return [range(i, min(i + size, n_models)) for i in range(0, n_models, size)]
 
 
-def _train_group(dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, configs) -> np.ndarray:
+def _train_group(
+    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, config: TrainConfig, seeds
+) -> np.ndarray:
     """Train one plan_groups group in lock-step; returns its (G, P) parameters.
 
     Each step gathers every model's own batch as (G, B, input_dim), writes
@@ -236,22 +232,22 @@ def _train_group(dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, conf
     step on the (G, P) parameters. Each model draws its init, batch order
     and DP noise from its own seed's substreams.
     """
-    train_idx = [np.flatnonzero(mask) for mask in masks]
-    n = train_idx[0].size
+    X, y = dataset.take(np.stack([np.flatnonzero(mask) for mask in masks]))
+    n = X.shape[1]
     if n == 0:
         raise ValueError("empty training set")
-    config, seeds = configs[0], [c.seed for c in configs]
     theta = np.stack([init_params(arch, substream(seed, 0)).to_vector() for seed in seeds])
     grad = np.empty_like(theta)
     params, grads = layer_views(arch, theta), layer_views(arch, grad)
     adam = init_adam(theta.shape) if config.optimizer == "adam" else None
     dp = config.dp
+    rows = np.arange(len(seeds))[:, None]
     for epoch in range(config.epochs):
-        order = np.stack([idx[substream(seed, 1, epoch).permutation(n)]
-                          for idx, seed in zip(train_idx, seeds)])
+        order = np.stack([substream(seed, 1, epoch).permutation(n) for seed in seeds])
         noise_rngs = [substream(seed, 2, epoch) for seed in seeds] if dp is not None else None
         for start in range(0, n, config.batch_size):
-            Xb, yb = dataset.take(order[:, start:start + config.batch_size])
+            batch = order[:, start:start + config.batch_size]
+            Xb, yb = X[rows, batch], y[rows, batch]
             if dp is not None:
                 for g, rng in enumerate(noise_rngs):
                     model = Params([W[g] for W in params.weights], [b[g] for b in params.biases])
@@ -270,39 +266,43 @@ def _train_group(dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, conf
 
 
 def _train_group_job(args) -> np.ndarray:
-    features, labels, num_classes, masks, arch, configs = args
-    return _train_group(Dataset(features, labels, num_classes=num_classes), masks, arch, configs)
+    features, labels, num_classes, masks, arch, config, seeds = args
+    dataset = Dataset(features, labels, num_classes=num_classes)
+    return _train_group(dataset, masks, arch, config, seeds)
 
 
 def train_models(
-    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, configs, jobs: int = 1
+    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, config: TrainConfig, seeds,
+    jobs: int = 1,
 ) -> list[ModelRecord]:
-    """Train model i on exactly the points of mask row i; record i has split_row i.
+    """Train model i with seed seeds[i] on exactly the points of mask row i.
 
-    Models train in the lock-step groups of plan_groups, spread over jobs
-    worker processes when jobs > 1. Each model is bitwise what it is when
-    trained alone: it depends on its config (and seed) only.
+    Record i has split_row i. Every mask selects the same number of
+    points. Models train in the lock-step groups of plan_groups, spread
+    over jobs worker processes when jobs > 1. Each model is bitwise what
+    it is when trained alone: it depends on config and its seed only.
     """
     masks = np.asarray(masks, dtype=bool)
-    if masks.shape != (len(configs), dataset.n):
+    if masks.shape != (len(seeds), dataset.n):
         raise ShapeError(
-            f"masks {masks.shape} do not give one row per config over {dataset.n} points"
+            f"masks {masks.shape} do not give one row per seed over {dataset.n} points"
         )
-    plan = plan_groups(masks, arch, configs)
-    work = [(masks[group], [configs[i] for i in group]) for group in plan]
+    sizes = masks.sum(axis=1)
+    if np.any(sizes != sizes[:1]):
+        raise ValueError("training sets of one farm must have equal sizes")
+    work = [(masks[g.start:g.stop], seeds[g.start:g.stop])
+            for g in plan_groups(len(seeds), arch, config, jobs)]
     if jobs > 1:
-        jobs_args = [(dataset.features, dataset.labels, dataset.num_classes, m, arch, c)
-                     for m, c in work]
-        context = multiprocessing.get_context("spawn")  # fork is unsafe once BLAS threads run
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            thetas = list(pool.map(_train_group_job, jobs_args))
+        args = [(dataset.features, dataset.labels, dataset.num_classes, group_masks, arch,
+                 config, group_seeds) for group_masks, group_seeds in work]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            thetas = list(pool.map(_train_group_job, args))
     else:
-        thetas = [_train_group(dataset, m, arch, c) for m, c in work]
-    records: list = [None] * len(configs)
-    for group, theta in zip(plan, thetas):
-        for i, row in zip(group, theta):
-            records[i] = ModelRecord(arch, configs[i].seed, i, Params.from_vector(arch, row))
-    return records
+        thetas = [_train_group(dataset, group_masks, arch, config, group_seeds)
+                  for group_masks, group_seeds in work]
+    rows = (row for theta in thetas for row in theta)
+    return [ModelRecord(arch, seed, i, Params.from_vector(arch, row))
+            for i, (seed, row) in enumerate(zip(seeds, rows))]
 
 
 def train_model(
@@ -312,5 +312,5 @@ def train_model(
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (dataset.n,):
         raise ShapeError(f"mask length {mask.shape} does not match dataset size {dataset.n}")
-    record = train_models(dataset, mask[None, :], arch, [config])[0]
+    record = train_models(dataset, mask[None, :], arch, config, [config.seed])[0]
     return ModelRecord(arch, config.seed, -1, record._params)

@@ -76,11 +76,12 @@ class TestBuild:
         ds, arch, cfg, _ = toy
         monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", 3 * arch.param_count())
         serial = build_farm(ds, 7, arch, cfg, master_seed=78)
-        configs = [replace(cfg, seed=rec.seed) for rec in serial.records]
-        assert [len(g) for g in training.plan_groups(serial.splits, arch, configs)] == [3, 3, 1]
+        assert [len(g) for g in training.plan_groups(7, arch, cfg)] == [3, 3, 1]
+        assert [len(g) for g in training.plan_groups(7, arch, cfg, jobs=2)] == [3, 3, 1]
         assert farms_equal(serial, build_farm(ds, 7, arch, cfg, master_seed=78, jobs=2))
-        for rec, mask, config in zip(serial.records, serial.splits, configs):
-            assert np.array_equal(rec._params.to_vector(), reference_train(ds, mask, arch, config))
+        for rec, mask in zip(serial.records, serial.splits):
+            assert np.array_equal(rec._params.to_vector(),
+                                  reference_train(ds, mask, arch, replace(cfg, seed=rec.seed)))
 
     def test_store_bytes_identical_across_blas_threads(self, tmp_path):
         # batch 128 x hidden 256: products large enough for a 2-thread BLAS to split

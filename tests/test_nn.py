@@ -235,6 +235,17 @@ class TestParamGradient:
         with pytest.raises(ValueError):
             param_gradient(arch, params, np.zeros((0, 5)), np.zeros(0, dtype=int))
 
+    def test_mismatched_params_raise_shape_error(self):
+        arch, params = random_net(np.random.default_rng(12))
+        X, y = np.zeros((2, 5)), np.array([0, 1])
+        bad_bias = Params(params.weights, [params.biases[0][:-1], params.biases[1]])
+        with pytest.raises(ShapeError):
+            param_gradient(arch, bad_bias, X, y)
+        uneven_stack = Params([np.stack([W, W]) for W in params.weights],
+                              [np.stack([params.biases[0]] * 3), np.stack([params.biases[1]] * 2)])
+        with pytest.raises(ShapeError):
+            param_gradient(arch, uneven_stack, np.stack([X, X]), np.stack([y, y]))
+
     def test_single_sample_equals_batch_of_one(self):
         arch, params = random_net(np.random.default_rng(9))
         x = np.random.default_rng(10).uniform(0, 1, 5)

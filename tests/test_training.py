@@ -221,6 +221,7 @@ class TestDpTraining:
 # 31 points split in halves of 15 with batch 4: every epoch ends on a batch of 3.
 GROUP_DS = synthetic_mixture(31, 5, 3, seed=40, noise=0.3)
 N_GROUP_MODELS = 7
+GROUP_SEEDS = [100 + i for i in range(N_GROUP_MODELS)]
 
 
 def group_budget(arch, config, group):
@@ -241,38 +242,30 @@ class TestLockStepTraining:
                                                  optimizer, dp, group):
         arch = ArchDescriptor(5, hidden, 3, activation)
         masks = make_even_splits(GROUP_DS.n, N_GROUP_MODELS, seed=41)
-        configs = [TrainConfig(epochs=3, batch_size=4, lr=0.05, optimizer=optimizer,
-                               seed=100 + i, dp=dp) for i in range(N_GROUP_MODELS)]
-        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, configs[0], group))
-        sizes = [len(g) for g in plan_groups(masks, arch, configs)]
+        config = TrainConfig(epochs=3, batch_size=4, lr=0.05, optimizer=optimizer, dp=dp)
+        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, config, group))
+        sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch, config)]
         assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
-        records = train_models(GROUP_DS, masks, arch, configs)
-        for rec, mask, config in zip(records, masks, configs):
-            assert rec.seed == config.seed
+        records = train_models(GROUP_DS, masks, arch, config, GROUP_SEEDS)
+        for i, (rec, mask, seed) in enumerate(zip(records, masks, GROUP_SEEDS)):
+            assert (rec.seed, rec.split_row) == (seed, i)
             assert np.array_equal(rec._params.to_vector(),
-                                  reference_train(GROUP_DS, mask, arch, config))
+                                  reference_train(GROUP_DS, mask, arch, replace(config, seed=seed)))
 
-    def test_mixed_configs_and_sizes_group_apart(self):
-        # models whose configs (beyond seed) or training-set sizes differ never share a group
+    def test_parallel_groups_cover_every_worker(self):
         arch = ArchDescriptor(5, (6,), 3)
-        masks = make_even_splits(GROUP_DS.n, 5, seed=42)
-        masks[4, :] = False
-        masks[4, :9] = True
-        base = TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=0)
-        configs = [replace(base, seed=1), replace(base, seed=2, lr=0.01),
-                   replace(base, seed=3), replace(base, seed=4, dp=DpConfig(1.0, 0.0)),
-                   replace(base, seed=5)]
-        assert plan_groups(masks, arch, configs) == [[0, 2], [1], [3], [4]]
-        for rec, mask, config in zip(train_models(GROUP_DS, masks, arch, configs), masks, configs):
-            assert np.array_equal(rec._params.to_vector(),
-                                  reference_train(GROUP_DS, mask, arch, config))
+        config = TrainConfig()
+        assert [len(g) for g in plan_groups(24, arch, config)] == [24]
+        assert [len(g) for g in plan_groups(24, arch, config, jobs=4)] == [6] * 4
+        assert [len(g) for g in plan_groups(7, arch, config, jobs=2)] == [4, 3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model's NaN softmax
     def test_one_diverging_model_fails_the_group(self, monkeypatch):
         arch = ArchDescriptor(5, (6,), 3)
         masks = make_even_splits(GROUP_DS.n, 4, seed=43)
-        configs = [TrainConfig(epochs=2, batch_size=4, seed=200 + i) for i in range(4)]
-        assert plan_groups(masks, arch, configs) == [[0, 1, 2, 3]]
+        config = TrainConfig(epochs=2, batch_size=4)
+        seeds = [200 + i for i in range(4)]
+        assert [len(g) for g in plan_groups(4, arch, config)] == [4]
         init = training.init_params
 
         def poisoned(arch, rng, _init=init):
@@ -284,12 +277,18 @@ class TestLockStepTraining:
 
         monkeypatch.setattr(training, "init_params", poisoned)
         with pytest.raises(ValueError, match="training diverged: non-finite parameters"):
-            train_models(GROUP_DS, masks, arch, configs)
+            train_models(GROUP_DS, masks, arch, config, seeds)
 
-    def test_mask_rows_must_match_configs(self):
+    def test_mask_rows_must_match_seeds(self):
         arch = ArchDescriptor(5, (6,), 3)
         from mialab.errors import ShapeError
 
         with pytest.raises(ShapeError):
             train_models(GROUP_DS, make_even_splits(GROUP_DS.n, 3, seed=44), arch,
-                         [TrainConfig(epochs=1, seed=0)] * 2)
+                         TrainConfig(epochs=1), [0, 1])
+
+    def test_training_sets_must_have_equal_sizes(self):
+        masks = make_even_splits(GROUP_DS.n, 2, seed=45)
+        masks[1, np.flatnonzero(~masks[1])[0]] = True
+        with pytest.raises(ValueError, match="equal sizes"):
+            train_models(GROUP_DS, masks, ArchDescriptor(5, (6,), 3), TrainConfig(epochs=1), [0, 1])
