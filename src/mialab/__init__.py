@@ -7,7 +7,7 @@ from .attacks import (
     ScoreRow,
     ScoreTable,
     ensemble_scores,
-    fit_gaussian,
+    fit_gaussians,
     lira_offline_score,
     lira_online_log_ratio,
     lira_online_score,
@@ -15,6 +15,7 @@ from .attacks import (
     random_noise_query,
     run_attack,
     scale_confidence,
+    scale_confidence_batch,
 )
 from .config import DatasetSpec, ExperimentConfig, TargetsSpec, load_config
 from .data import Dataset, ingest_dataset, synthetic_mixture
@@ -25,7 +26,7 @@ from .farm import (
     hold_out_target,
     in_out_partition,
     load_farm,
-    model_confidence,
+    model_confidence_batch,
     save_farm,
 )
 from .metrics import (
@@ -44,13 +45,13 @@ from .nn import (
     Params,
     adam_step,
     cw_margin,
-    forward_logits,
+    forward_batch,
     init_adam,
     init_params,
     input_gradient,
     objective_value,
     param_gradient,
-    softmax_conf,
+    softmax,
 )
 from .training import (
     DpConfig,

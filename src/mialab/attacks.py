@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from .data import DOMAIN_HIGH, DOMAIN_LOW, Dataset
 from .errors import ConfigError, FingerprintMismatchError, FormatError, IsolationError
 from .farm import ShadowFarm, TargetOracle, model_confidence_batch
 from .nn import (
+    CONF_CLAMP,
     IN_MINIMIZE,
     OUT_MAXIMIZE,
     OBJECTIVE_KINDS,
@@ -31,8 +32,8 @@ from .nn import (
 )
 from .rng import TAG_ALT_LABEL, substream
 
+# Gaussian fits floor the standard deviation here, which keeps scores finite.
 SIGMA_FLOOR = 1e-4
-CONF_CLAMP = 1e-6
 # run_attack processes targets in blocks of at most this many
 # (target, query) rows x widest layer elements, which bounds the activations
 # one stacked shadow-model pass holds. Scores do not depend on it.
@@ -56,15 +57,20 @@ class GaussianStats:
 
 
 def scale_confidence_batch(f: np.ndarray, delta: float = CONF_CLAMP) -> np.ndarray:
-    """Vectorized scaled log score log(f'/(1-f')) with clamped f."""
+    """Vectorized scaled log score log(f'/(1-f')) with clamped f.
+
+    The scalar nn.scale_confidence stays for the target's conf_t: np.log
+    and math.log differ in the last bit on some inputs, and conf_t keeps
+    math.log so that scores stay byte-identical.
+    """
     if not 0.0 < delta < 0.5:
         raise ValueError("clamp delta must lie in (0, 0.5)")
     f = np.clip(np.asarray(f, dtype=np.float64), delta, 1.0 - delta)
     return np.log(f / (1.0 - f))
 
 
-def fit_gaussians(rows, sigma_floor: float = SIGMA_FLOOR) -> list[GaussianStats]:
-    """One fit per row of a 2-D array: mean and floored population std.
+def fit_gaussians(rows) -> list[GaussianStats]:
+    """One fit per row of a 2-D array: mean and population std floored at SIGMA_FLOOR.
 
     Reduces over the contiguous last axis, where each row is summed
     exactly as a 1-D array is; a reduction over any other axis differs
@@ -74,12 +80,7 @@ def fit_gaussians(rows, sigma_floor: float = SIGMA_FLOOR) -> list[GaussianStats]
     if rows.shape[-1] == 0:
         raise ValueError("cannot fit a Gaussian to zero scores")
     mu, sd = np.mean(rows, axis=-1), np.std(rows, axis=-1)
-    return [GaussianStats(float(m), max(float(s), sigma_floor)) for m, s in zip(mu, sd)]
-
-
-def fit_gaussian(scores, sigma_floor: float = SIGMA_FLOOR) -> GaussianStats:
-    """Mean and population standard deviation, floored to keep scores finite."""
-    return fit_gaussians(np.asarray(scores, dtype=np.float64).reshape(1, -1), sigma_floor)[0]
+    return [GaussianStats(float(m), max(float(s), SIGMA_FLOOR)) for m, s in zip(mu, sd)]
 
 
 def _log_pdf(x: float, stats: GaussianStats) -> float:
@@ -134,7 +135,8 @@ class CanaryConfig:
 
     epsilon is the L-infinity perturbation bound in input-domain units
     (the domain is the unit hypercube). init_noise_scale defaults to
-    epsilon/4 when the target_plus_noise init is selected.
+    epsilon/4 when the target_plus_noise init is selected. Online or
+    offline is the attack's mode, given to run_attack, not a setting here.
     """
 
     epsilon: float
@@ -145,10 +147,7 @@ class CanaryConfig:
     init: str = "target_plus_noise"
     init_noise_scale: float | None = None
     num_queries: int = 10
-    mode: str = "online"
     offline_density: bool = False
-    sigma_floor: float = SIGMA_FLOOR
-    conf_clamp: float = CONF_CLAMP
 
     def __post_init__(self):
         for name in ("epsilon", "lr", "init_noise_scale"):
@@ -163,43 +162,12 @@ class CanaryConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.init not in ("target", "target_plus_noise"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def noise_scale(self) -> float:
         if self.init_noise_scale is not None:
             return self.init_noise_scale
         return self.epsilon / 4.0
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "steps": self.steps,
-            "shadow_batch": self.shadow_batch,
-            "lr": self.lr,
-            "objective": self.objective,
-            "init": self.init,
-            "init_noise_scale": self.init_noise_scale,
-            "num_queries": self.num_queries,
-            "mode": self.mode,
-            "offline_density": self.offline_density,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CanaryConfig":
-        return CanaryConfig(
-            epsilon=float(d["epsilon"]),
-            steps=int(d.get("steps", 40)),
-            shadow_batch=int(d.get("shadow_batch", 2)),
-            lr=float(d.get("lr", 0.05)),
-            objective=str(d.get("objective", "raw_logit")),
-            init=str(d.get("init", "target_plus_noise")),
-            init_noise_scale=None if d.get("init_noise_scale") is None else float(d["init_noise_scale"]),
-            num_queries=int(d.get("num_queries", 10)),
-            mode=str(d.get("mode", "online")),
-            offline_density=bool(d.get("offline_density", False)),
-        )
 
 
 def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float, lo: float, hi: float):
@@ -232,6 +200,7 @@ def _optimize_rows(
     member: np.ndarray,
     records,
     config: CanaryConfig,
+    online: bool,
     rngs,
     alt: np.ndarray | None,
     bounds: tuple[float, float],
@@ -251,7 +220,6 @@ def _optimize_rows(
     """
     n, dim = x_star.shape
     lo, hi = bounds
-    online = config.mode == "online"
     b, steps = config.shadow_batch, config.steps
     delta = np.zeros_like(x_star)
     noisy = config.init == "target_plus_noise" and config.noise_scale > 0
@@ -274,8 +242,7 @@ def _optimize_rows(
         for m, pos in _model_groups(picks):
             rows, slots = np.divmod(pos, b)
             in_evaluations += int(member[rows, m].sum())
-            kind = ObjectiveKind(config.objective, direction,
-                                 None if alt is None else alt[rows], config.conf_clamp)
+            kind = ObjectiveKind(config.objective, direction, None if alt is None else alt[rows])
             rec = records[m]
             per_pick[rows, slots] = input_gradient(rec.arch, rec.params, x[rows], y[rows], kind)
         total = np.zeros((n, dim))
@@ -310,24 +277,23 @@ def optimize_canary(
     gradient of the out-side objective over shadow_batch OUT models (plus
     the in-side objective over shadow_batch IN models when online), takes
     one Adam step on the perturbation, and projects back onto the
-    epsilon ball intersected with the input domain. Offline mode never
-    evaluates an IN model. This is one row of the block optimiser that
-    run_attack drives over many targets at once.
+    epsilon ball intersected with the input domain. The optimisation is
+    offline exactly when s_in is None: it then never sees an IN model.
+    This is one row of the block optimiser that run_attack drives over
+    many targets at once.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    offline = config.mode == "offline"
+    online = s_in is not None
     b = config.shadow_batch
     if len(s_out) < b:
         raise ValueError(f"shadow batch {b} exceeds {len(s_out)} available OUT models")
-    if not offline and (s_in is None or len(s_in) < b):
-        raise ValueError(
-            f"shadow batch {b} exceeds {0 if s_in is None else len(s_in)} available IN models"
-        )
-    records = list(s_out) + ([] if offline else list(s_in))
+    if online and len(s_in) < b:
+        raise ValueError(f"shadow batch {b} exceeds {len(s_in)} available IN models")
+    records = list(s_out) + (list(s_in) if online else [])
     member = np.arange(len(records))[None, :] >= len(s_out)
     alt = None if alt_label is None else np.array([alt_label])
     x, _ = _optimize_rows(x_star[None, :], np.array([y_star]), member, records, config,
-                          [rng], alt, bounds)
+                          online, [rng], alt, bounds)
     return x[0]
 
 
@@ -415,6 +381,7 @@ def _score_block(
     records,
     oracle: TargetOracle,
     cfg: CanaryConfig,
+    online: bool,
 ) -> tuple[list[list[float]], int]:
     """Query scores of a block of targets, and the IN evaluations made.
 
@@ -423,29 +390,28 @@ def _score_block(
     those it is OUT for offline. The Gaussian fits reduce over contiguous
     (Q, models) rows; conf_t and the scores stay scalar math.
     """
-    offline = cfg.mode == "offline"
     k, n_queries = queries.shape[:2]
     phi = np.full((len(records), k, n_queries), np.nan)
     in_evaluations = 0
     for m, rec in enumerate(records):
-        sel = np.flatnonzero(~member[:, m]) if offline else np.arange(k)
+        sel = np.arange(k) if online else np.flatnonzero(~member[:, m])
         if sel.size:
             in_evaluations += int(member[sel, m].sum())
             phi[m, sel] = model_confidence_batch(rec, queries[sel], y[sel])
-    phi = scale_confidence_batch(phi, cfg.conf_clamp)
+    phi = scale_confidence_batch(phi)
     conf = oracle.confidences(queries, y)
     scores = []
     for t in range(k):
-        out_stats = fit_gaussians(phi[~member[t], t].T, cfg.sigma_floor)
-        if not offline:
-            in_stats = fit_gaussians(phi[member[t], t].T, cfg.sigma_floor)
+        out_stats = fit_gaussians(phi[~member[t], t].T)
+        if online:
+            in_stats = fit_gaussians(phi[member[t], t].T)
         row = []
         for q in range(n_queries):
-            conf_t = scale_confidence(float(conf[t, q]), cfg.conf_clamp)
-            if offline:
-                row.append(lira_offline_score(conf_t, out_stats[q], density=cfg.offline_density))
-            else:
+            conf_t = scale_confidence(float(conf[t, q]))
+            if online:
                 row.append(lira_online_score(conf_t, in_stats[q], out_stats[q]))
+            else:
+                row.append(lira_offline_score(conf_t, out_stats[q], density=cfg.offline_density))
         scores.append(row)
     return scores, in_evaluations
 
@@ -501,18 +467,17 @@ def run_attack(
             f"oracle fingerprint {oracle.fingerprint:#x} does not match "
             f"farm fingerprint {farm.fingerprint:#x}"
         )
-    cfg = replace(config, mode=mode)
-    offline = mode == "offline"
+    online = mode == "online"
     targets = [(int(t), bool(is_member)) for t, is_member in targets]
     index = np.array([t for t, _ in targets], dtype=np.int64)
     if index.size and (index.min() < 0 or index.max() >= farm.n_points):
         bad = index[(index < 0) | (index >= farm.n_points)][0]
         raise IndexError(f"target index {bad} out of range for {farm.n_points} points")
     member = farm.splits[:, index].T  # (targets, models): model is IN for the target
-    _check_eligible(index, member, cfg.shadow_batch if method == "canary" else 1, not offline)
+    _check_eligible(index, member, config.shadow_batch if method == "canary" else 1, online)
 
     num_classes = farm.arch.num_classes
-    n_queries = cfg.num_queries
+    n_queries = config.num_queries
     block = max(1, BLOCK_ELEMENTS // (n_queries * max(farm.arch.dims)))
     rows, in_evaluations = [], 0
     for start in range(0, len(targets), block):
@@ -524,26 +489,26 @@ def run_attack(
         if method != "lira":
             rngs = [substream(seed, t, q) for t in idx for q in range(n_queries)]
         if method == "random_noise":
-            x_rows = np.stack([random_noise_query(x, cfg.epsilon, rng)
+            x_rows = np.stack([random_noise_query(x, config.epsilon, rng)
                                for x, rng in zip(x_rows, rngs)])
         elif method == "canary":
             alt = None
-            if cfg.objective.endswith("random_label"):
+            if config.objective.endswith("random_label"):
                 alt = np.array([_draw_alt_label(seed, t, lbl, num_classes)
                                 for t, lbl in zip(idx, y)]).repeat(n_queries)
             x_rows, hits = _optimize_rows(
                 x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
-                farm.records, cfg, rngs, alt, (DOMAIN_LOW, DOMAIN_HIGH),
+                farm.records, config, online, rngs, alt, (DOMAIN_LOW, DOMAIN_HIGH),
             )
             in_evaluations += hits
         queries = x_rows.reshape(len(idx), n_queries, -1)
-        scores, hits = _score_block(queries, y, blk_member, farm.records, oracle, cfg)
+        scores, hits = _score_block(queries, y, blk_member, farm.records, oracle, config, online)
         in_evaluations += hits
-        if offline and in_evaluations:
+        if not online and in_evaluations:
             raise IsolationError(
                 f"offline attack evaluated IN shadow models ({in_evaluations} (row, model) pairs)"
             )
         for (t, is_member), row in zip(targets[start:start + block], scores):
             rows.append(ScoreRow(t, is_member, row, ensemble_scores(row)))
     return ScoreTable(rows, method=method, mode=mode,
-                      in_model_accesses=in_evaluations if offline else None)
+                      in_model_accesses=None if online else in_evaluations)

@@ -7,7 +7,8 @@ feeding a manifest back to --config reruns the experiment bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .attacks import METHODS, MODES, CanaryConfig
@@ -16,9 +17,7 @@ from .errors import ConfigError
 from .training import TrainConfig
 
 DATASET_KINDS = ("synthetic", "csv", "idx-pair")
-# attack.canary and train accept exactly the keys a manifest records for them
-CANARY_KEYS = set(CanaryConfig(epsilon=0.0).to_dict())
-TRAIN_KEYS = set(TrainConfig().to_dict())
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 def _require(d: dict, key: str, where: str):
@@ -39,6 +38,44 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _typed(value, kind: type, where: str):
+    """value if its JSON type is kind's: a boolean is no integer, and only
+    a float field also takes an integer (read as a float)."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _read(cls, d: dict, where: str):
+    """A cls dataclass from the JSON object d, read field by field.
+
+    Each key is a field name and each value must have the field's declared
+    type (X | None also takes null; a dataclass type is read recursively).
+    A missing key takes the field's default; unknown keys and missing
+    fields without a default raise ConfigError.
+    """
+    _check_keys(d, {f.name for f in fields(cls)}, where)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = f"{where}.{f.name}"
+        if f.name not in d:
+            if f.default is MISSING:
+                raise ConfigError(f"missing {key}")
+            continue
+        value, kind = d[f.name], hints[f.name]
+        options = typing.get_args(kind)
+        if type(None) in options:
+            if value is None:
+                values[f.name] = None
+                continue
+            (kind,) = [t for t in options if t is not type(None)]
+        values[f.name] = _read(kind, value, key) if is_dataclass(kind) else _typed(value, kind, key)
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -77,38 +114,17 @@ class DatasetSpec:
             }
         return {"kind": self.kind, "path": self.path, "labels_path": self.labels_path}
 
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetSpec":
-        _check_keys(
-            d,
-            {"kind", "path", "labels_path", "n_points", "input_dim", "num_classes", "noise", "seed"},
-            "dataset",
-        )
-        kind = str(_require(d, "kind", "dataset"))
-        return DatasetSpec(
-            kind=kind,
-            path=d.get("path"),
-            labels_path=d.get("labels_path"),
-            n_points=int(d.get("n_points", 2000)),
-            input_dim=int(d.get("input_dim", 20)),
-            num_classes=int(d.get("num_classes", 10)),
-            noise=float(d.get("noise", 0.15)),
-            seed=int(d.get("seed", 7)),
-        )
-
 
 @dataclass(frozen=True)
 class TargetsSpec:
     count: int = 200
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "seed": self.seed}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TargetsSpec":
-        _check_keys(d, {"count", "seed"}, "targets")
-        return TargetsSpec(count=int(d.get("count", 200)), seed=int(d.get("seed", 0)))
+    def __post_init__(self):
+        if self.count < 2:
+            raise ConfigError(
+                f"targets.count must be at least 2 (one member and one non-member), got {self.count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,12 +157,12 @@ class ExperimentConfig:
         return {
             "dataset": self.dataset.to_dict(),
             "arch": {"hidden_dims": list(self.hidden_dims), "activation": self.activation},
-            "train": self.train.to_dict(),
+            "train": asdict(self.train),
             "n_models": self.n_models,
             "master_seed": self.master_seed,
             "seeds": list(self.seeds),
-            "attack": {"method": self.method, "mode": self.mode, "canary": self.canary.to_dict()},
-            "targets": self.targets.to_dict(),
+            "attack": {"method": self.method, "mode": self.mode, "canary": asdict(self.canary)},
+            "targets": asdict(self.targets),
         }
 
     @staticmethod
@@ -156,7 +172,7 @@ class ExperimentConfig:
             return ExperimentConfig._parse(d)
         except ConfigError:
             raise
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     @staticmethod
@@ -170,32 +186,26 @@ class ExperimentConfig:
         _check_keys(arch, {"hidden_dims", "activation"}, "arch")
         attack = d.get("attack", {})
         _check_keys(attack, {"method", "mode", "canary"}, "attack")
-        method = str(attack.get("method", "lira"))
-        canary_dict = attack.get("canary", {})
-        _check_keys(canary_dict, CANARY_KEYS, "attack.canary")
-        canary_dict = dict(canary_dict)
-        if "epsilon" not in canary_dict:
+        method = _typed(attack.get("method", "lira"), str, "attack.method")
+        canary = attack.get("canary", {})
+        if isinstance(canary, dict) and "epsilon" not in canary:
             if method in ("canary", "random_noise"):
                 raise ConfigError(f"attack.canary.epsilon is required for method {method!r}")
-            canary_dict["epsilon"] = 0.0
-        train_dict = d.get("train", {})
-        _check_keys(train_dict, TRAIN_KEYS, "train")
-        if train_dict.get("dp") is not None:
-            _check_keys(train_dict["dp"], {"clip_norm", "noise_multiplier"}, "train.dp")
-        train = TrainConfig.from_dict(train_dict)
+            canary = {**canary, "epsilon": 0.0}
         return ExperimentConfig(
-            dataset=DatasetSpec.from_dict(_require(d, "dataset", "")),
-            hidden_dims=tuple(int(h) for h in _list(_require(arch, "hidden_dims", "arch"),
-                                                   "arch.hidden_dims")),
-            activation=str(arch.get("activation", "relu")),
-            train=train,
-            n_models=int(_require(d, "n_models", "")),
-            master_seed=int(_require(d, "master_seed", "")),
-            seeds=tuple(int(s) for s in _list(_require(d, "seeds", ""), "seeds")),
+            dataset=_read(DatasetSpec, _require(d, "dataset", ""), "dataset"),
+            hidden_dims=tuple(_typed(h, int, "arch.hidden_dims")
+                              for h in _list(_require(arch, "hidden_dims", "arch"),
+                                             "arch.hidden_dims")),
+            activation=_typed(arch.get("activation", "relu"), str, "arch.activation"),
+            train=_read(TrainConfig, d.get("train", {}), "train"),
+            n_models=_typed(_require(d, "n_models", ""), int, "n_models"),
+            master_seed=_typed(_require(d, "master_seed", ""), int, "master_seed"),
+            seeds=tuple(_typed(s, int, "seeds") for s in _list(_require(d, "seeds", ""), "seeds")),
             method=method,
-            mode=str(attack.get("mode", "online")),
-            canary=CanaryConfig.from_dict(canary_dict),
-            targets=TargetsSpec.from_dict(d.get("targets", {})),
+            mode=_typed(attack.get("mode", "online"), str, "attack.mode"),
+            canary=_read(CanaryConfig, canary, "attack.canary"),
+            targets=_read(TargetsSpec, d.get("targets", {}), "targets"),
         )
 
 

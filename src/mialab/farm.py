@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .nn import ArchDescriptor, Params, forward_batch, forward_logits, softmax, softmax_conf
+from .nn import ArchDescriptor, Params, forward_batch, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seed
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
@@ -102,11 +102,6 @@ class TargetOracle:
     def hidden_param_reads(self) -> int:
         """Reads of the hidden record's public params property (should stay 0)."""
         return self._record.access_count
-
-
-def model_confidence(record: ModelRecord, x: np.ndarray, y: int) -> float:
-    """Shadow-model confidence; goes through the counted params property."""
-    return softmax_conf(forward_logits(record.arch, record.params, x), y)
 
 
 def _label_confidence(logits: np.ndarray, y) -> np.ndarray:

@@ -34,7 +34,8 @@ OBJECTIVE_KINDS = (
 IN_MINIMIZE = "in_minimize"
 OUT_MAXIMIZE = "out_maximize"
 
-DEFAULT_CONF_CLAMP = 1e-6
+# Confidences are clamped to [CONF_CLAMP, 1 - CONF_CLAMP] before the scaled log score.
+CONF_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,6 @@ class ArchDescriptor:
 
     def param_count(self) -> int:
         return sum(o * i + o for o, i in self.layer_shapes())
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "num_classes": self.num_classes,
-            "activation": self.activation,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ArchDescriptor":
-        return ArchDescriptor(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
-            num_classes=int(d["num_classes"]),
-            activation=str(d.get("activation", "relu")),
-        )
 
 
 @dataclass
@@ -218,38 +202,14 @@ def forward_batch(arch: ArchDescriptor, params: Params, X: np.ndarray) -> np.nda
     return logits
 
 
-def forward_logits(arch: ArchDescriptor, params: Params, x: np.ndarray) -> np.ndarray:
-    """Logit vector (num_classes,) for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (arch.input_dim,):
-        raise ShapeError(f"expected input of shape ({arch.input_dim},), got {x.shape}")
-    _check_params(arch, params)
-    logits, _, _ = _forward_cached(arch, params, x[None, :])
-    return logits[0]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted for stability."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def softmax_conf(logits: np.ndarray, y: int) -> float:
-    """Softmax probability of class y, max-subtracted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= y < logits.shape[-1]:
-        raise IndexError(f"class index {y} out of range for {logits.shape[-1]} classes")
-    return float(softmax(logits)[y])
-
-
-def log_softmax_conf(logits: np.ndarray, y: int) -> float:
-    """log softmax_conf without underflow: z_y - logsumexp(z)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    m = np.max(logits)
-    return float(logits[y] - m - math.log(np.sum(np.exp(logits - m))))
-
-
-def scale_confidence(f: float, delta: float = DEFAULT_CONF_CLAMP) -> float:
+def scale_confidence(f: float, delta: float = CONF_CLAMP) -> float:
     """Scaled log score log(f'/(1-f')) with f clamped to [delta, 1-delta]."""
     if not 0.0 < delta < 0.5:
         raise ValueError("clamp delta must lie in (0, 0.5)")
@@ -278,7 +238,6 @@ class ObjectiveKind:
     kind: str
     direction: str = IN_MINIMIZE
     alt_label: int | np.ndarray | None = None
-    conf_clamp: float = DEFAULT_CONF_CLAMP
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -300,12 +259,13 @@ def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     k, d = kind.kind, kind.direction
     if k in ("cross_entropy", "cross_entropy_random_label"):
-        if d == IN_MINIMIZE or k == "cross_entropy_random_label":
-            label = y if d == IN_MINIMIZE else _check_alt(y, kind)
-            return -log_softmax_conf(logits, label)
-        # reverse CE, -log(1 - f_y) = lse(z) - lse(z without y)
         m = np.max(logits)
         lse = m + math.log(np.sum(np.exp(logits - m)))
+        if d == IN_MINIMIZE or k == "cross_entropy_random_label":
+            # -log softmax(z)[label] = lse(z) - z_label
+            label = y if d == IN_MINIMIZE else _check_alt(y, kind)
+            return float(lse - logits[label])
+        # reverse CE, -log(1 - f_y) = lse(z) - lse(z without y)
         rest = np.delete(logits, y)
         mr = np.max(rest)
         lse_rest = mr + math.log(np.sum(np.exp(rest - mr)))
@@ -317,7 +277,7 @@ def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
             return -cw_margin(logits, _check_alt(y, kind))
         return cw_margin(logits, y)
     if k == "scaled_log_score":
-        phi = scale_confidence(softmax_conf(logits, y), kind.conf_clamp)
+        phi = scale_confidence(softmax(logits)[y])
         return phi if d == IN_MINIMIZE else -phi
     # raw_logit
     return float(logits[y]) if d == IN_MINIMIZE else -float(logits[y])
@@ -332,13 +292,11 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
 def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndarray:
     """Exact gradient of objective_value with respect to the logits.
 
-    Batch-first: logits is (n, K) with y (and a random-label kind's
-    alt_label) an int or one label per row; a (K,) vector gives a (K,)
-    gradient. Every operation is row-wise, so each row is bitwise the
-    gradient of that row alone.
+    logits is (n, K) with y (and a random-label kind's alt_label) an int
+    or one label per row. Every operation is row-wise, so each row is
+    bitwise the gradient of that row alone.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    z = np.atleast_2d(logits)
+    z = np.asarray(logits, dtype=np.float64)
     n, K = z.shape
     rows = np.arange(n)
 
@@ -368,10 +326,10 @@ def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndar
             g = (e_y - p) / (1.0 - fy)[:, None]
         if d != IN_MINIMIZE:
             g = -g
-        g[(fy <= kind.conf_clamp) | (fy >= 1.0 - kind.conf_clamp)] = 0.0  # phi is constant there
+        g[(fy <= CONF_CLAMP) | (fy >= 1.0 - CONF_CLAMP)] = 0.0  # phi is constant there
     else:  # raw_logit
         g = e_y if d == IN_MINIMIZE else -e_y
-    return g[0] if logits.ndim == 1 else g
+    return g
 
 
 def _backprop_to_input(arch, params, pre, dlogits):

@@ -55,9 +55,6 @@ class DpConfig:
         if self.noise_multiplier < 0:
             raise ValueError("noise_multiplier must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"clip_norm": self.clip_norm, "noise_multiplier": self.noise_multiplier}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,29 +72,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        d = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-        }
-        d["dp"] = None if self.dp is None else self.dp.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        dp = d.get("dp")
-        return TrainConfig(
-            epochs=int(d.get("epochs", 40)),
-            batch_size=int(d.get("batch_size", 32)),
-            lr=float(d.get("lr", 0.01)),
-            optimizer=str(d.get("optimizer", "adam")),
-            seed=int(d.get("seed", 0)),
-            dp=None if dp is None else DpConfig(float(dp["clip_norm"]), float(dp["noise_multiplier"])),
-        )
 
 
 class ModelRecord:
@@ -151,16 +125,13 @@ def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
 
 
 def clip_per_example(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale gradients down to L2 norm clip_norm; shorter ones pass through.
-
-    Accepts a single gradient vector or a (B, P) batch of per-example rows.
-    """
+    """Scale each row of a (B, P) batch of per-example gradients down to L2
+    norm clip_norm; shorter rows pass through."""
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     g = np.asarray(gradient, dtype=np.float64)
-    if g.ndim == 1:
-        nrm = float(np.linalg.norm(g))
-        return g * (clip_norm / nrm) if nrm > clip_norm else g.copy()
+    if g.ndim != 2:
+        raise ShapeError(f"expected a (B, P) batch of gradients, got shape {g.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", g, g))
     factors = np.ones_like(norms)
     over = norms > clip_norm
@@ -194,15 +165,10 @@ def dp_step(
     return total / batch_size
 
 
-def evaluate_accuracy(arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray) -> float:
-    logits = forward_batch(arch, params, X)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-
-
 def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) -> float:
     """Builder-side accuracy on a subset; does not touch the access counter."""
-    X, y = dataset.features[indices], dataset.labels[indices]
-    return evaluate_accuracy(record.arch, record._params, X, y)
+    logits = forward_batch(record.arch, record._params, dataset.features[indices])
+    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels[indices]))
 
 
 def plan_groups(

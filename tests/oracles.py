@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mialab.nn import forward_logits, objective_value, batch_cross_entropy, Params
+from mialab.nn import forward_batch, objective_value, batch_cross_entropy, Params
 
 
 def fd_input_gradient(arch, params, x, y, kind, h=1e-4):
@@ -22,8 +22,8 @@ def fd_input_gradient(arch, params, x, y, kind, h=1e-4):
         xm = x.copy()
         xm[i] -= h
         g[i] = (
-            objective_value(forward_logits(arch, params, xp), y, kind)
-            - objective_value(forward_logits(arch, params, xm), y, kind)
+            objective_value(forward_batch(arch, params, xp[None])[0], y, kind)
+            - objective_value(forward_batch(arch, params, xm[None])[0], y, kind)
         ) / (2.0 * h)
     return g
 
@@ -79,6 +79,11 @@ def adam_recurrence(grads, x0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 # The attack loop as it ran one target and one single-row gradient at a time,
 # written in plain numpy over the raw weight arrays. The library's batched
 # engine must reproduce its scores bit for bit.
+
+
+# the clamp of the scaled log score and the floor of the Gaussian fits' sigma
+CONF_CLAMP = 1e-6
+SIGMA_FLOOR = 1e-4
 
 
 def _ref_softmax(z):
@@ -167,7 +172,7 @@ def _ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline):
             for i in rng.permutation(len(models))[:b]:
                 rec = models[i]
                 g += _ref_input_gradient(rec._params, rec.arch.activation, x, y,
-                                         cfg.objective, direction, alt, cfg.conf_clamp)
+                                         cfg.objective, direction, alt, CONF_CLAMP)
             grad = g / b if grad is None else grad + g / b
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
@@ -229,7 +234,7 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
             else:
                 queries.append(_ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline))
         batch = np.stack(queries)
-        clamp = cfg.conf_clamp
+        clamp = CONF_CLAMP
 
         def phis(models):
             conf = np.stack([_ref_confidence(r, batch, y) for r in models])
@@ -241,14 +246,14 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
         scores = []
         for q in range(cfg.num_queries):
             conf_t = _ref_phi(_ref_confidence(target_record, batch[q:q + 1].copy(), y)[0], clamp)
-            mu_o, sd_o = _ref_fit(out_phi[:, q], cfg.sigma_floor)
+            mu_o, sd_o = _ref_fit(out_phi[:, q], SIGMA_FLOOR)
             if offline:
                 if cfg.offline_density:
                     scores.append(1.0 - math.exp(_ref_log_pdf(conf_t, mu_o, sd_o)))
                 else:
                     scores.append(0.5 * math.erfc(-((conf_t - mu_o) / sd_o) / math.sqrt(2.0)))
             else:
-                mu_i, sd_i = _ref_fit(in_phi[:, q], cfg.sigma_floor)
+                mu_i, sd_i = _ref_fit(in_phi[:, q], SIGMA_FLOOR)
                 log_ratio = _ref_log_pdf(conf_t, mu_i, sd_i) - _ref_log_pdf(conf_t, mu_o, sd_o)
                 scores.append(math.inf if log_ratio > 709.0 else
                               0.0 if log_ratio < -745.0 else math.exp(log_ratio))

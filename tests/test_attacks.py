@@ -10,7 +10,7 @@ from mialab.attacks import (
     GaussianStats,
     ScoreTable,
     ensemble_scores,
-    fit_gaussian,
+    fit_gaussians,
     lira_offline_score,
     lira_online_log_ratio,
     lira_online_score,
@@ -41,23 +41,23 @@ def toy_farm():
 
 class TestGaussianFit:
     def test_degenerate_variance_floors(self):
-        stats = fit_gaussian([1.0, 1.0, 1.0])
+        (stats,) = fit_gaussians([[1.0, 1.0, 1.0]])
         assert stats.mu == 1.0 and stats.sigma == 1e-4
 
     def test_population_convention(self):
-        stats = fit_gaussian([0.0, 2.0])
+        (stats,) = fit_gaussians([[0.0, 2.0]])
         assert stats.mu == 1.0 and stats.sigma == 1.0
 
     def test_sampling_recovery(self):
         rng = np.random.default_rng(6)
         draws = rng.normal(3.0, 2.0, 100_000)
-        stats = fit_gaussian(draws)
+        (stats,) = fit_gaussians(draws[None, :])
         assert abs(stats.mu - 3.0) < 0.05
         assert abs(stats.sigma - 2.0) < 0.05
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            fit_gaussian([])
+            fit_gaussians(np.zeros((1, 0)))
 
 
 class TestOnlineScore:
@@ -183,8 +183,8 @@ class TestCanaryOptimizer:
         x, y = ds.point(7)
         s_in, s_out = in_out_partition(farm, 7)
         before = [r.access_count for r in s_in]
-        cfg = CanaryConfig(epsilon=0.2, steps=10, shadow_batch=2, num_queries=1, mode="offline")
-        optimize_canary(x, y, None, s_out, cfg, substream(14, 0))
+        cfg = CanaryConfig(epsilon=0.2, steps=10, shadow_batch=2, num_queries=1)
+        optimize_canary(x, y, None, s_out, cfg, substream(14, 0))  # no IN models: offline
         assert [r.access_count for r in s_in] == before
 
     def test_separates_held_out_models(self, toy_farm):

@@ -98,6 +98,18 @@ class TestTrainShadows:
         ("canary", "lr", float("inf")),
         ("canary", "init_noise_scale", float("-inf")),
         ("canary", "steps", [2]),
+        ("canary", "offline_density", "false"),
+        ("canary", "steps", 2.9),
+        ("canary", "lr", True),
+        ("canary", "mode", "offline"),
+        (None, "seeds", [1.7]),
+        (None, "n_models", 12.0),
+        (None, "master_seed", True),
+        ("arch", "hidden_dims", [8.5]),
+        ("train", "epochs", True),
+        pytest.param("train", "lr", 10**400, id="train-lr-int_beyond_float"),
+        ("targets", "count", 0),
+        ("targets", "count", -3),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()
@@ -109,6 +121,21 @@ class TestTrainShadows:
         err = capsys.readouterr().err
         assert err.startswith("error:ConfigError: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_integers_read_as_floats_and_round_trip(self, tmp_path):
+        from mialab.config import ExperimentConfig, load_config
+
+        cfg = base_config()
+        cfg["train"]["lr"] = 1
+        cfg["attack"]["canary"]["epsilon"] = 0
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        loaded = load_config(cfg_path)
+        assert type(loaded.train.lr) is float and loaded.train.lr == 1.0
+        assert type(loaded.canary.epsilon) is float and loaded.canary.epsilon == 0.0
+        resolved = loaded.to_dict()
+        assert resolved["train"]["lr"] == 1.0 and resolved["attack"]["canary"]["epsilon"] == 0.0
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(resolved))) == loaded
 
     def test_manifest_refuses_non_finite_values(self, tmp_path):
         from mialab.config import write_manifest
@@ -166,6 +193,9 @@ class TestAttack:
         assert rc == 0
         manifest = json.loads((att / "attack_manifest.json").read_text())
         assert all(r["in_model_accesses"] == 0 for r in manifest["runs"])
+        # the attack's mode is recorded once, not contradicted by a canary setting
+        assert manifest["resolved_config"]["attack"]["mode"] == "offline"
+        assert "mode" not in manifest["resolved_config"]["attack"]["canary"]
 
     def test_inputs_never_mutated(self, trained, tmp_path):
         root, cfg_path, out = trained

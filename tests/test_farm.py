@@ -22,11 +22,10 @@ from mialab.farm import (
     hold_out_target,
     in_out_partition,
     load_farm,
-    model_confidence,
     model_confidence_batch,
     save_farm,
 )
-from mialab.nn import ArchDescriptor, forward_logits, softmax_conf
+from mialab.nn import ArchDescriptor, forward_batch, softmax
 from mialab.training import ModelRecord, TrainConfig, record_accuracy
 
 from oracles import reference_train
@@ -153,7 +152,7 @@ class TestOracle:
         for _ in range(10):
             x = rng.uniform(0, 1, ds.input_dim)
             y = int(rng.integers(3))
-            direct = softmax_conf(forward_logits(rec.arch, rec._params, x), y)
+            direct = float(softmax(forward_batch(rec.arch, rec._params, x[None]))[0, y])
             assert oracle.confidence(x, y) == direct
 
     def test_confidences_are_single_queries_bitwise(self, toy):
@@ -219,7 +218,7 @@ class TestOracle:
         ds, _, _, farm = toy
         rec = farm.records[1]
         before = rec.access_count
-        model_confidence(rec, ds.features[0], 0)
+        model_confidence_batch(rec, ds.features[:1], 0)
         assert rec.access_count == before + 1
 
 

@@ -15,16 +15,18 @@ from mialab.nn import (
     Params,
     adam_step,
     cw_margin,
-    forward_logits,
+    forward_batch,
     init_adam,
     init_params,
     input_gradient,
     objective_value,
     param_gradient,
     scale_confidence,
-    softmax_conf,
+    softmax,
 )
 from mialab.errors import ShapeError
+from mialab.farm import model_confidence_batch
+from mialab.training import ModelRecord
 
 from oracles import fd_input_gradient, fd_param_gradient_coords, adam_recurrence
 
@@ -34,20 +36,25 @@ def random_net(rng, input_dim=5, hidden=(7,), classes=4, activation="relu"):
     return arch, init_params(arch, rng)
 
 
+def confidence(arch, params, x, y):
+    """Softmax confidence on label y of one input, through the batch path."""
+    return float(softmax(forward_batch(arch, params, x[None]))[0, y])
+
+
 class TestForward:
     def test_zero_params_zero_logits(self):
         arch = ArchDescriptor(3, (4,), 2)
         params = Params(
             [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)]
         )
-        x = np.array([0.3, -1.0, 2.0])
-        assert np.array_equal(forward_logits(arch, params, x), np.zeros(2))
+        x = np.array([[0.3, -1.0, 2.0]])
+        assert np.array_equal(forward_batch(arch, params, x), np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         arch = ArchDescriptor(3, (), 3)
         params = Params([np.eye(3)], [np.zeros(3)])
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(forward_logits(arch, params, e1), e1)
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        assert np.array_equal(forward_batch(arch, params, e1), e1)
 
     def test_hand_computed_2_3_2(self):
         # independent forward pass written out as explicit arithmetic
@@ -60,18 +67,20 @@ class TestForward:
         x = np.array([1.0, 0.0])
         h = np.maximum(W1 @ x + b1, 0.0)
         expected = W2 @ h + b2
-        np.testing.assert_allclose(forward_logits(arch, params, x), expected, rtol=0, atol=0)
+        np.testing.assert_allclose(forward_batch(arch, params, x[None])[0], expected, rtol=0, atol=0)
 
     def test_shape_error_on_bad_input(self):
         arch, params = random_net(np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            forward_logits(arch, params, np.zeros(6))
+            forward_batch(arch, params, np.zeros((1, 6)))
+        with pytest.raises(ShapeError):
+            forward_batch(arch, params, np.zeros(5))  # one bare vector is not a batch
 
     def test_shape_error_on_mismatched_params(self):
         arch, params = random_net(np.random.default_rng(0))
         other = ArchDescriptor(5, (9,), 4)
         with pytest.raises(ShapeError):
-            forward_logits(other, params, np.zeros(5))
+            forward_batch(other, params, np.zeros((1, 5)))
 
     def test_param_count_round_trip(self):
         arch, params = random_net(np.random.default_rng(1), hidden=(6, 3))
@@ -79,34 +88,34 @@ class TestForward:
         assert vec.size == arch.param_count()
         assert Params.from_vector(arch, vec) == params
 
-    def test_arch_serialization_round_trip(self):
-        arch = ArchDescriptor(11, (5, 3), 7, "tanh")
-        assert ArchDescriptor.from_dict(arch.to_dict()) == arch
-
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        assert softmax_conf(np.zeros(10), 3) == pytest.approx(0.1, abs=1e-15)
+        assert softmax(np.zeros(10))[3] == pytest.approx(0.1, abs=1e-15)
 
     def test_analytic_two_class(self):
-        assert softmax_conf(np.array([math.log(2.0), 0.0]), 0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert softmax(np.array([math.log(2.0), 0.0]))[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_large_logits_no_overflow(self):
-        f = softmax_conf(np.array([1000.0, 0.0]), 0)
+        f = softmax(np.array([1000.0, 0.0]))[0]
         assert 1.0 - 1e-12 < f <= 1.0
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             logits = rng.normal(0, 5, size=rng.integers(2, 12))
-            probs = np.array([softmax_conf(logits, i) for i in range(logits.size)])
+            probs = softmax(logits)
             assert abs(probs.sum() - 1.0) < 1e-12
-            shifted = np.array([softmax_conf(logits + 17.3, i) for i in range(logits.size)])
+            shifted = softmax(logits + 17.3)
             np.testing.assert_allclose(probs, shifted, atol=1e-12)
 
     def test_index_bounds(self):
-        with pytest.raises(IndexError):
-            softmax_conf(np.zeros(3), 3)
+        # a label outside the classes is an IndexError, not a wrapped-around read
+        arch = ArchDescriptor(2, (), 3)
+        record = ModelRecord(arch, 0, 0, Params([np.zeros((3, 2))], [np.zeros(3)]))
+        for label in (3, -1):
+            with pytest.raises(IndexError):
+                model_confidence_batch(record, np.zeros((1, 2)), label)
 
 
 class TestObjectives:
@@ -152,8 +161,8 @@ class TestObjectives:
                 y = 2
                 obj = ObjectiveKind(kind, direction, alt_label=4)
                 step = x - 0.05 * input_gradient(arch, params, x, y, obj)
-                before = softmax_conf(forward_logits(arch, params, x), y)
-                after = softmax_conf(forward_logits(arch, params, step), y)
+                before = confidence(arch, params, x, y)
+                after = confidence(arch, params, step, y)
                 moved.append(after - before)
             assert moved[0] * moved[1] < 0, f"{kind}: sides moved confidence the same way"
 
@@ -167,8 +176,8 @@ class TestObjectives:
         for kind in ("cross_entropy", "cross_entropy_random_label", "cw_margin", "cw_margin_random_label"):
             obj = ObjectiveKind(kind, IN_MINIMIZE, alt_label=3)
             step = x - 0.05 * input_gradient(arch, params, x, y, obj)
-            before = softmax_conf(forward_logits(arch, params, x), y)
-            after = softmax_conf(forward_logits(arch, params, step), y)
+            before = confidence(arch, params, x, y)
+            after = confidence(arch, params, step, y)
             assert after > before, kind
 
 

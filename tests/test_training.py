@@ -7,6 +7,7 @@ import pytest
 
 import mialab.training as training
 from mialab.data import Dataset, synthetic_mixture
+from mialab.errors import ShapeError
 from mialab.nn import ArchDescriptor
 from mialab.rng import substream
 from mialab.training import (
@@ -115,25 +116,23 @@ class TestTrainModel:
     def test_mask_length_checked(self):
         ds = synthetic_mixture(10, 3, 2, seed=18)
         arch = ArchDescriptor(3, (), 2)
-        from mialab.errors import ShapeError
-
         with pytest.raises(ShapeError):
             train_model(ds, np.ones(9, dtype=bool), arch, TrainConfig(epochs=1, seed=0))
 
 
 class TestClip:
     def test_long_gradient_scaled_to_bound(self):
-        g = np.array([10.0, 0.0, 0.0])
+        g = np.array([[10.0, 0.0, 0.0]])
         out = clip_per_example(g, 5.0)
-        assert abs(np.linalg.norm(out) - 5.0) < 1e-12
+        assert abs(np.linalg.norm(out[0]) - 5.0) < 1e-12
         np.testing.assert_allclose(out / np.linalg.norm(out), g / np.linalg.norm(g))
 
     def test_short_gradient_untouched(self):
-        g = np.array([3.0, 0.0])
+        g = np.array([[3.0, 0.0]])
         assert np.array_equal(clip_per_example(g, 5.0), g)
 
     def test_zero_gradient(self):
-        assert np.array_equal(clip_per_example(np.zeros(4), 5.0), np.zeros(4))
+        assert np.array_equal(clip_per_example(np.zeros((1, 4)), 5.0), np.zeros((1, 4)))
 
     def test_batch_rows_clipped_independently(self):
         g = np.array([[10.0, 0.0], [1.0, 0.0]])
@@ -143,7 +142,11 @@ class TestClip:
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
-            clip_per_example(np.ones(3), 0.0)
+            clip_per_example(np.ones((1, 3)), 0.0)
+
+    def test_single_vector_is_not_a_batch(self):
+        with pytest.raises(ShapeError):
+            clip_per_example(np.ones(3), 5.0)
 
 
 class TestDpStep:
@@ -281,8 +284,6 @@ class TestLockStepTraining:
 
     def test_mask_rows_must_match_seeds(self):
         arch = ArchDescriptor(5, (6,), 3)
-        from mialab.errors import ShapeError
-
         with pytest.raises(ShapeError):
             train_models(GROUP_DS, make_even_splits(GROUP_DS.n, 3, seed=44), arch,
                          TrainConfig(epochs=1), [0, 1])
