@@ -403,39 +403,45 @@ def param_gradient(
     return Params(gw, gb) if out is None else out
 
 
+def per_example_deltas(arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray):
+    """Per-layer backprop signals of each example's own cross-entropy loss.
+
+    Returns (deltas, acts): deltas[l] is layer l's (..., B, out) output
+    gradient, not divided by the batch size, and acts[l] its (..., B, in)
+    input. Example i's loss has weight gradient outer(deltas[l][i],
+    acts[l][i]) and bias gradient deltas[l][i]. Stacked params and
+    (G, B, input_dim) batches run slice by slice, as in param_gradient.
+    """
+    logits, acts, pre = _forward_cached(arch, params, X)
+    delta = softmax(logits)
+    delta[(*np.indices(y.shape), y)] -= 1.0
+    deltas = [delta]
+    for l in range(len(params.weights) - 1, 0, -1):
+        delta = delta @ params.weights[l]
+        delta *= _activate_grad(pre[l - 1], arch.activation)
+        deltas.insert(0, delta)
+    return deltas, acts
+
+
 def per_example_grad_vectors(
     arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Per-example cross-entropy gradients as a (B, param_count) matrix.
 
     Each row is the gradient of that single example's loss (not divided
-    by the batch size), as needed for per-example norm clipping.
+    by the batch size), in Params.to_vector order. Training never builds
+    this matrix: DP-SGD clips through per_example_deltas.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     _check_params(arch, params)
+    deltas, acts = per_example_deltas(arch, params, X, y)
     B = X.shape[0]
-    logits, acts, pre = _forward_cached(arch, params, X)
-    delta = softmax(logits)
-    delta[np.arange(B), y] -= 1.0
-    out = np.empty((B, arch.param_count()))
-    off = 0
-    grads_per_layer = []
-    for l in range(len(params.weights) - 1, -1, -1):
-        gw = np.einsum("bi,bj->bij", delta, acts[l])
-        gb = delta
-        grads_per_layer.append((l, gw, gb))
-        if l > 0:
-            delta = (delta @ params.weights[l]) * _activate_grad(pre[l - 1], arch.activation)
-    for l, gw, gb in sorted(grads_per_layer, key=lambda t: t[0]):
-        n_w = gw.shape[1] * gw.shape[2]
-        out[:, off:off + n_w] = gw.reshape(B, n_w)
-        off += n_w
-        out[:, off:off + gb.shape[1]] = gb
-        off += gb.shape[1]
-    return out
+    return np.concatenate([part for delta, a in zip(deltas, acts)
+                           for part in ((delta[:, :, None] * a[:, None, :]).reshape(B, -1), delta)],
+                          axis=1)
 
 
 def batch_cross_entropy(arch: ArchDescriptor, params: Params, X, y) -> float:

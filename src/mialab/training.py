@@ -9,6 +9,7 @@ surface (see NOISE_PRESETS for illustrative budget stand-ins).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ from .nn import (
     init_params,
     layer_views,
     param_gradient,
-    per_example_grad_vectors,
+    per_example_deltas,
+    per_example_grad_vectors,  # noqa: F401  stays bound here for perfbench's tracer
 )
 from .rng import substream
 
@@ -36,11 +38,11 @@ NOISE_PRESETS = {"loose": 0.5, "strict": 2.0}
 OPTIMIZERS = ("sgd", "adam")
 
 # train_models trains models in lock-step groups of at most this many
-# models x parameters (x batch size for DP models), which bounds the
-# buffers one group holds. Parameters do not depend on it.
+# models x parameters, which bounds the buffers one group holds.
+# Parameters do not depend on it.
 TRAIN_GROUP_ELEMENTS = 1 << 15
 
-# How many times dp_step verified its post-clip norm bound (test hook).
+# How many model-steps dp_step verified its post-clip norm bound for (test hook).
 clip_checks = 0
 
 
@@ -50,10 +52,12 @@ class DpConfig:
     noise_multiplier: float
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm!r}")
+        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0):
+            raise ValueError(
+                f"noise_multiplier must be finite and non-negative, got {self.noise_multiplier!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
@@ -124,6 +130,14 @@ def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
     return splits
 
 
+def _clip_factors(norms: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Per-example scale factors min(1, clip_norm / norm)."""
+    factors = np.ones_like(norms)
+    over = norms > clip_norm
+    factors[over] = clip_norm / norms[over]
+    return factors
+
+
 def clip_per_example(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale each row of a (B, P) batch of per-example gradients down to L2
     norm clip_norm; shorter rows pass through."""
@@ -132,37 +146,51 @@ def clip_per_example(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     g = np.asarray(gradient, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"expected a (B, P) batch of gradients, got shape {g.shape}")
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    factors = np.ones_like(norms)
-    over = norms > clip_norm
-    factors[over] = clip_norm / norms[over]
-    return g * factors[:, None]
+    return g * _clip_factors(np.sqrt(np.sum(g * g, axis=1)), clip_norm)[:, None]
 
 
 def dp_step(
-    per_example_grads: np.ndarray,
-    clip_norm: float,
-    noise_multiplier: float,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Clip each per-example gradient, sum, add Gaussian noise, average."""
-    if noise_multiplier < 0:
-        raise ValueError("noise_multiplier must be non-negative")
-    g = np.atleast_2d(np.asarray(per_example_grads, dtype=np.float64))
-    clipped = clip_per_example(g, clip_norm)
-    norms = np.sqrt(np.einsum("ij,ij->i", clipped, clipped))
+    arch: ArchDescriptor,
+    params: Params,
+    X: np.ndarray,
+    y: np.ndarray,
+    dp: DpConfig,
+    rngs,
+    grad: np.ndarray,
+) -> None:
+    """One DP-SGD gradient for each of G models, written into grad (G, P).
+
+    params are layer_views of the models' (G, P) parameters, X the
+    (G, B, input_dim) batches and y the (G, B) labels. Each example's
+    gradient is clipped to L2 norm dp.clip_norm without being built
+    (ghost clipping): its squared norm is sum_l |delta_l|^2 (|a_l|^2 + 1)
+    over the layers' per-example deltas and inputs, and the clipped sum is
+    (c * delta_l)^T a_l per layer. Model g then adds noise of standard
+    deviation noise_multiplier * clip_norm drawn from rngs[g] and divides
+    by B. Every product and reduction runs per model, so each row is
+    bitwise that of the model alone.
+    """
+    deltas, acts = per_example_deltas(arch, params, X, y)
+    norms = np.sqrt(sum(np.sum(delta * delta, axis=-1) * (np.sum(a * a, axis=-1) + 1.0)
+                        for delta, a in zip(deltas, acts)))
+    factors = _clip_factors(norms, dp.clip_norm)
     # post-clip contract; the 1e-9 slack absorbs float rounding only
-    if np.any(norms > clip_norm * (1.0 + 1e-9)):
+    clipped = factors * norms
+    if np.any(clipped > dp.clip_norm * (1.0 + 1e-9)):
         raise AssertionError(
-            f"post-clip norm {norms.max():.17g} exceeds bound {clip_norm}"
+            f"post-clip norm {clipped.max():.17g} exceeds bound {dp.clip_norm}"
         )
     global clip_checks
-    clip_checks += 1
-    total = clipped.sum(axis=0)
-    if noise_multiplier > 0:
-        total = total + rng.normal(0.0, noise_multiplier * clip_norm, size=total.shape)
-    return total / batch_size
+    clip_checks += len(grad)
+    out = layer_views(arch, grad)
+    for l, (delta, a) in enumerate(zip(deltas, acts)):
+        delta = delta * factors[..., None]
+        np.matmul(np.swapaxes(delta, -1, -2), a, out=out.weights[l])
+        np.sum(delta, axis=-2, out=out.biases[l])
+    if dp.noise_multiplier > 0:
+        for row, rng in zip(grad, rngs):
+            row += rng.normal(0.0, dp.noise_multiplier * dp.clip_norm, size=row.shape)
+    grad /= X.shape[-2]
 
 
 def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) -> float:
@@ -171,18 +199,14 @@ def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) 
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels[indices]))
 
 
-def plan_groups(
-    n_models: int, arch: ArchDescriptor, config: TrainConfig, jobs: int = 1
-) -> list[range]:
+def plan_groups(n_models: int, arch: ArchDescriptor, jobs: int = 1) -> list[range]:
     """Consecutive model indices in lock-step training groups.
 
-    A group holds at most TRAIN_GROUP_ELEMENTS // cost models (at least
-    one), where cost is the parameter count, times the batch size for DP
-    models; with jobs > 1, at most ceil(n_models / jobs), so that every
-    worker gets a group.
+    A group holds at most TRAIN_GROUP_ELEMENTS // param_count models (at
+    least one), DP or not; with jobs > 1, at most ceil(n_models / jobs), so
+    that every worker gets a group.
     """
-    cost = arch.param_count() * (config.batch_size if config.dp is not None else 1)
-    size = max(1, TRAIN_GROUP_ELEMENTS // cost)
+    size = max(1, TRAIN_GROUP_ELEMENTS // arch.param_count())
     if jobs > 1:
         size = min(size, -(-n_models // jobs))
     return [range(i, min(i + size, n_models)) for i in range(0, n_models, size)]
@@ -215,10 +239,7 @@ def _train_group(
             batch = order[:, start:start + config.batch_size]
             Xb, yb = X[rows, batch], y[rows, batch]
             if dp is not None:
-                for g, rng in enumerate(noise_rngs):
-                    model = Params([W[g] for W in params.weights], [b[g] for b in params.biases])
-                    per_ex = per_example_grad_vectors(arch, model, Xb[g], yb[g])
-                    grad[g] = dp_step(per_ex, dp.clip_norm, dp.noise_multiplier, yb.shape[1], rng)
+                dp_step(arch, params, Xb, yb, dp, noise_rngs, grad)
             else:
                 param_gradient(arch, params, Xb, yb, out=grads)
             if adam is not None:
@@ -257,7 +278,7 @@ def train_models(
     if np.any(sizes != sizes[:1]):
         raise ValueError("training sets of one farm must have equal sizes")
     work = [(masks[g.start:g.stop], seeds[g.start:g.stop])
-            for g in plan_groups(len(seeds), arch, config, jobs)]
+            for g in plan_groups(len(seeds), arch, jobs)]
     if jobs > 1:
         args = [(dataset.features, dataset.labels, dataset.num_classes, group_masks, arch,
                  config, group_seeds) for group_masks, group_seeds in work]

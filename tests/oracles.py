@@ -265,6 +265,8 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
 # The training loop as it ran one model at a time: parameters repacked from
 # the flat vector every step, allocating Adam. Plain numpy throughout; the
 # library's lock-step group trainer must reproduce its parameters bit for bit.
+# DP steps clip in the ghost form; the materialized (B, P) form is kept as an
+# independent check of it.
 
 
 def _ref_unpack(shapes, theta):
@@ -309,23 +311,53 @@ def _ref_mean_gradient(weights, biases, activation, X, y):
     return np.concatenate([part for layer in per_layer for part in layer])
 
 
-def _ref_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier, rng):
-    B = X.shape[0]
+def _ref_example_deltas(weights, biases, activation, X, y):
+    """Per-layer deltas of each example's own loss (undivided) and the layer inputs."""
     delta, acts, pre = _ref_backprop(weights, biases, activation, X, y)
-    per_layer = [None] * len(weights)
+    deltas = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
-        per_layer[l] = ((delta[:, :, None] * acts[l][:, None, :]).reshape(B, -1), delta)
+        deltas[l] = delta
         if l > 0:
             delta = _ref_hidden_delta(delta, weights[l], pre[l - 1], activation)
-    g = np.concatenate([part for gw, gb in per_layer for part in (gw, gb)], axis=1)
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    return deltas, acts
+
+
+def _ref_clip_factors(norms, clip):
     factors = np.ones_like(norms)
     over = norms > clip
     factors[over] = clip / norms[over]
-    total = (g * factors[:, None]).sum(axis=0)
+    return factors
+
+
+def _ref_noisy_mean(total, B, clip, noise_multiplier, rng):
     if noise_multiplier > 0:
         total = total + rng.normal(0.0, noise_multiplier * clip, size=total.shape)
     return total / B
+
+
+def materialized_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier, rng):
+    """DP-SGD gradient of one batch from the (B, P) per-example gradient matrix."""
+    B = X.shape[0]
+    deltas, acts = _ref_example_deltas(weights, biases, activation, X, y)
+    g = np.concatenate([part for delta, a in zip(deltas, acts)
+                        for part in ((delta[:, :, None] * a[:, None, :]).reshape(B, -1), delta)],
+                       axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    total = (g * _ref_clip_factors(norms, clip)[:, None]).sum(axis=0)
+    return _ref_noisy_mean(total, B, clip, noise_multiplier, rng)
+
+
+def ghost_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier, rng):
+    """DP-SGD gradient of one batch clipped through per-layer norms, never
+    building the per-example gradients: |g_i|^2 = sum_l |delta_i|^2 (|a_i|^2 + 1)."""
+    deltas, acts = _ref_example_deltas(weights, biases, activation, X, y)
+    sq = sum((delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
+             for delta, a in zip(deltas, acts))
+    factors = _ref_clip_factors(np.sqrt(sq), clip)[:, None]
+    total = np.concatenate([part for delta, a in zip(deltas, acts)
+                            for part in (((delta * factors).T @ a).ravel(),
+                                         (delta * factors).sum(axis=0))])
+    return _ref_noisy_mean(total, X.shape[0], clip, noise_multiplier, rng)
 
 
 def reference_train(dataset, mask, arch, config):
@@ -354,8 +386,8 @@ def reference_train(dataset, mask, arch, config):
             if config.dp is None:
                 g = _ref_mean_gradient(weights, biases, arch.activation, X[batch], y[batch])
             else:
-                g = _ref_dp_gradient(weights, biases, arch.activation, X[batch], y[batch],
-                                     config.dp.clip_norm, config.dp.noise_multiplier, noise)
+                g = ghost_dp_gradient(weights, biases, arch.activation, X[batch], y[batch],
+                                      config.dp.clip_norm, config.dp.noise_multiplier, noise)
             if config.optimizer == "adam":
                 t += 1
                 m = 0.9 * m + (1.0 - 0.9) * g

@@ -110,6 +110,18 @@ class TestTrainShadows:
         pytest.param("train", "lr", 10**400, id="train-lr-int_beyond_float"),
         ("targets", "count", 0),
         ("targets", "count", -3),
+        ("train", "lr", float("nan")),
+        ("train", "lr", float("inf")),
+        ("train", "lr", -1.0),
+        ("train", "lr", 0),
+        pytest.param("train", "dp", {"clip_norm": float("nan"), "noise_multiplier": 1.0},
+                     id="train-dp-clip_norm_nan"),
+        pytest.param("train", "dp", {"clip_norm": float("inf"), "noise_multiplier": 1.0},
+                     id="train-dp-clip_norm_inf"),
+        pytest.param("train", "dp", {"clip_norm": 5.0, "noise_multiplier": float("nan")},
+                     id="train-dp-noise_multiplier_nan"),
+        pytest.param("train", "dp", {"clip_norm": 5.0, "noise_multiplier": float("inf")},
+                     id="train-dp-noise_multiplier_inf"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()

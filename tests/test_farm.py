@@ -26,7 +26,7 @@ from mialab.farm import (
     save_farm,
 )
 from mialab.nn import ArchDescriptor, forward_batch, softmax
-from mialab.training import ModelRecord, TrainConfig, record_accuracy
+from mialab.training import DpConfig, ModelRecord, TrainConfig, record_accuracy
 
 from oracles import reference_train
 
@@ -75,25 +75,38 @@ class TestBuild:
         ds, arch, cfg, _ = toy
         monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", 3 * arch.param_count())
         serial = build_farm(ds, 7, arch, cfg, master_seed=78)
-        assert [len(g) for g in training.plan_groups(7, arch, cfg)] == [3, 3, 1]
-        assert [len(g) for g in training.plan_groups(7, arch, cfg, jobs=2)] == [3, 3, 1]
+        assert [len(g) for g in training.plan_groups(7, arch)] == [3, 3, 1]
+        assert [len(g) for g in training.plan_groups(7, arch, jobs=2)] == [3, 3, 1]
         assert farms_equal(serial, build_farm(ds, 7, arch, cfg, master_seed=78, jobs=2))
         for rec, mask in zip(serial.records, serial.splits):
             assert np.array_equal(rec._params.to_vector(),
                                   reference_train(ds, mask, arch, replace(cfg, seed=rec.seed)))
 
+    def test_parallel_dp_build_matches_serial_and_reference(self, toy):
+        ds, arch, cfg, _ = toy
+        dp_cfg = replace(cfg, epochs=3, dp=DpConfig(clip_norm=1.0, noise_multiplier=0.5))
+        serial = build_farm(ds, 5, arch, dp_cfg, master_seed=79)
+        assert [len(g) for g in training.plan_groups(5, arch, jobs=2)] == [3, 2]
+        assert farms_equal(serial, build_farm(ds, 5, arch, dp_cfg, master_seed=79, jobs=2))
+        for rec, mask in zip(serial.records, serial.splits):
+            assert np.array_equal(rec._params.to_vector(),
+                                  reference_train(ds, mask, arch, replace(dp_cfg, seed=rec.seed)))
+
     def test_store_bytes_identical_across_blas_threads(self, tmp_path):
-        # batch 128 x hidden 256: products large enough for a 2-thread BLAS to split
+        # batch 128 x hidden 256: products large enough for a 2-thread BLAS to split;
+        # one plain and one DP farm
         script = (
             "import sys\n"
             "from mialab.data import synthetic_mixture\n"
             "from mialab.farm import build_farm, save_farm\n"
             "from mialab.nn import ArchDescriptor\n"
-            "from mialab.training import TrainConfig\n"
+            "from mialab.training import DpConfig, TrainConfig\n"
             "ds = synthetic_mixture(400, 20, 10, seed=5, noise=0.25)\n"
-            "farm = build_farm(ds, 6, ArchDescriptor(20, (256,), 10),\n"
-            "                  TrainConfig(epochs=2, batch_size=128, lr=0.01), master_seed=9)\n"
-            "save_farm(farm, sys.argv[1])\n"
+            "for dp, path in ((None, sys.argv[1]), (DpConfig(5.0, 1.0), sys.argv[2])):\n"
+            "    farm = build_farm(ds, 6, ArchDescriptor(20, (256,), 10),\n"
+            "                      TrainConfig(epochs=2, batch_size=128, lr=0.01, dp=dp),\n"
+            "                      master_seed=9)\n"
+            "    save_farm(farm, path)\n"
         )
         src = str(Path(mialab.__file__).resolve().parents[1])
         stores = []
@@ -101,10 +114,11 @@ class TestBuild:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            path = tmp_path / f"farm_{threads}.bin"
-            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
-            stores.append(path.read_bytes())
-        assert stores[0] == stores[1]
+            paths = [tmp_path / f"{kind}_{threads}.bin" for kind in ("plain", "dp")]
+            subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env, check=True)
+            stores.append([path.read_bytes() for path in paths])
+        assert stores[0][0] == stores[1][0]
+        assert stores[0][1] == stores[1][1]
 
 
 class TestPartition:

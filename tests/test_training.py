@@ -8,7 +8,14 @@ import pytest
 import mialab.training as training
 from mialab.data import Dataset, synthetic_mixture
 from mialab.errors import ShapeError
-from mialab.nn import ArchDescriptor
+from mialab.nn import (
+    ArchDescriptor,
+    Params,
+    init_params,
+    layer_views,
+    param_gradient,
+    per_example_grad_vectors,
+)
 from mialab.rng import substream
 from mialab.training import (
     DpConfig,
@@ -22,7 +29,7 @@ from mialab.training import (
     train_models,
 )
 
-from oracles import reference_train
+from oracles import ghost_dp_gradient, materialized_dp_gradient, reference_train
 
 
 def separable_dataset():
@@ -149,33 +156,85 @@ class TestClip:
             clip_per_example(np.ones(3), 5.0)
 
 
+def dp_group(arch, n_models, batch, seed):
+    """Stacked (G, P) parameters of n_models random models and their (G, B) batches."""
+    rng = np.random.default_rng(seed)
+    theta = np.stack([init_params(arch, rng).to_vector() for _ in range(n_models)])
+    X = rng.uniform(0.0, 1.0, (n_models, batch, arch.input_dim))
+    y = rng.integers(arch.num_classes, size=(n_models, batch))
+    return theta, X, y
+
+
+def run_dp_step(arch, theta, X, y, dp, rng_seeds):
+    grad = np.empty_like(theta)
+    dp_step(arch, layer_views(arch, theta), X, y, dp,
+            [np.random.default_rng(s) for s in rng_seeds], grad)
+    return grad
+
+
+def ref_dp_gradient(oracle, arch, theta, X, y, dp, rng_seed):
+    params = Params.from_vector(arch, theta)
+    return oracle(params.weights, params.biases, arch.activation, X, y, dp.clip_norm,
+                  dp.noise_multiplier, np.random.default_rng(rng_seed))
+
+
 class TestDpStep:
     def test_zero_noise_is_exact_clipped_mean(self):
-        rng = np.random.default_rng(19)
-        g = rng.normal(0, 3, (6, 10))
-        out = dp_step(g, 5.0, 0.0, 6, rng)
-        expected = clip_per_example(g, 5.0).sum(axis=0) / 6
-        assert np.array_equal(out, expected)
+        arch = ArchDescriptor(5, (7,), 3)
+        theta, X, y = dp_group(arch, 4, 6, seed=19)
+        dp = DpConfig(clip_norm=0.5, noise_multiplier=0.0)
+        grad = run_dp_step(arch, theta, X, y, dp, range(4))
+        for g in range(4):
+            expected = ref_dp_gradient(ghost_dp_gradient, arch, theta[g], X[g], y[g], dp, g)
+            assert np.array_equal(grad[g], expected)
 
     def test_single_short_example_identity(self):
-        g = np.array([[1.0, 2.0, 0.0]])
-        out = dp_step(g, 5.0, 0.0, 1, np.random.default_rng(20))
-        assert np.array_equal(out, g[0])
+        # one example inside the bound: no clipping, no noise, divided by 1
+        arch = ArchDescriptor(5, (7,), 3)
+        theta, X, y = dp_group(arch, 2, 1, seed=20)
+        grad = run_dp_step(arch, theta, X, y, DpConfig(clip_norm=1e6, noise_multiplier=0.0), [0, 1])
+        expected = np.empty_like(theta)
+        param_gradient(arch, layer_views(arch, theta), X, y, out=layer_views(arch, expected))
+        assert np.array_equal(grad, expected)
 
     def test_noise_scale_statistics(self):
-        # zero gradients: output is pure noise with std sigma*C/batch
-        rng = np.random.default_rng(21)
+        # the noise is what a sigma > 0 step adds to the sigma = 0 step: std sigma*C/batch
+        arch = ArchDescriptor(4, (), 8)  # 40 parameters
         C, sigma, batch = 5.0, 1.0, 8
-        draws = np.concatenate(
-            [dp_step(np.zeros((batch, 40)), C, sigma, batch, rng) for _ in range(2500)]
-        )
+        theta, X, y = dp_group(arch, 50, batch, seed=21)
+        clean = run_dp_step(arch, theta, X, y, DpConfig(C, 0.0), range(50))
+        draws = np.concatenate([
+            run_dp_step(arch, theta, X, y, DpConfig(C, sigma), range(50 * k, 50 * k + 50)) - clean
+            for k in range(50)
+        ])
         expected = sigma * C / batch
         assert abs(draws.std() - expected) / expected < 0.05
 
     def test_clip_check_counter_advances(self):
+        arch = ArchDescriptor(3, (), 2)
+        theta, X, y = dp_group(arch, 3, 2, seed=22)
         before = training.clip_checks
-        dp_step(np.ones((2, 3)), 1.0, 0.0, 2, np.random.default_rng(22))
-        assert training.clip_checks == before + 1
+        run_dp_step(arch, theta, X, y, DpConfig(1.0, 0.0), range(3))
+        assert training.clip_checks == before + 3
+
+    @pytest.mark.parametrize("batch", [4, 3], ids=["full_batch", "short_batch"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_ghost_step_matches_materialized_gradients(self, activation, hidden, sigma, batch):
+        arch = ArchDescriptor(5, hidden, 3, activation)
+        theta, X, y = dp_group(arch, 3, batch, seed=46)
+        theta *= 3.0  # large enough that some examples clip and others do not
+        norms = np.stack([np.linalg.norm(per_example_grad_vectors(
+            arch, Params.from_vector(arch, theta[g]), X[g], y[g]), axis=1) for g in range(3)])
+        clip = float(np.median(norms))
+        assert np.any(norms > clip) and np.any(norms < clip)
+        dp = DpConfig(clip_norm=clip, noise_multiplier=sigma)
+        grad = run_dp_step(arch, theta, X, y, dp, [7, 8, 9])
+        for g, seed in enumerate([7, 8, 9]):
+            expected = ref_dp_gradient(materialized_dp_gradient, arch, theta[g], X[g], y[g], dp,
+                                       seed)
+            assert np.max(np.abs(grad[g] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestDpTraining:
@@ -219,6 +278,16 @@ class TestDpTraining:
             DpConfig(clip_norm=0.0, noise_multiplier=1.0)
         with pytest.raises(ValueError):
             DpConfig(clip_norm=1.0, noise_multiplier=-0.1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                DpConfig(clip_norm=bad, noise_multiplier=1.0)
+            with pytest.raises(ValueError):
+                DpConfig(clip_norm=1.0, noise_multiplier=bad)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
 
 
 # 31 points split in halves of 15 with batch 4: every epoch ends on a batch of 3.
@@ -227,11 +296,11 @@ N_GROUP_MODELS = 7
 GROUP_SEEDS = [100 + i for i in range(N_GROUP_MODELS)]
 
 
-def group_budget(arch, config, group):
+def group_budget(arch, group):
     """TRAIN_GROUP_ELEMENTS value that makes groups of `group` models (None: all)."""
     if group is None:
         return 1 << 40
-    return group * arch.param_count() * (config.batch_size if config.dp is not None else 1)
+    return group * arch.param_count()
 
 
 class TestLockStepTraining:
@@ -246,8 +315,8 @@ class TestLockStepTraining:
         arch = ArchDescriptor(5, hidden, 3, activation)
         masks = make_even_splits(GROUP_DS.n, N_GROUP_MODELS, seed=41)
         config = TrainConfig(epochs=3, batch_size=4, lr=0.05, optimizer=optimizer, dp=dp)
-        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, config, group))
-        sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch, config)]
+        monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, group))
+        sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch)]
         assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
         records = train_models(GROUP_DS, masks, arch, config, GROUP_SEEDS)
         for i, (rec, mask, seed) in enumerate(zip(records, masks, GROUP_SEEDS)):
@@ -257,10 +326,9 @@ class TestLockStepTraining:
 
     def test_parallel_groups_cover_every_worker(self):
         arch = ArchDescriptor(5, (6,), 3)
-        config = TrainConfig()
-        assert [len(g) for g in plan_groups(24, arch, config)] == [24]
-        assert [len(g) for g in plan_groups(24, arch, config, jobs=4)] == [6] * 4
-        assert [len(g) for g in plan_groups(7, arch, config, jobs=2)] == [4, 3]
+        assert [len(g) for g in plan_groups(24, arch)] == [24]
+        assert [len(g) for g in plan_groups(24, arch, jobs=4)] == [6] * 4
+        assert [len(g) for g in plan_groups(7, arch, jobs=2)] == [4, 3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model's NaN softmax
     def test_one_diverging_model_fails_the_group(self, monkeypatch):
@@ -268,7 +336,7 @@ class TestLockStepTraining:
         masks = make_even_splits(GROUP_DS.n, 4, seed=43)
         config = TrainConfig(epochs=2, batch_size=4)
         seeds = [200 + i for i in range(4)]
-        assert [len(g) for g in plan_groups(4, arch, config)] == [4]
+        assert [len(g) for g in plan_groups(4, arch)] == [4]
         init = training.init_params
 
         def poisoned(arch, rng, _init=init):
