@@ -350,22 +350,25 @@ class ScoreTable:
         rows: dict[int, ScoreRow] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["target_index", "is_member", "query_id", "score", "aggregated_score"]:
-                raise FormatError(f"{path}: unexpected score table header {header}")
-            for lineno, rec in enumerate(reader, start=2):
-                if len(rec) != 5:
-                    raise FormatError(f"{path}: line {lineno}: expected 5 fields, got {len(rec)}")
-                try:
-                    idx, member = int(rec[0]), bool(int(rec[1]))
-                    score, agg = float(rec[3]), float(rec[4])
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-                if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
-                    raise FormatError(f"{path}: line {lineno}: score is NaN")
-                if idx not in rows:
-                    rows[idx] = ScoreRow(idx, member, [], agg)
-                rows[idx].query_scores.append(score)
+            try:
+                header = next(reader, None)
+                if header != ["target_index", "is_member", "query_id", "score", "aggregated_score"]:
+                    raise FormatError(f"{path}: unexpected score table header {header}")
+                for lineno, rec in enumerate(reader, start=2):
+                    if len(rec) != 5:
+                        raise FormatError(f"{path}: line {lineno}: expected 5 fields, got {len(rec)}")
+                    try:
+                        idx, member = int(rec[0]), bool(int(rec[1]))
+                        score, agg = float(rec[3]), float(rec[4])
+                    except ValueError as exc:
+                        raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                    if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
+                        raise FormatError(f"{path}: line {lineno}: score is NaN")
+                    if idx not in rows:
+                        rows[idx] = ScoreRow(idx, member, [], agg)
+                    rows[idx].query_scores.append(score)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise FormatError(f"{path}: not a readable score table: {exc}") from exc
         return ScoreTable(list(rows.values()))
 
 

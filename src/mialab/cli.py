@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +86,8 @@ def cmd_train_shadows(args) -> None:
     print(f"trained {farm.n_models} models -> {farm_path}")
 
 
-def _run_attack_seed(config_dict: dict, farm_path: str, run_seed: int):
+def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     """One attack run: pick a target model, sample balanced targets, score."""
-    cfg = ExperimentConfig.from_dict(config_dict)
-    dataset = cfg.dataset.materialize()
-    farm = load_farm(farm_path)
-    if farm.fingerprint != dataset.fingerprint():
-        raise FingerprintMismatchError(
-            f"farm fingerprint {farm.fingerprint:#x} does not match dataset "
-            f"fingerprint {dataset.fingerprint():#x}"
-        )
     target_model = int(substream(cfg.master_seed, TAG_TARGET_CHOICE, run_seed).integers(farm.n_models))
     truth = farm.splits[target_model]
     oracle, shadows = hold_out_target(farm, target_model)
@@ -129,22 +122,27 @@ def _run_attack_seed(config_dict: dict, farm_path: str, run_seed: int):
 
 
 def cmd_attack(args) -> None:
+    """Materialise the dataset, load the farm and check its fingerprint once,
+    before the output directory is touched; then run every seed on them."""
+    start = time.perf_counter()
     cfg = load_config(args.config)
+    dataset = cfg.dataset.materialize()
+    farm = load_farm(args.farm)
+    if farm.fingerprint != dataset.fingerprint():
+        raise FingerprintMismatchError(
+            f"farm fingerprint {farm.fingerprint:#x} does not match dataset "
+            f"fingerprint {dataset.fingerprint():#x}"
+        )
     score_names = [f"scores_seed{s}.csv" for s in cfg.seeds]
     out = _ensure_out(args.out, score_names + ["attack_manifest.json"], args.force)
-    start = time.perf_counter()
-    jobs = max(1, args.jobs)
-    runs = []
-    if jobs > 1 and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_attack_seed, cfg.to_dict(), str(args.farm), s) for s in cfg.seeds
-            ]
-            runs = [f.result() for f in futures]
+    run = partial(_run_attack_seed, cfg, dataset, farm)
+    if args.jobs > 1 and len(cfg.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            runs = list(pool.map(run, cfg.seeds))
     else:
-        runs = [_run_attack_seed(cfg.to_dict(), str(args.farm), s) for s in cfg.seeds]
+        runs = list(map(run, cfg.seeds))
     outputs, infos = {}, []
-    for (table, info), s, name in zip(runs, cfg.seeds, score_names):
+    for (table, info), name in zip(runs, score_names):
         table.write_csv(out / name)
         outputs[name] = _sha256(out / name)
         infos.append(info)

@@ -1,13 +1,14 @@
 """Datasets: labeled feature vectors on the unit hypercube.
 
 Supports CSV and IDX-pair ingestion, a deterministic synthetic Gaussian
-mixture for desk-scale experiments, FNV-1a fingerprinting of the
+mixture for desk-scale experiments, a 64-bit blake2b fingerprint of the
 canonical byte serialization, and optional per-row access counting used
 to prove that training never touches held-out points.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -26,7 +27,7 @@ _FNV_PRIME = 0x100000001B3
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
+    """64-bit FNV-1a hash (the fingerprint of farm store version 1)."""
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte
@@ -94,8 +95,10 @@ class Dataset:
         return header + self.features.astype("<f8").tobytes() + self.labels.astype("<i8").tobytes()
 
     def fingerprint(self) -> int:
+        """blake2b-64 of the canonical bytes, read as a little-endian integer."""
         if self._fingerprint is None:
-            self._fingerprint = fnv1a64(self.canonical_bytes())
+            digest = hashlib.blake2b(self.canonical_bytes(), digest_size=8).digest()
+            self._fingerprint = int.from_bytes(digest, "little")
         return self._fingerprint
 
 

@@ -1,13 +1,19 @@
 """Shadow-model farms: build, persist, partition, and the target oracle.
 
-The farm store is a single binary file: 8-byte magic, little-endian
-version word, dataset fingerprint, master seed, architecture descriptor,
-per-model training seeds, the split matrix as packed bits, then each
-model's parameters as little-endian float64.
+The farm store (version 2) is a single binary file, little-endian
+throughout: 8-byte magic, version word, dataset fingerprint (blake2b-64),
+master seed, architecture descriptor, per-model training seeds, the split
+matrix as packed bits, each model's parameters as float64, and a trailing
+32-byte blake2b-256 checksum of every byte before it. Version 1 files
+(FNV-1a fingerprint, no checksum) are refused; rebuild them with
+train-shadows. A store is written to a temporary file next to its path
+and moved into place, so a reader never sees half a farm.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +38,8 @@ from .training import (  # noqa: F401  train_model stays bound here for perfbenc
 )
 
 MAGIC = b"SHDWFARM"
-VERSION = 1
+VERSION = 2
+CHECKSUM_BYTES = 32
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
@@ -161,15 +168,22 @@ def in_out_partition(farm: ShadowFarm, target_index: int) -> tuple[list[ModelRec
 def hold_out_target(
     farm: ShadowFarm, which: int, budget: int | None = None
 ) -> tuple[TargetOracle, ShadowFarm]:
-    """Wrap one model as the black-box target; return the remaining farm."""
+    """Wrap one model as the black-box target; return the remaining farm.
+
+    Every call wraps fresh records around the farm's frozen parameters, so
+    the access counters of one run (the oracle's hidden_param_reads, an
+    offline attack's IN-model reads) never carry over into another run of
+    the same loaded farm.
+    """
     if not 0 <= which < farm.n_models:
         raise IndexError(f"model index {which} out of range for {farm.n_models} models")
-    oracle = TargetOracle(farm.records[which], farm.fingerprint, budget=budget)
+    fresh = [ModelRecord(r.arch, r.seed, r.split_row, r._params) for r in farm.records]
+    oracle = TargetOracle(fresh.pop(which), farm.fingerprint, budget=budget)
     remaining = ShadowFarm(
         fingerprint=farm.fingerprint,
         arch=farm.arch,
         splits=np.delete(farm.splits, which, axis=0),
-        records=[r for i, r in enumerate(farm.records) if i != which],
+        records=fresh,
         master_seed=farm.master_seed,
     )
     return oracle, remaining
@@ -198,16 +212,25 @@ def save_farm(farm: ShadowFarm, path) -> None:
     parts.append(np.packbits(farm.splits.ravel()).tobytes())
     for rec in farm.records:
         parts.append(rec._params.to_vector().astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    blob = b"".join(parts)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.write(hashlib.blake2b(blob, digest_size=CHECKSUM_BYTES).digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: memoryview, path):
         self.blob = blob
         self.off = 0
         self.path = path
 
-    def read(self, size: int) -> bytes:
+    def read(self, size: int) -> memoryview:
         if self.off + size > len(self.blob):
             raise FormatError(
                 f"{self.path}: truncated farm store: expected {self.off + size} bytes, "
@@ -222,36 +245,45 @@ class _Reader:
 
 
 def load_farm(path) -> ShadowFarm:
+    """Read a farm store, checking magic, version, length and checksum in
+    that order before any of the payload is decoded."""
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
-    magic = reader.read(8)
+    blob = memoryview(path.read_bytes())
+    reader = _Reader(blob, path)
+    magic = bytes(reader.read(8))
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, not a farm store")
     (version,) = reader.unpack("<I")
     if version != VERSION:
         raise UnsupportedVersionError(
-            f"{path}: unsupported farm store version {version} (supported: {VERSION})"
+            f"{path}: unsupported farm store version {version} (supported: {VERSION}); "
+            "rerun train-shadows to rebuild the farm"
         )
     fingerprint, master_seed = reader.unpack("<QQ")
     n_models, n_points, input_dim, num_classes, act_code = reader.unpack("<IIIIB")
-    if act_code not in _ACT_NAMES:
-        raise FormatError(f"{path}: unknown activation code {act_code}")
     (n_hidden,) = reader.unpack("<I")
     hidden = reader.unpack(f"<{n_hidden}I")
+    dims = (input_dim, *hidden, num_classes)
+    pcount = sum(o * i + o for i, o in zip(dims, dims[1:]))
+    n_bits = n_models * n_points
+    size = reader.off + 8 * n_models + (n_bits + 7) // 8 + 8 * pcount * n_models + CHECKSUM_BYTES
+    if len(blob) < size:
+        raise FormatError(f"{path}: truncated farm store: expected {size} bytes, got {len(blob)}")
+    if len(blob) > size:
+        raise FormatError(f"{path}: {len(blob) - size} trailing bytes after farm payload")
+    payload, checksum = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
+    if hashlib.blake2b(payload, digest_size=CHECKSUM_BYTES).digest() != checksum:
+        raise FormatError(f"{path}: checksum mismatch, the farm store is corrupt")
+    if act_code not in _ACT_NAMES:
+        raise FormatError(f"{path}: unknown activation code {act_code}")
     arch = ArchDescriptor(input_dim, tuple(hidden), num_classes, _ACT_NAMES[act_code])
     seeds = reader.unpack(f"<{n_models}Q")
-    n_bits = n_models * n_points
     packed = np.frombuffer(reader.read((n_bits + 7) // 8), dtype=np.uint8)
     splits = np.unpackbits(packed, count=n_bits).astype(bool).reshape(n_models, n_points)
     records = []
-    pcount = arch.param_count()
     for i in range(n_models):
         vec = np.frombuffer(reader.read(pcount * 8), dtype="<f8").astype(np.float64)
         records.append(ModelRecord(arch, seeds[i], i, Params.from_vector(arch, vec)))
-    if reader.off != len(reader.blob):
-        raise FormatError(
-            f"{path}: {len(reader.blob) - reader.off} trailing bytes after farm payload"
-        )
     return ShadowFarm(fingerprint, arch, splits, records, master_seed)
 
 

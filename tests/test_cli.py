@@ -8,6 +8,7 @@ import pytest
 
 from mialab.cli import main
 from mialab.attacks import ScoreTable
+from mialab.farm import CHECKSUM_BYTES
 from mialab.metrics import read_report_csv
 
 
@@ -232,6 +233,61 @@ class TestAttack:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error:FingerprintMismatchError" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("damage,error", [
+        ("version_1", "UnsupportedVersionError"),
+        ("flipped_bit", "FormatError"),
+    ])
+    def test_refused_farm_leaves_no_output(self, trained, tmp_path, capsys, damage, error):
+        _, cfg_path, out = trained
+        blob = bytearray((out / "farm.bin").read_bytes())
+        if damage == "version_1":
+            blob[8:12] = (1).to_bytes(4, "little")
+            del blob[-CHECKSUM_BYTES:]  # v1 stores had no checksum
+        else:
+            blob[100] ^= 0x10
+        farm = tmp_path / "farm.bin"
+        farm.write_bytes(bytes(blob))
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(farm),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith(f"error:{error}: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+
+class TestRunIsolation:
+    """One attack command loads the farm once and runs every seed on it; no
+    run may see another run's access counters."""
+
+    @staticmethod
+    def attack(cfg_path, farm, out, *extra):
+        assert main(["attack", "--config", str(cfg_path), "--farm", str(farm),
+                     "--out", str(out), *extra]) == 0
+        return json.loads((out / "attack_manifest.json").read_text())["runs"]
+
+    def test_shared_load_matches_one_command_per_seed(self, trained, tmp_path):
+        _, _, out = trained
+        farm = out / "farm.bin"
+        seeds = [0, 1, 2]
+        cfg = base_config(seeds=seeds)
+        cfg["attack"]["mode"] = "offline"
+        cfg_path = tmp_path / "off.json"
+        cfg_path.write_text(json.dumps(cfg))
+        together = self.attack(cfg_path, farm, tmp_path / "together")
+        pooled = self.attack(cfg_path, farm, tmp_path / "pooled", "--jobs", "2")
+        alone = []
+        for s in seeds:
+            cfg_path.write_text(json.dumps({**cfg, "seeds": [s]}))
+            alone += self.attack(cfg_path, farm, tmp_path / f"alone{s}")
+        # later runs hold out models that earlier runs read as shadows
+        assert len({r["target_model_index"] for r in together}) > 1
+        assert together == pooled == alone
+        assert all(r["target_param_reads"] == 0 and r["in_model_accesses"] == 0 for r in together)
+        for s in seeds:
+            name = f"scores_seed{s}.csv"
+            digest = sha(tmp_path / "together" / name)
+            assert sha(tmp_path / "pooled" / name) == digest == sha(tmp_path / f"alone{s}" / name)
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +355,17 @@ class TestEvalCompare:
         assert err.startswith("error:FormatError: ") and err.count("\n") == 1
         assert "line 3: score is NaN" in err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"\x80,1,0,0.5,0.5\n", id="not_utf8"),
+        pytest.param(b"0,1,0," + b"9" * 200_000 + b",0.5\n", id="field_over_csv_limit"),
+    ])
+    def test_unreadable_scores_are_one_format_error_line(self, tmp_path, capsys, body):
+        scores = tmp_path / "bad_seed0.csv"
+        scores.write_bytes(b"target_index,is_member,query_id,score,aggregated_score\n" + body)
+        assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:FormatError: ") and err.count("\n") == 1
 
     def test_infinite_scores_still_evaluate(self, tmp_path):
         scores = tmp_path / "inf_seed0.csv"

@@ -1,5 +1,6 @@
 """Dataset ingestion, fingerprinting, and the synthetic mixture."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -102,6 +103,14 @@ class TestIdx:
 
 
 class TestFingerprint:
+    def test_fingerprint_is_blake2b_of_canonical_bytes(self):
+        ds = Dataset(np.array([[0.0, 0.5], [1.0, 0.25]]), np.array([0, 1]))
+        canonical = (struct.pack("<QQQ", 2, 2, 2) + struct.pack("<4d", 0.0, 0.5, 1.0, 0.25)
+                     + struct.pack("<2q", 0, 1))
+        assert ds.canonical_bytes() == canonical
+        digest = hashlib.blake2b(canonical, digest_size=8).digest()
+        assert ds.fingerprint() == int.from_bytes(digest, "little") == 0xA3F094FC27D0F225
+
     def test_fnv1a_known_vectors(self):
         # standard FNV-1a 64-bit test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325

@@ -1,6 +1,7 @@
 """Shadow farm: build determinism, partition, oracle, binary round trips."""
 
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,8 +14,9 @@ import mialab
 import mialab.training as training
 
 from mialab.data import synthetic_mixture
-from mialab.errors import FormatError, QueryBudgetError, UnsupportedVersionError
+from mialab.errors import FormatError, MialabError, QueryBudgetError, UnsupportedVersionError
 from mialab.farm import (
+    CHECKSUM_BYTES,
     ShadowFarm,
     TargetOracle,
     build_farm,
@@ -205,6 +207,15 @@ class TestOracle:
         assert rest.n_models == farm.n_models - 1
         assert farm.records[3] not in rest.records
 
+    def test_every_hold_out_counts_from_zero(self, toy):
+        ds, _, _, farm = toy
+        _, rest = hold_out_target(farm, 0)
+        model_confidence_batch(rest.records[0], ds.features[:1], 0)  # a read of model 1
+        assert farm.records[1].access_count == 0
+        oracle, rest = hold_out_target(farm, 1)
+        assert oracle.hidden_param_reads == 0
+        assert all(r.access_count == 0 for r in rest.records)
+
     def test_query_counter(self, toy):
         ds, _, _, farm = toy
         oracle, _ = hold_out_target(farm, 0)
@@ -276,6 +287,60 @@ class TestStore:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             load_farm(path)
+
+    def test_version_1_store_refused_with_rebuild_hint(self, toy, tmp_path):
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        blob = bytearray(path.read_bytes()[:-CHECKSUM_BYTES])  # v1 had no checksum
+        blob[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedVersionError, match="rerun train-shadows"):
+            load_farm(path)
+
+    def test_payload_corruption_fails_checksum(self, toy, tmp_path):
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        blob = bytearray(path.read_bytes())
+        blob[-CHECKSUM_BYTES - 1] ^= 0x01  # last byte of the last model's parameters
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="checksum"):
+            load_farm(path)
+
+    def test_every_single_bit_flip_refused(self, tmp_path):
+        ds = synthetic_mixture(6, 2, 2, seed=3, noise=0.1)
+        arch = ArchDescriptor(2, (2,), 2)
+        farm = build_farm(ds, 3, arch, TrainConfig(epochs=1, batch_size=3), master_seed=4)
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        blob = path.read_bytes()
+        accepted = []
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_farm(path)
+            except MialabError:
+                continue
+            accepted.append(bit)
+        assert accepted == []
+
+    def test_failed_save_keeps_the_old_store(self, toy, tmp_path, monkeypatch):
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            save_farm(farm, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["farm.bin"]
 
     def test_byte_identical_saves(self, toy, tmp_path):
         _, _, _, farm = toy
