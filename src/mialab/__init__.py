@@ -17,7 +17,7 @@ from .attacks import (
     scale_confidence,
     scale_confidence_batch,
 )
-from .config import DatasetSpec, ExperimentConfig, TargetsSpec, load_config
+from .config import ArchSpec, AttackSpec, DatasetSpec, ExperimentConfig, TargetsSpec, load_config
 from .data import Dataset, ingest_dataset, synthetic_mixture
 from .farm import (
     ShadowFarm,

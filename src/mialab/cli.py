@@ -25,7 +25,6 @@ from .config import ExperimentConfig, load_config, write_manifest
 from .errors import ConfigError, FingerprintMismatchError, MialabError, OutputExistsError
 from .farm import build_farm, hold_out_target, load_farm, save_farm
 from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
-from .nn import ArchDescriptor
 from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, derive_seed, substream
 from .training import record_accuracy
 
@@ -48,15 +47,11 @@ def _ensure_out(out_dir, names, force: bool) -> Path:
     return out
 
 
-def _resolve_arch(cfg: ExperimentConfig, dataset) -> ArchDescriptor:
-    return ArchDescriptor(dataset.input_dim, cfg.hidden_dims, dataset.num_classes, cfg.activation)
-
-
 def cmd_train_shadows(args) -> None:
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
     out = _ensure_out(args.out, ["farm.bin", "train_manifest.json"], args.force)
-    arch = _resolve_arch(cfg, dataset)
+    arch = cfg.arch.descriptor(dataset.input_dim, dataset.num_classes)
     start = time.perf_counter()
     farm = build_farm(dataset, cfg.n_models, arch, cfg.train, cfg.master_seed, jobs=args.jobs)
     wall = time.perf_counter() - start
@@ -107,7 +102,7 @@ def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     targets = [(int(i), True) for i in picked_members] + [(int(i), False) for i in picked_non]
 
     table = run_attack(
-        dataset, oracle, shadows, targets, cfg.method, cfg.mode, cfg.canary,
+        dataset, oracle, shadows, targets, cfg.attack.method, cfg.attack.mode, cfg.attack.canary,
         derive_seed(cfg.master_seed, TAG_ATTACK, run_seed),
     )
     info = {
@@ -200,22 +195,26 @@ def cmd_eval(args) -> None:
 
 
 def cmd_compare(args) -> None:
+    """Every report is read and checked against lira's seeds and metrics
+    before the output directory is touched."""
     paths = [Path(p) for p in args.reports]
+    if not 2 <= len(paths) <= 3:
+        raise ConfigError("compare takes two or three report files")
     names = ["lira", "canary", "noise"][: len(paths)]
-    out = _ensure_out(args.out, ["compare.csv", "compare_manifest.json"], args.force)
-    loaded = {}
-    seed_sets = {}
-    for name, path in zip(names, paths):
-        per_seed, _ = read_report_csv(path)
-        loaded[name] = per_seed
-        seed_sets[name] = set(per_seed)
-    base_seeds = seed_sets["lira"]
-    for name, seeds in seed_sets.items():
-        if seeds != base_seeds:
+    loaded = {name: read_report_csv(path)[0] for name, path in zip(names, paths)}
+    base_seeds = set(loaded["lira"])
+    metrics = sorted({m for vals in loaded["lira"].values() for m in vals})
+    for name, per_seed in loaded.items():
+        if set(per_seed) != base_seeds:
             raise ConfigError(
-                f"seed sets differ: lira has {sorted(base_seeds)}, {name} has {sorted(seeds)}"
+                f"seed sets differ: lira has {sorted(base_seeds)}, {name} has {sorted(per_seed)}"
             )
-    metrics = sorted({m for per in loaded.values() for vals in per.values() for m in vals})
+        for seed, vals in sorted(per_seed.items()):
+            if sorted(vals) != metrics:
+                raise ConfigError(
+                    f"metric sets differ: lira has {metrics}, {name} seed {seed} has {sorted(vals)}"
+                )
+    out = _ensure_out(args.out, ["compare.csv", "compare_manifest.json"], args.force)
 
     def mean_of(name: str, metric: str) -> float:
         vals = [loaded[name][s][metric] for s in sorted(base_seeds)]
@@ -300,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and not 2 <= len(args.reports) <= 3:
-        print("error:ConfigError: compare takes two or three report files", file=sys.stderr)
-        return 1
     try:
         args.func(args)
     except (MialabError, ValueError, OSError) as exc:

@@ -7,6 +7,7 @@ feeding a manifest back to --config reruns the experiment bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -14,30 +15,11 @@ from pathlib import Path
 from .attacks import METHODS, MODES, CanaryConfig
 from .data import Dataset, ingest_dataset, synthetic_mixture
 from .errors import ConfigError
+from .nn import ArchDescriptor
 from .training import TrainConfig
 
 DATASET_KINDS = ("synthetic", "csv", "idx-pair")
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
-
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing {where}.{key}" if where else f"missing {key}")
-    return d[key]
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def _typed(value, kind: type, where: str):
@@ -50,31 +32,42 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _value(kind, value, where: str):
+    """value as the declared type kind: X | None, a dataclass, tuple[X, ...] or a scalar."""
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if is_dataclass(kind):
+        return _read(kind, value, where)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(_typed(v, typing.get_args(kind)[0], where) for v in value)
+    return _typed(value, kind, where)
+
+
 def _read(cls, d: dict, where: str):
     """A cls dataclass from the JSON object d, read field by field.
 
     Each key is a field name and each value must have the field's declared
-    type (X | None also takes null; a dataclass type is read recursively).
-    A missing key takes the field's default; unknown keys and missing
+    type. A missing key takes the field's default; unknown keys and missing
     fields without a default raise ConfigError.
     """
-    _check_keys(d, {f.name for f in fields(cls)}, where)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields(cls):
         key = f"{where}.{f.name}"
-        if f.name not in d:
-            if f.default is MISSING:
-                raise ConfigError(f"missing {key}")
-            continue
-        value, kind = d[f.name], hints[f.name]
-        options = typing.get_args(kind)
-        if type(None) in options:
-            if value is None:
-                values[f.name] = None
-                continue
-            (kind,) = [t for t in options if t is not type(None)]
-        values[f.name] = _read(kind, value, key) if is_dataclass(kind) else _typed(value, kind, key)
+        if f.name in d:
+            values[f.name] = _value(hints[f.name], d[f.name], key)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing {key}")
     return cls(**values)
 
 
@@ -94,6 +87,8 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind != "synthetic" and not self.path:
             raise ConfigError(f"dataset kind {self.kind!r} requires a path")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"dataset.noise must be finite and non-negative, got {self.noise!r}")
 
     def materialize(self) -> Dataset:
         if self.kind == "synthetic":
@@ -103,16 +98,37 @@ class DatasetSpec:
         return ingest_dataset(self.path, self.kind, self.labels_path)
 
     def to_dict(self) -> dict:
+        """Only the keys this kind reads."""
+        d = asdict(self)
+        source = ("path", "labels_path")
         if self.kind == "synthetic":
-            return {
-                "kind": self.kind,
-                "n_points": self.n_points,
-                "input_dim": self.input_dim,
-                "num_classes": self.num_classes,
-                "noise": self.noise,
-                "seed": self.seed,
-            }
-        return {"kind": self.kind, "path": self.path, "labels_path": self.labels_path}
+            return {k: v for k, v in d.items() if k not in source}
+        return {k: d[k] for k in ("kind", *source)}
+
+
+@dataclass(frozen=True)
+class ArchSpec:
+    hidden_dims: tuple[int, ...]
+    activation: str = "relu"
+
+    def __post_init__(self):
+        self.descriptor(1, 2)  # refuse what the farm would refuse, before any work
+
+    def descriptor(self, input_dim: int, num_classes: int) -> ArchDescriptor:
+        return ArchDescriptor(input_dim, self.hidden_dims, num_classes, self.activation)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    canary: CanaryConfig
+    method: str = "lira"
+    mode: str = "online"
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown attack method {self.method!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown attack mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -130,22 +146,15 @@ class TargetsSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
-    hidden_dims: tuple[int, ...]
-    activation: str
-    train: TrainConfig
+    arch: ArchSpec
     n_models: int
     master_seed: int
     seeds: tuple[int, ...]
-    method: str
-    mode: str
-    canary: CanaryConfig
-    targets: TargetsSpec
+    attack: AttackSpec
+    train: TrainConfig = TrainConfig()
+    targets: TargetsSpec = TargetsSpec()
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown attack method {self.method!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown attack mode {self.mode!r}")
         if self.n_models < 2:
             raise ConfigError("n_models must be at least 2")
         if self.master_seed < 0 or any(s < 0 for s in self.seeds):
@@ -154,59 +163,29 @@ class ExperimentConfig:
             raise ConfigError("need at least one run seed")
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "arch": {"hidden_dims": list(self.hidden_dims), "activation": self.activation},
-            "train": asdict(self.train),
-            "n_models": self.n_models,
-            "master_seed": self.master_seed,
-            "seeds": list(self.seeds),
-            "attack": {"method": self.method, "mode": self.mode, "canary": asdict(self.canary)},
-            "targets": asdict(self.targets),
-        }
+        return {**asdict(self), "dataset": self.dataset.to_dict()}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Validate a config dict; every malformed value raises ConfigError."""
+        """Validate a config dict; every malformed value raises ConfigError.
+
+        attack.canary.epsilon is required for the canary and random_noise
+        methods, and LiRA reads a missing one as 0: the one rule no field
+        default can state. A missing attack block is LiRA's.
+        """
+        attack = d.get("attack", {}) if isinstance(d, dict) else None
+        canary = attack.get("canary", {}) if isinstance(attack, dict) else None
+        if isinstance(canary, dict) and "epsilon" not in canary:
+            method = attack.get("method", "lira")
+            if method in ("canary", "random_noise"):
+                raise ConfigError(f"attack.canary.epsilon is required for method {method!r}")
+            d = {**d, "attack": {**attack, "canary": {**canary, "epsilon": 0.0}}}
         try:
-            return ExperimentConfig._parse(d)
+            return _read(ExperimentConfig, d, "config")
         except ConfigError:
             raise
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-
-    @staticmethod
-    def _parse(d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            {"dataset", "arch", "train", "n_models", "master_seed", "seeds", "attack", "targets"},
-            "config",
-        )
-        arch = _require(d, "arch", "")
-        _check_keys(arch, {"hidden_dims", "activation"}, "arch")
-        attack = d.get("attack", {})
-        _check_keys(attack, {"method", "mode", "canary"}, "attack")
-        method = _typed(attack.get("method", "lira"), str, "attack.method")
-        canary = attack.get("canary", {})
-        if isinstance(canary, dict) and "epsilon" not in canary:
-            if method in ("canary", "random_noise"):
-                raise ConfigError(f"attack.canary.epsilon is required for method {method!r}")
-            canary = {**canary, "epsilon": 0.0}
-        return ExperimentConfig(
-            dataset=_read(DatasetSpec, _require(d, "dataset", ""), "dataset"),
-            hidden_dims=tuple(_typed(h, int, "arch.hidden_dims")
-                              for h in _list(_require(arch, "hidden_dims", "arch"),
-                                             "arch.hidden_dims")),
-            activation=_typed(arch.get("activation", "relu"), str, "arch.activation"),
-            train=_read(TrainConfig, d.get("train", {}), "train"),
-            n_models=_typed(_require(d, "n_models", ""), int, "n_models"),
-            master_seed=_typed(_require(d, "master_seed", ""), int, "master_seed"),
-            seeds=tuple(_typed(s, int, "seeds") for s in _list(_require(d, "seeds", ""), "seeds")),
-            method=method,
-            mode=_typed(attack.get("mode", "online"), str, "attack.mode"),
-            canary=_read(CanaryConfig, canary, "attack.canary"),
-            targets=_read(TargetsSpec, d.get("targets", {}), "targets"),
-        )
 
 
 def load_config(path) -> ExperimentConfig:

@@ -129,23 +129,26 @@ def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[s
     aggregates: dict[str, dict[str, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["metric", "seed", "value"]:
-            raise FormatError(f"{path}: unexpected report header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(rec)}")
-            metric, seed, value = rec
-            try:
-                val = float(value)
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: bad value {value!r}") from exc
-            if seed in ("mean", "std"):
-                aggregates.setdefault(metric, {})[seed] = val
-            else:
+        try:
+            header = next(reader, None)
+            if header != ["metric", "seed", "value"]:
+                raise FormatError(f"{path}: unexpected report header {header}")
+            for lineno, rec in enumerate(reader, start=2):
+                if len(rec) != 3:
+                    raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(rec)}")
+                metric, seed, value = rec
                 try:
-                    seed_i = int(seed)
+                    val = float(value)
                 except ValueError as exc:
-                    raise FormatError(f"{path}: line {lineno}: bad seed {seed!r}") from exc
-                per_seed.setdefault(seed_i, {})[metric] = val
+                    raise FormatError(f"{path}: line {lineno}: bad value {value!r}") from exc
+                if seed in ("mean", "std"):
+                    aggregates.setdefault(metric, {})[seed] = val
+                else:
+                    try:
+                        seed_i = int(seed)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}: line {lineno}: bad seed {seed!r}") from exc
+                    per_seed.setdefault(seed_i, {})[metric] = val
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: not a readable report: {exc}") from exc
     return per_seed, aggregates

@@ -94,14 +94,6 @@ class Params:
         views = layer_views(arch, vec)
         return Params([W.copy() for W in views.weights], [b.copy() for b in views.biases])
 
-    def copy(self) -> "Params":
-        return Params([W.copy() for W in self.weights], [b.copy() for b in self.biases])
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(W)) for W in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Params):
             return NotImplemented

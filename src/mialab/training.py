@@ -4,7 +4,7 @@ The DP path clips every per-example gradient to an L2 norm bound, sums,
 adds Gaussian noise with per-coordinate standard deviation
 noise_multiplier * clip_norm, and divides by the batch size. No privacy
 accounting is performed; the noise multiplier is the configuration
-surface (see NOISE_PRESETS for illustrative budget stand-ins).
+surface.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .nn import (
     per_example_grad_vectors,  # noqa: F401  stays bound here for perfbench's tracer
 )
 from .rng import substream
-
-# Illustrative noise multipliers standing in for loose / strict DP budgets
-# (think eps=100 and eps=10 at delta=1e-5); no accountant backs these.
-NOISE_PRESETS = {"loose": 0.5, "strict": 2.0}
 
 OPTIMIZERS = ("sgd", "adam")
 

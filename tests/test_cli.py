@@ -123,6 +123,10 @@ class TestTrainShadows:
                      id="train-dp-noise_multiplier_nan"),
         pytest.param("train", "dp", {"clip_norm": 5.0, "noise_multiplier": float("inf")},
                      id="train-dp-noise_multiplier_inf"),
+        ("dataset", "noise", float("inf")),
+        ("dataset", "noise", -0.1),
+        ("arch", "activation", "sigmoid"),
+        pytest.param("arch", "hidden_dims", [0], id="arch-hidden_dims-zero_width"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()
@@ -145,7 +149,7 @@ class TestTrainShadows:
         cfg_path.write_text(json.dumps(cfg))
         loaded = load_config(cfg_path)
         assert type(loaded.train.lr) is float and loaded.train.lr == 1.0
-        assert type(loaded.canary.epsilon) is float and loaded.canary.epsilon == 0.0
+        assert type(loaded.attack.canary.epsilon) is float and loaded.attack.canary.epsilon == 0.0
         resolved = loaded.to_dict()
         assert resolved["train"]["lr"] == 1.0 and resolved["attack"]["canary"]["epsilon"] == 0.0
         assert ExperimentConfig.from_dict(json.loads(json.dumps(resolved))) == loaded
@@ -419,18 +423,31 @@ class TestEvalCompare:
         assert float(row[4]) == pytest.approx(0.07, abs=1e-12)
         assert row[3] == "" and row[5] == ""
 
-    def test_compare_mismatched_seeds_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lira,canary,error", [
+        pytest.param({0: {"auc": 0.5}, 1: {"auc": 0.6}}, {0: {"auc": 0.5}}, "ConfigError",
+                     id="seeds"),
+        pytest.param({0: {"auc": 0.5, "tpr": 0.1}}, {0: {"auc": 0.5}}, "ConfigError",
+                     id="metrics"),
+        pytest.param({0: {"auc": 0.5}}, b"metric,seed,value\nauc,0,\x80\n", "FormatError",
+                     id="not_utf8"),
+    ])
+    def test_compare_mismatched_reports_error(self, tmp_path, capsys, lira, canary, error):
         from mialab.metrics import write_report_csv
 
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_report_csv(a, {0: {"auc": 0.5}, 1: {"auc": 0.6}})
-        write_report_csv(b, {0: {"auc": 0.5}})
-        assert main(["compare", str(a), str(b), "--out", str(tmp_path / "c")]) == 1
-        assert "error:ConfigError" in capsys.readouterr().err
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, report in zip(paths, (lira, canary)):
+            if isinstance(report, bytes):
+                path.write_bytes(report)
+            else:
+                write_report_csv(path, report)
+        assert main(["compare", *map(str, paths), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{error}: ") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
 
     def test_compare_arity_checked(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("metric,seed,value\n")
         assert main(["compare", str(a), "--out", str(tmp_path / "c")]) == 1
         assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()

@@ -4,14 +4,20 @@ Any mix of bit flips, truncations and insertions applied to a farm store
 or a score table either loads what was written or raises the package's
 own error (MialabError for a farm, FormatError for a score table).
 Through the CLI every such failure is one ``error:<Class>: ...`` line on
-stderr and exit code 1. Example counts are bounded and derandomized so
-the suite stays fast and repeatable.
+stderr and exit code 1. A config with values changed and keys dropped
+either raises ConfigError or loads to a config whose manifest reloads
+equal; only the loader runs, so no mutated size starts any work.
+Example counts are bounded and derandomized so the suite stays fast and
+repeatable.
 """
 
 import contextlib
+import copy
 import io
 import json
+import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +25,8 @@ from hypothesis import strategies as st
 
 from mialab.attacks import ScoreTable
 from mialab.cli import main
-from mialab.errors import FormatError, MialabError
+from mialab.config import ExperimentConfig, load_config, write_manifest
+from mialab.errors import ConfigError, FormatError, MialabError
 from mialab.farm import farms_equal, load_farm
 
 ERROR_LINE = re.compile(r"error:[A-Za-z]+: [^\n]*\n")
@@ -125,3 +132,76 @@ def test_cli_eval_on_mutated_scores_is_one_error_line(stored, mutations):
     path.write_bytes(mutate(scores, mutations))
     assert one_error_line_or_success(["eval", str(path), "--out", str(root / "ev-mutated"),
                                       "--force"])
+
+
+FULL_CONFIG = {
+    "dataset": {"kind": "synthetic", "path": None, "labels_path": None, "n_points": 32,
+                "input_dim": 3, "num_classes": 2, "noise": 0.1, "seed": 1},
+    "arch": {"hidden_dims": [4, 3], "activation": "tanh"},
+    "train": {"epochs": 2, "batch_size": 6, "lr": 0.01, "optimizer": "sgd", "seed": 0,
+              "dp": {"clip_norm": 5.0, "noise_multiplier": 1.0}},
+    "n_models": 8,
+    "master_seed": 7,
+    "seeds": [0, 2],
+    "attack": {"method": "canary", "mode": "offline",
+               "canary": {"epsilon": 0.1, "steps": 3, "shadow_batch": 2, "lr": 0.05,
+                          "objective": "raw_logit", "init": "target_plus_noise",
+                          "init_noise_scale": 0.02, "num_queries": 2,
+                          "offline_density": True}},
+    "targets": {"count": 4, "seed": 0},
+}
+
+
+def key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+DROP = object()
+# Edge values of every JSON type the schema reads, and a dropped key.
+EDIT_VALUES = [DROP, None, True, False, 0, 1, -1, 2, 1 << 70, 10**400, 0.0, -0.0, -0.5, 0.5,
+               1e308, math.inf, -math.inf, math.nan, "", "csv", "idx-pair", "synthetic",
+               "relu", "sigmoid", "lira", "random_noise", "online", "adam", "target",
+               "cw_margin", [], [0], [1.5], [3, 1], [-1], {}, {"clip_norm": 1.0}]
+CONFIG_EDITS = st.lists(
+    st.tuples(st.sampled_from(list(key_paths(FULL_CONFIG))), st.sampled_from(EDIT_VALUES)),
+    min_size=1, max_size=3,
+)
+
+
+def edited(config: dict, edits) -> dict:
+    out = copy.deepcopy(config)
+    for path, value in edits:
+        node = out
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue  # an earlier edit replaced or dropped this key's parent
+        if value is DROP:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def test_full_config_loads_and_round_trips():
+    cfg = ExperimentConfig.from_dict(FULL_CONFIG)
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@bounded(300)
+@given(edits=CONFIG_EDITS)
+def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
+    """The resolved config keeps only the dataset keys its kind reads (a
+    synthetic dataset's path is not resolved), so reloads compare resolved."""
+    try:
+        cfg = ExperimentConfig.from_dict(edited(FULL_CONFIG, edits))
+    except ConfigError:
+        return
+    manifest = tmp_path_factory.getbasetemp() / "mutated_manifest.json"
+    write_manifest(manifest, {"resolved_config": cfg.to_dict()})
+    reloaded = load_config(manifest)
+    assert reloaded.to_dict() == cfg.to_dict()
+    assert reloaded == replace(cfg, dataset=reloaded.dataset)
