@@ -56,16 +56,15 @@ class GaussianStats:
             raise ValueError("sigma must be positive")
 
 
-def scale_confidence_batch(f: np.ndarray, delta: float = CONF_CLAMP) -> np.ndarray:
-    """Vectorized scaled log score log(f'/(1-f')) with clamped f.
+def scale_confidence_batch(f: np.ndarray) -> np.ndarray:
+    """Vectorized scaled log score log(f'/(1-f')) with f clamped to
+    [CONF_CLAMP, 1-CONF_CLAMP].
 
     The scalar nn.scale_confidence stays for the target's conf_t: np.log
     and math.log differ in the last bit on some inputs, and conf_t keeps
     math.log so that scores stay byte-identical.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError("clamp delta must lie in (0, 0.5)")
-    f = np.clip(np.asarray(f, dtype=np.float64), delta, 1.0 - delta)
+    f = np.clip(np.asarray(f, dtype=np.float64), CONF_CLAMP, 1.0 - CONF_CLAMP)
     return np.log(f / (1.0 - f))
 
 
@@ -170,18 +169,18 @@ class CanaryConfig:
         return self.epsilon / 4.0
 
 
-def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float, lo: float, hi: float):
+def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float):
     """Joint projection onto the epsilon ball and the input domain.
 
     Returns (delta, x) where x is the exactly domain-clamped query point;
     |x - x_star| can exceed epsilon only by float-addition rounding.
     """
     delta = np.clip(delta, -epsilon, epsilon)
-    x = np.clip(x_star + delta, lo, hi)
+    x = np.clip(x_star + delta, DOMAIN_LOW, DOMAIN_HIGH)
     delta = x - x_star
     if np.max(np.abs(delta), initial=0.0) > epsilon + 1e-9 * max(1.0, epsilon):
         raise AssertionError("projection left the epsilon ball")
-    if x.min(initial=lo) < lo or x.max(initial=hi) > hi:
+    if x.min(initial=DOMAIN_LOW) < DOMAIN_LOW or x.max(initial=DOMAIN_HIGH) > DOMAIN_HIGH:
         raise AssertionError("projection left the input domain")
     return delta, x
 
@@ -203,7 +202,6 @@ def _optimize_rows(
     online: bool,
     rngs,
     alt: np.ndarray | None,
-    bounds: tuple[float, float],
 ) -> tuple[np.ndarray, int]:
     """Canaries for a block of rows, optimised together.
 
@@ -219,7 +217,6 @@ def _optimize_rows(
     model is IN for the row, counted from the ids actually evaluated.
     """
     n, dim = x_star.shape
-    lo, hi = bounds
     b, steps = config.shadow_batch, config.steps
     delta = np.zeros_like(x_star)
     noisy = config.init == "target_plus_noise" and config.noise_scale > 0
@@ -250,14 +247,14 @@ def _optimize_rows(
             total += per_pick[:, j]
         return total / b
 
-    delta, x = _project(x_star, delta, config.epsilon, lo, hi)
+    delta, x = _project(x_star, delta, config.epsilon)
     adam = init_adam(x_star.shape)
     for s in range(steps):
         grad = mean_gradient(x, out_picks[s], OUT_MAXIMIZE)
         if online:
             grad += mean_gradient(x, in_picks[s], IN_MINIMIZE)
         adam_step(adam, delta, grad, config.lr)
-        delta, x = _project(x_star, delta, config.epsilon, lo, hi)
+        delta, x = _project(x_star, delta, config.epsilon)
     return x, in_evaluations
 
 
@@ -269,7 +266,6 @@ def optimize_canary(
     config: CanaryConfig,
     rng: np.random.Generator,
     alt_label: int | None = None,
-    bounds: tuple[float, float] = (DOMAIN_LOW, DOMAIN_HIGH),
 ) -> np.ndarray:
     """Adversarial query near x_star separating IN from OUT shadow models.
 
@@ -293,22 +289,17 @@ def optimize_canary(
     member = np.arange(len(records))[None, :] >= len(s_out)
     alt = None if alt_label is None else np.array([alt_label])
     x, _ = _optimize_rows(x_star[None, :], np.array([y_star]), member, records, config,
-                          online, [rng], alt, bounds)
+                          online, [rng], alt)
     return x[0]
 
 
-def random_noise_query(
-    x_star: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
-    bounds: tuple[float, float] = (DOMAIN_LOW, DOMAIN_HIGH),
-) -> np.ndarray:
+def random_noise_query(x_star: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform perturbation in the epsilon ball, clamped to the domain."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     x_star = np.asarray(x_star, dtype=np.float64)
     noise = rng.uniform(-epsilon, epsilon, size=x_star.shape) if epsilon > 0 else 0.0
-    return np.clip(x_star + noise, bounds[0], bounds[1])
+    return np.clip(x_star + noise, DOMAIN_LOW, DOMAIN_HIGH)
 
 
 @dataclass
@@ -324,8 +315,6 @@ class ScoreTable:
     """Per-target attack scores with ground-truth membership labels."""
 
     rows: list[ScoreRow]
-    method: str = field(default="", compare=False)
-    mode: str = field(default="", compare=False)
     in_model_accesses: int | None = field(default=None, compare=False)
 
     def scores(self) -> np.ndarray:
@@ -501,8 +490,7 @@ def run_attack(
                                 for t, lbl in zip(idx, y)]).repeat(n_queries)
             x_rows, hits = _optimize_rows(
                 x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
-                farm.records, config, online, rngs, alt, (DOMAIN_LOW, DOMAIN_HIGH),
-            )
+                farm.records, config, online, rngs, alt)
             in_evaluations += hits
         queries = x_rows.reshape(len(idx), n_queries, -1)
         scores, hits = _score_block(queries, y, blk_member, farm.records, oracle, config, online)
@@ -513,5 +501,4 @@ def run_attack(
             )
         for (t, is_member), row in zip(targets[start:start + block], scores):
             rows.append(ScoreRow(t, is_member, row, ensemble_scores(row)))
-    return ScoreTable(rows, method=method, mode=mode,
-                      in_model_accesses=None if online else in_evaluations)
+    return ScoreTable(rows, in_model_accesses=None if online else in_evaluations)

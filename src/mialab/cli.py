@@ -203,6 +203,8 @@ def cmd_compare(args) -> None:
     names = ["lira", "canary", "noise"][: len(paths)]
     loaded = {name: read_report_csv(path)[0] for name, path in zip(names, paths)}
     base_seeds = set(loaded["lira"])
+    if not base_seeds:
+        raise ConfigError(f"{paths[0]}: report has no per-seed rows")
     metrics = sorted({m for vals in loaded["lira"].values() for m in vals})
     for name, per_seed in loaded.items():
         if set(per_seed) != base_seeds:

@@ -18,7 +18,12 @@ from .errors import ConfigError
 from .nn import ArchDescriptor
 from .training import TrainConfig
 
-DATASET_KINDS = ("synthetic", "csv", "idx-pair")
+# The keys each dataset kind reads besides "kind"; a config may set no others.
+DATASET_KEYS = {
+    "synthetic": ("n_points", "input_dim", "num_classes", "noise", "seed"),
+    "csv": ("path",),
+    "idx-pair": ("path", "labels_path"),
+}
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
@@ -52,14 +57,20 @@ def _read(cls, d: dict, where: str):
     """A cls dataclass from the JSON object d, read field by field.
 
     Each key is a field name and each value must have the field's declared
-    type. A missing key takes the field's default; unknown keys and missing
-    fields without a default raise ConfigError.
+    type. A missing key takes the field's default; unknown keys, keys a
+    dataset's kind does not read and missing fields without a default
+    raise ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    kind = d.get("kind")
+    if cls is DatasetSpec and isinstance(kind, str) and kind in DATASET_KEYS:
+        unread = set(d) - {"kind", *DATASET_KEYS[kind]}
+        if unread:
+            raise ConfigError(f"{where} kind {kind!r} does not read keys {sorted(unread)}")
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields(cls):
@@ -83,7 +94,7 @@ class DatasetSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
+        if self.kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind != "synthetic" and not self.path:
             raise ConfigError(f"dataset kind {self.kind!r} requires a path")
@@ -99,11 +110,7 @@ class DatasetSpec:
 
     def to_dict(self) -> dict:
         """Only the keys this kind reads."""
-        d = asdict(self)
-        source = ("path", "labels_path")
-        if self.kind == "synthetic":
-            return {k: v for k, v in d.items() if k not in source}
-        return {k: d[k] for k in ("kind", *source)}
+        return {"kind": self.kind, **{k: getattr(self, k) for k in DATASET_KEYS[self.kind]}}
 
 
 @dataclass(frozen=True)

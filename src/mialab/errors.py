@@ -33,9 +33,5 @@ class OutputExistsError(MialabError, RuntimeError):
     """Refusing to overwrite existing output without --force."""
 
 
-class QueryBudgetError(MialabError, RuntimeError):
-    """The target oracle's query budget is exhausted."""
-
-
 class IsolationError(MialabError, RuntimeError):
     """An offline code path touched a model it must not access."""

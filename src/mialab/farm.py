@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    FormatError,
-    QueryBudgetError,
-    ShapeError,
-    UnsupportedVersionError,
-)
+from .errors import FormatError, ShapeError, UnsupportedVersionError
 from .nn import ArchDescriptor, Params, forward_batch, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seed
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
@@ -69,15 +64,14 @@ class TargetOracle:
     """Black-box query access to one hidden model.
 
     Only confidence values are exposed; the wrapped record (and its
-    parameters) is unreachable through this interface. Every call
-    increments query_count, and an optional budget caps the total.
+    parameters) is unreachable through this interface. Every queried
+    row increments query_count.
     """
 
-    def __init__(self, record: ModelRecord, fingerprint: int, budget: int | None = None):
+    def __init__(self, record: ModelRecord, fingerprint: int):
         self._record = record
         self.fingerprint = int(fingerprint)
         self.query_count = 0
-        self.budget = budget
 
     def confidence(self, x: np.ndarray, y: int) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -96,12 +90,7 @@ class TargetOracle:
         arch = self._record.arch
         if X.ndim not in (2, 3) or X.shape[-1] != arch.input_dim:
             raise ShapeError(f"expected queries of shape (..., {arch.input_dim}), got {X.shape}")
-        n = X.size // arch.input_dim
-        if self.budget is not None and self.query_count + n > self.budget:
-            raise QueryBudgetError(
-                f"query budget of {self.budget} exhausted ({self.query_count} used, {n} asked)"
-            )
-        self.query_count += n
+        self.query_count += X.size // arch.input_dim
         logits = forward_batch(arch, self._record._params, X.reshape(-1, 1, arch.input_dim))
         return _label_confidence(logits.reshape(*X.shape[:-1], arch.num_classes), y)
 
@@ -165,9 +154,7 @@ def in_out_partition(farm: ShadowFarm, target_index: int) -> tuple[list[ModelRec
     return s_in, s_out
 
 
-def hold_out_target(
-    farm: ShadowFarm, which: int, budget: int | None = None
-) -> tuple[TargetOracle, ShadowFarm]:
+def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowFarm]:
     """Wrap one model as the black-box target; return the remaining farm.
 
     Every call wraps fresh records around the farm's frozen parameters, so
@@ -177,8 +164,8 @@ def hold_out_target(
     """
     if not 0 <= which < farm.n_models:
         raise IndexError(f"model index {which} out of range for {farm.n_models} models")
-    fresh = [ModelRecord(r.arch, r.seed, r.split_row, r._params) for r in farm.records]
-    oracle = TargetOracle(fresh.pop(which), farm.fingerprint, budget=budget)
+    fresh = [ModelRecord(r.arch, r.seed, r._params) for r in farm.records]
+    oracle = TargetOracle(fresh.pop(which), farm.fingerprint)
     remaining = ShadowFarm(
         fingerprint=farm.fingerprint,
         arch=farm.arch,
@@ -283,7 +270,7 @@ def load_farm(path) -> ShadowFarm:
     records = []
     for i in range(n_models):
         vec = np.frombuffer(reader.read(pcount * 8), dtype="<f8").astype(np.float64)
-        records.append(ModelRecord(arch, seeds[i], i, Params.from_vector(arch, vec)))
+        records.append(ModelRecord(arch, seeds[i], Params.from_vector(arch, vec)))
     return ShadowFarm(fingerprint, arch, splits, records, master_seed)
 
 

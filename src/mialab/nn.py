@@ -37,6 +37,11 @@ OUT_MAXIMIZE = "out_maximize"
 # Confidences are clamped to [CONF_CLAMP, 1 - CONF_CLAMP] before the scaled log score.
 CONF_CLAMP = 1e-6
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ArchDescriptor:
@@ -201,11 +206,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def scale_confidence(f: float, delta: float = CONF_CLAMP) -> float:
-    """Scaled log score log(f'/(1-f')) with f clamped to [delta, 1-delta]."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError("clamp delta must lie in (0, 0.5)")
-    f = min(max(float(f), delta), 1.0 - delta)
+def scale_confidence(f: float) -> float:
+    """Scaled log score log(f'/(1-f')) with f clamped to [CONF_CLAMP, 1-CONF_CLAMP]."""
+    f = min(max(float(f), CONF_CLAMP), 1.0 - CONF_CLAMP)
     return math.log(f / (1.0 - f))
 
 
@@ -452,9 +455,6 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -480,18 +480,18 @@ def adam_step(state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: 
         raise ShapeError("variable, gradient and Adam state shapes must agree")
     t = state.step + 1
     a, b = state.work
-    state.m *= state.beta1
-    np.multiply(gradient, 1.0 - state.beta1, out=a)
+    state.m *= ADAM_BETA1
+    np.multiply(gradient, 1.0 - ADAM_BETA1, out=a)
     state.m += a
-    state.v *= state.beta2
-    np.multiply(gradient, 1.0 - state.beta2, out=a)
+    state.v *= ADAM_BETA2
+    np.multiply(gradient, 1.0 - ADAM_BETA2, out=a)
     a *= gradient
     state.v += a
-    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** t, out=a)
     a *= lr
-    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=b)
     np.sqrt(b, out=b)
-    b += state.eps
+    b += ADAM_EPS
     a /= b
     variable -= a
     state.step = t

@@ -62,7 +62,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.01
     optimizer: str = "adam"
-    seed: int = 0
     dp: DpConfig | None = None
 
     def __post_init__(self):
@@ -72,12 +71,10 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 class ModelRecord:
-    """A trained model: architecture, parameters, seed, split row.
+    """A trained model: architecture, parameters and training seed.
 
     Immutable after construction (parameter arrays are frozen). Reads of
     the .params property are counted so attack-isolation properties can
@@ -85,12 +82,11 @@ class ModelRecord:
     the oracle's internal evaluation) uses ._params directly.
     """
 
-    __slots__ = ("arch", "seed", "split_row", "_params", "access_count")
+    __slots__ = ("arch", "seed", "_params", "access_count")
 
-    def __init__(self, arch: ArchDescriptor, seed: int, split_row: int, params: Params):
+    def __init__(self, arch: ArchDescriptor, seed: int, params: Params):
         self.arch = arch
         self.seed = int(seed)
-        self.split_row = int(split_row)
         for arr in (*params.weights, *params.biases):
             arr.flags.writeable = False
         self._params = params
@@ -107,7 +103,6 @@ class ModelRecord:
         return (
             self.arch == other.arch
             and self.seed == other.seed
-            and self.split_row == other.split_row
             and self._params == other._params
         )
 
@@ -260,10 +255,10 @@ def train_models(
 ) -> list[ModelRecord]:
     """Train model i with seed seeds[i] on exactly the points of mask row i.
 
-    Record i has split_row i. Every mask selects the same number of
-    points. Models train in the lock-step groups of plan_groups, spread
-    over jobs worker processes when jobs > 1. Each model is bitwise what
-    it is when trained alone: it depends on config and its seed only.
+    Every mask selects the same number of points. Models train in the
+    lock-step groups of plan_groups, spread over jobs worker processes when
+    jobs > 1. Each model is bitwise what it is when trained alone: it
+    depends on config and its seed only.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.shape != (len(seeds), dataset.n):
@@ -284,16 +279,15 @@ def train_models(
         thetas = [_train_group(dataset, group_masks, arch, config, group_seeds)
                   for group_masks, group_seeds in work]
     rows = (row for theta in thetas for row in theta)
-    return [ModelRecord(arch, seed, i, Params.from_vector(arch, row))
-            for i, (seed, row) in enumerate(zip(seeds, rows))]
+    return [ModelRecord(arch, seed, Params.from_vector(arch, row))
+            for seed, row in zip(seeds, rows)]
 
 
 def train_model(
-    dataset: Dataset, mask: np.ndarray, arch: ArchDescriptor, config: TrainConfig
+    dataset: Dataset, mask: np.ndarray, arch: ArchDescriptor, config: TrainConfig, seed: int
 ) -> ModelRecord:
-    """Train on exactly the masked-in points; deterministic per config.seed."""
+    """Train on exactly the masked-in points; deterministic per (config, seed)."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (dataset.n,):
         raise ShapeError(f"mask length {mask.shape} does not match dataset size {dataset.n}")
-    record = train_models(dataset, mask[None, :], arch, config, [config.seed])[0]
-    return ModelRecord(arch, config.seed, -1, record._params)
+    return train_models(dataset, mask[None, :], arch, config, [seed])[0]

@@ -360,14 +360,14 @@ def ghost_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier,
     return _ref_noisy_mean(total, X.shape[0], clip, noise_multiplier, rng)
 
 
-def reference_train(dataset, mask, arch, config):
+def reference_train(dataset, mask, arch, config, seed):
     """Flat parameter vector of one model trained alone on its masked-in points."""
     from mialab.rng import substream
 
     shapes = arch.layer_shapes()
     idx = np.flatnonzero(mask)
     X, y, n = dataset.features[idx], dataset.labels[idx], idx.size
-    init = substream(config.seed, 0)
+    init = substream(seed, 0)
     gain = 2.0 if arch.activation == "relu" else 1.0
     theta = np.concatenate([
         part for out_d, in_d in shapes
@@ -378,8 +378,8 @@ def reference_train(dataset, mask, arch, config):
     v = np.zeros_like(theta)
     t = 0
     for epoch in range(config.epochs):
-        order = substream(config.seed, 1, epoch).permutation(n)
-        noise = substream(config.seed, 2, epoch) if config.dp is not None else None
+        order = substream(seed, 1, epoch).permutation(n)
+        noise = substream(seed, 2, epoch) if config.dp is not None else None
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             weights, biases = _ref_unpack(shapes, theta)

@@ -34,7 +34,7 @@ from oracles import reference_attack
 def toy_farm():
     ds = synthetic_mixture(128, 8, 4, seed=1, noise=0.08)
     arch = ArchDescriptor(8, (12,), 4)
-    cfg = TrainConfig(epochs=40, batch_size=16, lr=0.03, seed=0)
+    cfg = TrainConfig(epochs=40, batch_size=16, lr=0.03)
     farm = build_farm(ds, 16, arch, cfg, master_seed=5)
     return ds, farm
 

@@ -127,6 +127,12 @@ class TestTrainShadows:
         ("dataset", "noise", -0.1),
         ("arch", "activation", "sigmoid"),
         pytest.param("arch", "hidden_dims", [0], id="arch-hidden_dims-zero_width"),
+        ("train", "seed", 0),
+        pytest.param("dataset", "path", "/nonexistent.csv", id="synthetic-path"),
+        pytest.param(None, "dataset", {"kind": "csv", "path": "d.csv", "n_points": 100},
+                     id="csv-n_points"),
+        pytest.param(None, "dataset", {"kind": "csv", "path": "d.csv", "labels_path": "l.csv"},
+                     id="csv-labels_path"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()
@@ -430,6 +436,8 @@ class TestEvalCompare:
                      id="metrics"),
         pytest.param({0: {"auc": 0.5}}, b"metric,seed,value\nauc,0,\x80\n", "FormatError",
                      id="not_utf8"),
+        pytest.param(b"metric,seed,value\n", b"metric,seed,value\n", "ConfigError",
+                     id="header_only"),
     ])
     def test_compare_mismatched_reports_error(self, tmp_path, capsys, lira, canary, error):
         from mialab.metrics import write_report_csv

@@ -112,7 +112,7 @@ class TestSoftmax:
     def test_index_bounds(self):
         # a label outside the classes is an IndexError, not a wrapped-around read
         arch = ArchDescriptor(2, (), 3)
-        record = ModelRecord(arch, 0, 0, Params([np.zeros((3, 2))], [np.zeros(3)]))
+        record = ModelRecord(arch, 0, Params([np.zeros((3, 2))], [np.zeros(3)]))
         for label in (3, -1):
             with pytest.raises(IndexError):
                 model_confidence_batch(record, np.zeros((1, 2)), label)
@@ -344,8 +344,8 @@ class TestScaleConfidence:
     def test_clamped_endpoint(self):
         # 1 - clamp(1.0) is not exactly 1e-6 in float64, hence the 1e-9 slack
         expected = math.log((1.0 - 1e-6) / 1e-6)
-        assert scale_confidence(1.0, delta=1e-6) == pytest.approx(expected, abs=1e-9)
-        assert scale_confidence(1.0, delta=1e-6) == pytest.approx(13.815509, abs=1e-6)
+        assert scale_confidence(1.0) == pytest.approx(expected, abs=1e-9)
+        assert scale_confidence(1.0) == pytest.approx(13.815509, abs=1e-6)
 
     def test_strictly_increasing_and_antisymmetric(self):
         rng = np.random.default_rng(12)
@@ -354,7 +354,3 @@ class TestScaleConfidence:
         assert np.all(np.diff(phi) > 0)
         for v in f:
             assert abs(scale_confidence(1.0 - v) + scale_confidence(v)) < 1e-12
-
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            scale_confidence(0.5, delta=0.6)

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -135,10 +134,10 @@ def test_cli_eval_on_mutated_scores_is_one_error_line(stored, mutations):
 
 
 FULL_CONFIG = {
-    "dataset": {"kind": "synthetic", "path": None, "labels_path": None, "n_points": 32,
-                "input_dim": 3, "num_classes": 2, "noise": 0.1, "seed": 1},
+    "dataset": {"kind": "synthetic", "n_points": 32, "input_dim": 3, "num_classes": 2,
+                "noise": 0.1, "seed": 1},
     "arch": {"hidden_dims": [4, 3], "activation": "tanh"},
-    "train": {"epochs": 2, "batch_size": 6, "lr": 0.01, "optimizer": "sgd", "seed": 0,
+    "train": {"epochs": 2, "batch_size": 6, "lr": 0.01, "optimizer": "sgd",
               "dp": {"clip_norm": 5.0, "noise_multiplier": 1.0}},
     "n_models": 8,
     "master_seed": 7,
@@ -194,8 +193,8 @@ def test_full_config_loads_and_round_trips():
 @bounded(300)
 @given(edits=CONFIG_EDITS)
 def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
-    """The resolved config keeps only the dataset keys its kind reads (a
-    synthetic dataset's path is not resolved), so reloads compare resolved."""
+    """A config is refused or resolves to a manifest that reloads to an equal
+    config: every key it may set is resolved."""
     try:
         cfg = ExperimentConfig.from_dict(edited(FULL_CONFIG, edits))
     except ConfigError:
@@ -203,5 +202,4 @@ def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
     manifest = tmp_path_factory.getbasetemp() / "mutated_manifest.json"
     write_manifest(manifest, {"resolved_config": cfg.to_dict()})
     reloaded = load_config(manifest)
-    assert reloaded.to_dict() == cfg.to_dict()
-    assert reloaded == replace(cfg, dataset=reloaded.dataset)
+    assert reloaded == cfg

@@ -1,7 +1,5 @@
 """Training: splits, determinism, masked-data isolation, DP mechanics."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -72,7 +70,7 @@ class TestTrainModel:
         ds = separable_dataset()
         arch = ArchDescriptor(2, (8,), 2)
         mask = make_even_splits(ds.n, 1, seed=3)[0]
-        rec = train_model(ds, mask, arch, TrainConfig(epochs=30, batch_size=8, lr=0.05, seed=4))
+        rec = train_model(ds, mask, arch, TrainConfig(epochs=30, batch_size=8, lr=0.05), 4)
         assert record_accuracy(rec, ds, np.flatnonzero(mask)) == 1.0
 
     def test_loss_decreases(self):
@@ -82,19 +80,19 @@ class TestTrainModel:
         ds = synthetic_mixture(60, 5, 3, seed=5, noise=0.2)
         arch = ArchDescriptor(5, (6,), 3)
         mask = make_even_splits(ds.n, 1, seed=6)[0]
-        config = TrainConfig(epochs=15, batch_size=8, lr=0.05, seed=7)
-        rec = train_model(ds, mask, arch, config)
+        config = TrainConfig(epochs=15, batch_size=8, lr=0.05)
+        rec = train_model(ds, mask, arch, config, 7)
         X, y = ds.features[mask], ds.labels[mask]
-        init = init_params(arch, substream(config.seed, 0))
+        init = init_params(arch, substream(7, 0))
         assert batch_cross_entropy(arch, rec._params, X, y) < batch_cross_entropy(arch, init, X, y)
 
     def test_bitwise_deterministic(self):
         ds = synthetic_mixture(50, 4, 3, seed=8, noise=0.2)
         arch = ArchDescriptor(4, (5,), 3)
         mask = make_even_splits(ds.n, 1, seed=9)[0]
-        cfg = TrainConfig(epochs=5, batch_size=16, lr=0.02, seed=10)
-        a = train_model(ds, mask, arch, cfg)
-        b = train_model(ds, mask, arch, cfg)
+        cfg = TrainConfig(epochs=5, batch_size=16, lr=0.02)
+        a = train_model(ds, mask, arch, cfg, 10)
+        b = train_model(ds, mask, arch, cfg, 10)
         assert a._params == b._params
 
     def test_sgd_optimizer_runs(self):
@@ -102,7 +100,7 @@ class TestTrainModel:
         arch = ArchDescriptor(4, (), 2)
         mask = make_even_splits(ds.n, 1, seed=12)[0]
         rec = train_model(ds, mask, arch, TrainConfig(epochs=3, batch_size=8, lr=0.1,
-                                                      optimizer="sgd", seed=13))
+                                                      optimizer="sgd"), 13)
         assert all(np.isfinite(a).all() for a in rec._params.weights + rec._params.biases)
 
     def test_never_reads_masked_out_points(self):
@@ -110,7 +108,7 @@ class TestTrainModel:
         ds.enable_access_counting()
         mask = make_even_splits(ds.n, 1, seed=15)[0]
         arch = ArchDescriptor(4, (5,), 3)
-        train_model(ds, mask, arch, TrainConfig(epochs=4, batch_size=8, seed=16))
+        train_model(ds, mask, arch, TrainConfig(epochs=4, batch_size=8), 16)
         assert ds.access_counts[~mask].sum() == 0
         assert ds.access_counts[mask].sum() > 0
 
@@ -118,13 +116,13 @@ class TestTrainModel:
         ds = synthetic_mixture(10, 3, 2, seed=17)
         arch = ArchDescriptor(3, (), 2)
         with pytest.raises(ValueError, match="empty"):
-            train_model(ds, np.zeros(10, dtype=bool), arch, TrainConfig(epochs=1, seed=0))
+            train_model(ds, np.zeros(10, dtype=bool), arch, TrainConfig(epochs=1), 0)
 
     def test_mask_length_checked(self):
         ds = synthetic_mixture(10, 3, 2, seed=18)
         arch = ArchDescriptor(3, (), 2)
         with pytest.raises(ShapeError):
-            train_model(ds, np.ones(9, dtype=bool), arch, TrainConfig(epochs=1, seed=0))
+            train_model(ds, np.ones(9, dtype=bool), arch, TrainConfig(epochs=1), 0)
 
 
 class TestClip:
@@ -243,10 +241,10 @@ class TestDpTraining:
         ds = synthetic_mixture(40, 4, 3, seed=23, noise=0.2)
         arch = ArchDescriptor(4, (5,), 3)
         mask = make_even_splits(ds.n, 1, seed=24)[0]
-        cfg = TrainConfig(epochs=4, batch_size=8, seed=25)
-        a = train_model(ds, mask, arch, cfg)
+        cfg = TrainConfig(epochs=4, batch_size=8)
+        a = train_model(ds, mask, arch, cfg, 25)
         checks_before = training.clip_checks
-        b = train_model(ds, mask, arch, cfg)
+        b = train_model(ds, mask, arch, cfg, 25)
         assert training.clip_checks == checks_before
         assert a._params == b._params
 
@@ -254,11 +252,11 @@ class TestDpTraining:
         ds = synthetic_mixture(40, 4, 3, seed=26, noise=0.2)
         arch = ArchDescriptor(4, (5,), 3)
         mask = make_even_splits(ds.n, 1, seed=27)[0]
-        huge_clip = TrainConfig(epochs=3, batch_size=40, seed=28,
+        huge_clip = TrainConfig(epochs=3, batch_size=40,
                                 dp=DpConfig(clip_norm=1e6, noise_multiplier=0.0))
-        plain = TrainConfig(epochs=3, batch_size=40, seed=28)
-        a = train_model(ds, mask, arch, huge_clip)
-        b = train_model(ds, mask, arch, plain)
+        plain = TrainConfig(epochs=3, batch_size=40)
+        a = train_model(ds, mask, arch, huge_clip, 28)
+        b = train_model(ds, mask, arch, plain, 28)
         # full-batch, no clipping bite, no noise: same trajectory
         np.testing.assert_allclose(a._params.to_vector(), b._params.to_vector(), atol=1e-10)
 
@@ -266,11 +264,10 @@ class TestDpTraining:
         ds = synthetic_mixture(40, 4, 3, seed=29, noise=0.2)
         arch = ArchDescriptor(4, (5,), 3)
         mask = make_even_splits(ds.n, 1, seed=30)[0]
-        dp = TrainConfig(epochs=3, batch_size=8, seed=31,
-                         dp=DpConfig(clip_norm=5.0, noise_multiplier=0.5))
-        plain = TrainConfig(epochs=3, batch_size=8, seed=31)
-        a = train_model(ds, mask, arch, dp)
-        b = train_model(ds, mask, arch, plain)
+        dp = TrainConfig(epochs=3, batch_size=8, dp=DpConfig(clip_norm=5.0, noise_multiplier=0.5))
+        plain = TrainConfig(epochs=3, batch_size=8)
+        a = train_model(ds, mask, arch, dp, 31)
+        b = train_model(ds, mask, arch, plain, 31)
         assert a._params != b._params
 
     def test_invalid_dp_config(self):
@@ -319,10 +316,11 @@ class TestLockStepTraining:
         sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch)]
         assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
         records = train_models(GROUP_DS, masks, arch, config, GROUP_SEEDS)
-        for i, (rec, mask, seed) in enumerate(zip(records, masks, GROUP_SEEDS)):
-            assert (rec.seed, rec.split_row) == (seed, i)
+        assert len(records) == N_GROUP_MODELS
+        for rec, mask, seed in zip(records, masks, GROUP_SEEDS):
+            assert rec.seed == seed
             assert np.array_equal(rec._params.to_vector(),
-                                  reference_train(GROUP_DS, mask, arch, replace(config, seed=seed)))
+                                  reference_train(GROUP_DS, mask, arch, config, seed))
 
     def test_parallel_groups_cover_every_worker(self):
         arch = ArchDescriptor(5, (6,), 3)
