@@ -18,7 +18,7 @@ from .attacks import (
     scale_confidence_batch,
 )
 from .config import ArchSpec, AttackSpec, DatasetSpec, ExperimentConfig, TargetsSpec, load_config
-from .data import Dataset, ingest_dataset, synthetic_mixture
+from .data import Dataset, synthetic_mixture
 from .farm import (
     ShadowFarm,
     TargetOracle,
@@ -57,7 +57,6 @@ from .training import (
     DpConfig,
     ModelRecord,
     TrainConfig,
-    clip_per_example,
     dp_step,
     make_even_splits,
     train_model,

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import DOMAIN_HIGH, DOMAIN_LOW, Dataset
 from .errors import ConfigError, FingerprintMismatchError, FormatError, IsolationError
 from .farm import ShadowFarm, TargetOracle, model_confidence_batch
+from .metrics import read_csv_rows
 from .nn import (
     CONF_CLAMP,
     IN_MINIMIZE,
@@ -41,6 +41,7 @@ BLOCK_ELEMENTS = 1 << 16
 
 METHODS = ("lira", "canary", "random_noise")
 MODES = ("online", "offline")
+SCORE_HEADER = ["target_index", "is_member", "query_id", "score", "aggregated_score"]
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -326,7 +327,7 @@ class ScoreTable:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["target_index", "is_member", "query_id", "score", "aggregated_score"])
+            writer.writerow(SCORE_HEADER)
             for row in self.rows:
                 for q, s in enumerate(row.query_scores):
                     writer.writerow(
@@ -335,29 +336,27 @@ class ScoreTable:
 
     @staticmethod
     def read_csv(path) -> "ScoreTable":
-        path = Path(path)
+        """Inverse of write_csv: each target's rows agree on is_member (0 or
+        1) and aggregated_score and number their queries 0, 1, ... in order."""
         rows: dict[int, ScoreRow] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        for lineno, rec in read_csv_rows(path, SCORE_HEADER, "score table"):
             try:
-                header = next(reader, None)
-                if header != ["target_index", "is_member", "query_id", "score", "aggregated_score"]:
-                    raise FormatError(f"{path}: unexpected score table header {header}")
-                for lineno, rec in enumerate(reader, start=2):
-                    if len(rec) != 5:
-                        raise FormatError(f"{path}: line {lineno}: expected 5 fields, got {len(rec)}")
-                    try:
-                        idx, member = int(rec[0]), bool(int(rec[1]))
-                        score, agg = float(rec[3]), float(rec[4])
-                    except ValueError as exc:
-                        raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-                    if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
-                        raise FormatError(f"{path}: line {lineno}: score is NaN")
-                    if idx not in rows:
-                        rows[idx] = ScoreRow(idx, member, [], agg)
-                    rows[idx].query_scores.append(score)
-            except (UnicodeDecodeError, csv.Error) as exc:
-                raise FormatError(f"{path}: not a readable score table: {exc}") from exc
+                idx, member, query = int(rec[0]), int(rec[1]), int(rec[2])
+                score, agg = float(rec[3]), float(rec[4])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            if member not in (0, 1):
+                raise FormatError(f"{path}: line {lineno}: is_member must be 0 or 1, got {member}")
+            if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
+                raise FormatError(f"{path}: line {lineno}: score is NaN")
+            row = rows.setdefault(idx, ScoreRow(idx, bool(member), [], agg))
+            if (row.is_member, row.aggregated) != (bool(member), agg):
+                raise FormatError(f"{path}: line {lineno}: target {idx} disagrees with its "
+                                  "earlier rows on is_member or aggregated_score")
+            if query != len(row.query_scores):
+                raise FormatError(f"{path}: line {lineno}: target {idx} has query_id {query}, "
+                                  f"expected {len(row.query_scores)}")
+            row.query_scores.append(score)
         return ScoreTable(list(rows.values()))
 
 

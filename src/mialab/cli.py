@@ -14,7 +14,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .errors import ConfigError, FingerprintMismatchError, MialabError, OutputEx
 from .farm import build_farm, hold_out_target, load_farm, save_farm
 from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
 from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, derive_seed, substream
-from .training import record_accuracy
+from .training import map_jobs, record_accuracy
 
 FPR_TARGET = 0.01
 METRIC_AUC = "auc"
@@ -130,12 +129,7 @@ def cmd_attack(args) -> None:
         )
     score_names = [f"scores_seed{s}.csv" for s in cfg.seeds]
     out = _ensure_out(args.out, score_names + ["attack_manifest.json"], args.force)
-    run = partial(_run_attack_seed, cfg, dataset, farm)
-    if args.jobs > 1 and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(run, cfg.seeds))
-    else:
-        runs = list(map(run, cfg.seeds))
+    runs = map_jobs(partial(_run_attack_seed, cfg, dataset, farm), cfg.seeds, args.jobs)
     outputs, infos = {}, []
     for (table, info), name in zip(runs, score_names):
         table.write_csv(out / name)
@@ -217,38 +211,16 @@ def cmd_compare(args) -> None:
                     f"metric sets differ: lira has {metrics}, {name} seed {seed} has {sorted(vals)}"
                 )
     out = _ensure_out(args.out, ["compare.csv", "compare_manifest.json"], args.force)
-
-    def mean_of(name: str, metric: str) -> float:
-        vals = [loaded[name][s][metric] for s in sorted(base_seeds)]
-        return float(np.mean(vals))
-
-    rows = []
-    for metric in metrics:
-        lira = mean_of("lira", metric)
-        canary = mean_of("canary", metric)
-        noise = mean_of("noise", metric) if "noise" in loaded else None
-        rows.append(
-            {
-                "metric": metric,
-                "lira": lira,
-                "canary": canary,
-                "noise": noise,
-                "canary_minus_lira": canary - lira,
-                "noise_minus_lira": None if noise is None else noise - lira,
-            }
-        )
+    means = {name: {m: float(np.mean([per_seed[s][m] for s in sorted(base_seeds)]))
+                    for m in metrics} for name, per_seed in loaded.items()}
     compare_path = out / "compare.csv"
     with open(compare_path, "w", newline="") as fh:
         fh.write("metric,lira,canary,noise,canary_minus_lira,noise_minus_lira\n")
-        for r in rows:
-            cells = [
-                r["metric"],
-                repr(r["lira"]),
-                repr(r["canary"]),
-                "" if r["noise"] is None else repr(r["noise"]),
-                repr(r["canary_minus_lira"]),
-                "" if r["noise_minus_lira"] is None else repr(r["noise_minus_lira"]),
-            ]
+        for metric in metrics:
+            lira, canary = means["lira"][metric], means["canary"][metric]
+            noise = means.get("noise", {}).get(metric)
+            cells = [metric, repr(lira), repr(canary), "" if noise is None else repr(noise),
+                     repr(canary - lira), "" if noise is None else repr(noise - lira)]
             fh.write(",".join(cells) + "\n")
     write_manifest(
         out / "compare_manifest.json",
@@ -302,6 +274,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         args.func(args)
     except (MialabError, ValueError, OSError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)

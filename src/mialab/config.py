@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .attacks import METHODS, MODES, CanaryConfig
-from .data import Dataset, ingest_dataset, synthetic_mixture
+from .data import Dataset, load_csv, load_idx_pair, synthetic_mixture
 from .errors import ConfigError
 from .nn import ArchDescriptor
 from .training import TrainConfig
@@ -100,13 +100,20 @@ class DatasetSpec:
             raise ConfigError(f"dataset kind {self.kind!r} requires a path")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"dataset.noise must be finite and non-negative, got {self.noise!r}")
+        if self.kind == "synthetic" and (self.n_points < 2 or self.input_dim < 1
+                                         or self.num_classes < 2):
+            raise ConfigError(
+                "a synthetic dataset needs n_points >= 2, input_dim >= 1 and num_classes >= 2, "
+                f"got {self.n_points}, {self.input_dim} and {self.num_classes}"
+            )
 
     def materialize(self) -> Dataset:
-        if self.kind == "synthetic":
-            return synthetic_mixture(
-                self.n_points, self.input_dim, self.num_classes, self.seed, self.noise
-            )
-        return ingest_dataset(self.path, self.kind, self.labels_path)
+        if self.kind == "csv":
+            return load_csv(self.path)
+        if self.kind == "idx-pair":
+            return load_idx_pair(self.path, self.labels_path)
+        return synthetic_mixture(self.n_points, self.input_dim, self.num_classes, self.seed,
+                                 self.noise)
 
     def to_dict(self) -> dict:
         """Only the keys this kind reads."""
@@ -168,6 +175,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-negative")
         if not self.seeds:
             raise ConfigError("need at least one run seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate run seeds in {list(self.seeds)}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "dataset": self.dataset.to_dict()}

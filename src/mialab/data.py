@@ -212,14 +212,6 @@ def load_idx_pair(images_path, labels_path=None) -> Dataset:
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
-def ingest_dataset(path, format: str, labels_path=None) -> Dataset:
-    if format == "csv":
-        return load_csv(path)
-    if format == "idx-pair":
-        return load_idx_pair(path, labels_path)
-    raise ConfigError(f"unknown dataset format {format!r}")
-
-
 def synthetic_mixture(
     n_points: int,
     input_dim: int,

@@ -132,7 +132,7 @@ def build_farm(
     """Train n_models models on randomized even splits; fully seed-determined.
 
     Training runs in lock-step model groups (training.train_models), spread
-    over jobs worker processes; neither changes any model's parameters.
+    over at most jobs worker processes; neither changes any model's parameters.
     """
     if n_models < 2:
         raise ValueError("a farm needs at least 2 models")

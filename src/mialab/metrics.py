@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -122,33 +121,41 @@ def write_report_csv(path, per_seed: dict[int, dict[str, float]]) -> None:
             writer.writerow([metric, "std", repr(std)])
 
 
-def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[str, float]]]:
-    """Inverse of write_report_csv: (per-seed rows, aggregate rows)."""
-    path = Path(path)
-    per_seed: dict[int, dict[str, float]] = {}
-    aggregates: dict[str, dict[str, float]] = {}
+def read_csv_rows(path, header: list[str], what: str):
+    """Yield (line number, fields) of each row of a CSV file whose first
+    row is header and whose rows are header's width; anything else, and
+    bytes that do not decode, raise FormatError naming the file as a what."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != ["metric", "seed", "value"]:
-                raise FormatError(f"{path}: unexpected report header {header}")
+            found = next(reader, None)
+            if found != header:
+                raise FormatError(f"{path}: unexpected {what} header {found}")
             for lineno, rec in enumerate(reader, start=2):
-                if len(rec) != 3:
-                    raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(rec)}")
-                metric, seed, value = rec
-                try:
-                    val = float(value)
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {lineno}: bad value {value!r}") from exc
-                if seed in ("mean", "std"):
-                    aggregates.setdefault(metric, {})[seed] = val
-                else:
-                    try:
-                        seed_i = int(seed)
-                    except ValueError as exc:
-                        raise FormatError(f"{path}: line {lineno}: bad seed {seed!r}") from exc
-                    per_seed.setdefault(seed_i, {})[metric] = val
+                if len(rec) != len(header):
+                    raise FormatError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(rec)}"
+                    )
+                yield lineno, rec
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}: not a readable report: {exc}") from exc
+            raise FormatError(f"{path}: not a readable {what}: {exc}") from exc
+
+
+def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[str, float]]]:
+    """Inverse of write_report_csv: (per-seed rows, aggregate rows)."""
+    per_seed: dict[int, dict[str, float]] = {}
+    aggregates: dict[str, dict[str, float]] = {}
+    for lineno, (metric, seed, value) in read_csv_rows(path, ["metric", "seed", "value"], "report"):
+        try:
+            val = float(value)
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: bad value {value!r}") from exc
+        if seed in ("mean", "std"):
+            aggregates.setdefault(metric, {})[seed] = val
+        else:
+            try:
+                seed_i = int(seed)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: bad seed {seed!r}") from exc
+            per_seed.setdefault(seed_i, {})[metric] = val
     return per_seed, aggregates

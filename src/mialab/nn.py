@@ -439,15 +439,6 @@ def per_example_grad_vectors(
                           axis=1)
 
 
-def batch_cross_entropy(arch: ArchDescriptor, params: Params, X, y) -> float:
-    """Mean cross-entropy of the batch (the loss param_gradient descends)."""
-    logits = forward_batch(arch, params, np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    m = np.max(logits, axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
-
-
 @dataclass
 class AdamState:
     """Adam moments for one optimized variable, updated in place; zeroed at step 0."""

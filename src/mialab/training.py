@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,9 +38,6 @@ OPTIMIZERS = ("sgd", "adam")
 # models x parameters, which bounds the buffers one group holds.
 # Parameters do not depend on it.
 TRAIN_GROUP_ELEMENTS = 1 << 15
-
-# How many model-steps dp_step verified its post-clip norm bound for (test hook).
-clip_checks = 0
 
 
 @dataclass(frozen=True)
@@ -121,25 +119,6 @@ def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
     return splits
 
 
-def _clip_factors(norms: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Per-example scale factors min(1, clip_norm / norm)."""
-    factors = np.ones_like(norms)
-    over = norms > clip_norm
-    factors[over] = clip_norm / norms[over]
-    return factors
-
-
-def clip_per_example(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row of a (B, P) batch of per-example gradients down to L2
-    norm clip_norm; shorter rows pass through."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    g = np.asarray(gradient, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeError(f"expected a (B, P) batch of gradients, got shape {g.shape}")
-    return g * _clip_factors(np.sqrt(np.sum(g * g, axis=1)), clip_norm)[:, None]
-
-
 def dp_step(
     arch: ArchDescriptor,
     params: Params,
@@ -164,15 +143,15 @@ def dp_step(
     deltas, acts = per_example_deltas(arch, params, X, y)
     norms = np.sqrt(sum(np.sum(delta * delta, axis=-1) * (np.sum(a * a, axis=-1) + 1.0)
                         for delta, a in zip(deltas, acts)))
-    factors = _clip_factors(norms, dp.clip_norm)
+    factors = np.ones_like(norms)  # min(1, clip_norm / norm)
+    over = norms > dp.clip_norm
+    factors[over] = dp.clip_norm / norms[over]
     # post-clip contract; the 1e-9 slack absorbs float rounding only
     clipped = factors * norms
     if np.any(clipped > dp.clip_norm * (1.0 + 1e-9)):
         raise AssertionError(
             f"post-clip norm {clipped.max():.17g} exceeds bound {dp.clip_norm}"
         )
-    global clip_checks
-    clip_checks += len(grad)
     out = layer_views(arch, grad)
     for l, (delta, a) in enumerate(zip(deltas, acts)):
         delta = delta * factors[..., None]
@@ -204,15 +183,18 @@ def plan_groups(n_models: int, arch: ArchDescriptor, jobs: int = 1) -> list[rang
 
 
 def _train_group(
-    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, config: TrainConfig, seeds
+    dataset: Dataset, masks: np.ndarray, arch: ArchDescriptor, config: TrainConfig, seeds,
+    group: range,
 ) -> np.ndarray:
-    """Train one plan_groups group in lock-step; returns its (G, P) parameters.
+    """Train the models of one plan_groups group in lock-step; returns their
+    (G, P) parameters.
 
     Each step gathers every model's own batch as (G, B, input_dim), writes
     all gradients into one (G, P) buffer and takes one in-place optimizer
     step on the (G, P) parameters. Each model draws its init, batch order
     and DP noise from its own seed's substreams.
     """
+    masks, seeds = masks[group.start:group.stop], seeds[group.start:group.stop]
     X, y = dataset.take(np.stack([np.flatnonzero(mask) for mask in masks]))
     n = X.shape[1]
     if n == 0:
@@ -243,10 +225,14 @@ def _train_group(
     return theta
 
 
-def _train_group_job(args) -> np.ndarray:
-    features, labels, num_classes, masks, arch, config, seeds = args
-    dataset = Dataset(features, labels, num_classes=num_classes)
-    return _train_group(dataset, masks, arch, config, seeds)
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in this process when that leaves one
+    worker, else over min(jobs, len(items)) worker processes."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def train_models(
@@ -256,8 +242,8 @@ def train_models(
     """Train model i with seed seeds[i] on exactly the points of mask row i.
 
     Every mask selects the same number of points. Models train in the
-    lock-step groups of plan_groups, spread over jobs worker processes when
-    jobs > 1. Each model is bitwise what it is when trained alone: it
+    lock-step groups of plan_groups, spread by map_jobs over at most jobs
+    worker processes. Each model is bitwise what it is when trained alone: it
     depends on config and its seed only.
     """
     masks = np.asarray(masks, dtype=bool)
@@ -268,16 +254,8 @@ def train_models(
     sizes = masks.sum(axis=1)
     if np.any(sizes != sizes[:1]):
         raise ValueError("training sets of one farm must have equal sizes")
-    work = [(masks[g.start:g.stop], seeds[g.start:g.stop])
-            for g in plan_groups(len(seeds), arch, jobs)]
-    if jobs > 1:
-        args = [(dataset.features, dataset.labels, dataset.num_classes, group_masks, arch,
-                 config, group_seeds) for group_masks, group_seeds in work]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            thetas = list(pool.map(_train_group_job, args))
-    else:
-        thetas = [_train_group(dataset, group_masks, arch, config, group_seeds)
-                  for group_masks, group_seeds in work]
+    train = partial(_train_group, dataset, masks, arch, config, seeds)
+    thetas = map_jobs(train, plan_groups(len(seeds), arch, jobs), jobs)
     rows = (row for theta in thetas for row in theta)
     return [ModelRecord(arch, seed, Params.from_vector(arch, row))
             for seed, row in zip(seeds, rows)]

@@ -10,7 +10,16 @@ import math
 
 import numpy as np
 
-from mialab.nn import forward_batch, objective_value, batch_cross_entropy, Params
+from mialab.nn import forward_batch, objective_value, Params
+
+
+def batch_cross_entropy(arch, params, X, y):
+    """Mean cross-entropy of the batch (the loss param_gradient descends)."""
+    logits = forward_batch(arch, params, np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    m = np.max(logits, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
+    return float(np.mean(lse - logits[np.arange(len(y)), y]))
 
 
 def fd_input_gradient(arch, params, x, y, kind, h=1e-4):

@@ -43,7 +43,6 @@ from mialab.nn import (
     param_gradient,
 )
 from mialab.rng import substream, derive_seed
-import mialab.training as training
 from mialab.training import DpConfig, TrainConfig
 
 from oracles import fd_input_gradient, fd_param_gradient_coords, pairwise_auc
@@ -338,9 +337,9 @@ def _dp_pair_auc(ds, arch, master_seed, dp):
     return roc_auc(table.scores(), table.labels())
 
 
-def test_criterion_7_dp_direction():
+def test_criterion_7_dp_direction(clip_checks):
     ds, arch = _experiment_parts()
-    checks_before = training.clip_checks
+    checks_before = clip_checks.count
     lower = 0
     pairs = []
     for ms in DP_SEEDS:
@@ -348,7 +347,7 @@ def test_criterion_7_dp_direction():
         dp = _dp_pair_auc(ds, arch, ms, DpConfig(clip_norm=5.0, noise_multiplier=DP_NOISE_MULTIPLIER))
         lower += dp < plain
         pairs.append(f"{dp:.3f}<{plain:.3f}")
-    checks_ran = training.clip_checks - checks_before
+    checks_ran = clip_checks.count - checks_before
     ok = lower >= 4 and checks_ran > 0
     report(7, "DP lowers online attack power", ok,
            f"{lower}/5 seeds lower ({', '.join(pairs)}), {checks_ran} clip checks, none fired")

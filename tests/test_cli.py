@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import mialab.training as training
 from mialab.cli import main
 from mialab.attacks import ScoreTable
 from mialab.farm import CHECKSUM_BYTES
@@ -133,6 +134,11 @@ class TestTrainShadows:
                      id="csv-n_points"),
         pytest.param(None, "dataset", {"kind": "csv", "path": "d.csv", "labels_path": "l.csv"},
                      id="csv-labels_path"),
+        pytest.param("dataset", "num_classes", 0, id="synthetic-num_classes_zero"),
+        pytest.param("dataset", "num_classes", 1, id="synthetic-num_classes_one"),
+        pytest.param("dataset", "input_dim", 0, id="synthetic-input_dim_zero"),
+        pytest.param("dataset", "n_points", 1, id="synthetic-n_points_one"),
+        pytest.param(None, "seeds", [0, 0], id="duplicate-seeds"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()
@@ -300,6 +306,60 @@ class TestRunIsolation:
             assert sha(tmp_path / "pooled" / name) == digest == sha(tmp_path / f"alone{s}" / name)
 
 
+class TestJobs:
+    """--jobs is at least 1, and a pool is never wider than the groups or
+    seeds it gets."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["train-shadows", "attack"])
+    def test_jobs_below_one_is_one_error_line(self, trained, tmp_path, capsys, command, jobs):
+        _, cfg_path, out = trained
+        farm = ["--farm", str(out / "farm.bin")] if command == "attack" else []
+        rc = main([command, "--config", str(cfg_path), *farm, "--out", str(tmp_path / "o"),
+                   "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_is_capped_at_the_work(self, trained, tmp_path, monkeypatch):
+        widths = []
+
+        class InlinePool:
+            """Records its width and runs the work in this process."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        _, cfg_path, out = trained
+        farm = out / "farm.bin"
+        assert main(["attack", "--config", str(cfg_path), "--farm", str(farm),
+                     "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "t"),
+                     "--jobs", "16"]) == 0
+        assert main(["attack", "--config", str(cfg_path), "--farm", str(farm),
+                     "--out", str(tmp_path / "a"), "--jobs", "16"]) == 0
+        one_seed = tmp_path / "one_seed.json"
+        one_seed.write_text(json.dumps(base_config(seeds=[1])))
+        assert main(["attack", "--config", str(one_seed), "--farm", str(farm),
+                     "--out", str(tmp_path / "a1"), "--jobs", "4"]) == 0
+        assert widths == [12, 2]  # 12 one-model groups, then 2 seeds; 1 seed runs in-process
+        assert sha(tmp_path / "t" / "farm.bin") == sha(farm)
+        for s in (0, 1):
+            name = f"scores_seed{s}.csv"
+            assert sha(tmp_path / "a" / name) == sha(tmp_path / "serial" / name)
+        assert sha(tmp_path / "a1" / "scores_seed1.csv") == sha(tmp_path / "serial" / "scores_seed1.csv")
+
+
 @pytest.fixture(scope="module")
 def evaluated(trained):
     root, cfg_path, out = trained
@@ -369,6 +429,10 @@ class TestEvalCompare:
     @pytest.mark.parametrize("body", [
         pytest.param(b"\x80,1,0,0.5,0.5\n", id="not_utf8"),
         pytest.param(b"0,1,0," + b"9" * 200_000 + b",0.5\n", id="field_over_csv_limit"),
+        pytest.param(b"0,1,0,0.5,0.5\n0,0,1,0.5,0.5\n1,0,0,0.1,0.1\n", id="is_member_differs"),
+        pytest.param(b"0,1,0,0.5,0.5\n0,1,1,0.5,0.7\n1,0,0,0.1,0.1\n", id="aggregated_differs"),
+        pytest.param(b"0,2,0,0.5,0.5\n1,0,0,0.1,0.1\n", id="is_member_two"),
+        pytest.param(b"0,1,7,0.5,0.5\n0,1,0,0.5,0.5\n1,0,0,0.1,0.1\n", id="query_ids_out_of_order"),
     ])
     def test_unreadable_scores_are_one_format_error_line(self, tmp_path, capsys, body):
         scores = tmp_path / "bad_seed0.csv"

@@ -9,11 +9,11 @@ import pytest
 from mialab.data import (
     Dataset,
     fnv1a64,
-    ingest_dataset,
     load_csv,
     load_idx_pair,
     synthetic_mixture,
 )
+from mialab.config import DatasetSpec
 from mialab.errors import ConfigError, FormatError
 
 
@@ -97,9 +97,9 @@ class TestIdx:
         with pytest.raises(FormatError, match="label count 2"):
             load_idx_pair(img_path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ingest_dataset(tmp_path / "x", "parquet")
+    def test_unknown_kind(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown dataset kind 'parquet'"):
+            DatasetSpec("parquet", path=str(tmp_path / "x"))
 
 
 class TestFingerprint:

@@ -18,8 +18,6 @@ from mialab.rng import substream
 from mialab.training import (
     DpConfig,
     TrainConfig,
-    clip_per_example,
-    dp_step,
     make_even_splits,
     plan_groups,
     record_accuracy,
@@ -27,7 +25,7 @@ from mialab.training import (
     train_models,
 )
 
-from oracles import ghost_dp_gradient, materialized_dp_gradient, reference_train
+from oracles import batch_cross_entropy, ghost_dp_gradient, materialized_dp_gradient, reference_train
 
 
 def separable_dataset():
@@ -74,9 +72,6 @@ class TestTrainModel:
         assert record_accuracy(rec, ds, np.flatnonzero(mask)) == 1.0
 
     def test_loss_decreases(self):
-        from mialab.nn import batch_cross_entropy, init_params
-        from mialab.rng import substream
-
         ds = synthetic_mixture(60, 5, 3, seed=5, noise=0.2)
         arch = ArchDescriptor(5, (6,), 3)
         mask = make_even_splits(ds.n, 1, seed=6)[0]
@@ -125,35 +120,6 @@ class TestTrainModel:
             train_model(ds, np.ones(9, dtype=bool), arch, TrainConfig(epochs=1), 0)
 
 
-class TestClip:
-    def test_long_gradient_scaled_to_bound(self):
-        g = np.array([[10.0, 0.0, 0.0]])
-        out = clip_per_example(g, 5.0)
-        assert abs(np.linalg.norm(out[0]) - 5.0) < 1e-12
-        np.testing.assert_allclose(out / np.linalg.norm(out), g / np.linalg.norm(g))
-
-    def test_short_gradient_untouched(self):
-        g = np.array([[3.0, 0.0]])
-        assert np.array_equal(clip_per_example(g, 5.0), g)
-
-    def test_zero_gradient(self):
-        assert np.array_equal(clip_per_example(np.zeros((1, 4)), 5.0), np.zeros((1, 4)))
-
-    def test_batch_rows_clipped_independently(self):
-        g = np.array([[10.0, 0.0], [1.0, 0.0]])
-        out = clip_per_example(g, 5.0)
-        assert abs(np.linalg.norm(out[0]) - 5.0) < 1e-12
-        assert np.array_equal(out[1], g[1])
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            clip_per_example(np.ones((1, 3)), 0.0)
-
-    def test_single_vector_is_not_a_batch(self):
-        with pytest.raises(ShapeError):
-            clip_per_example(np.ones(3), 5.0)
-
-
 def dp_group(arch, n_models, batch, seed):
     """Stacked (G, P) parameters of n_models random models and their (G, B) batches."""
     rng = np.random.default_rng(seed)
@@ -165,8 +131,8 @@ def dp_group(arch, n_models, batch, seed):
 
 def run_dp_step(arch, theta, X, y, dp, rng_seeds):
     grad = np.empty_like(theta)
-    dp_step(arch, layer_views(arch, theta), X, y, dp,
-            [np.random.default_rng(s) for s in rng_seeds], grad)
+    training.dp_step(arch, layer_views(arch, theta), X, y, dp,
+                     [np.random.default_rng(s) for s in rng_seeds], grad)
     return grad
 
 
@@ -208,12 +174,12 @@ class TestDpStep:
         expected = sigma * C / batch
         assert abs(draws.std() - expected) / expected < 0.05
 
-    def test_clip_check_counter_advances(self):
+    def test_clip_check_counter_advances(self, clip_checks):
         arch = ArchDescriptor(3, (), 2)
         theta, X, y = dp_group(arch, 3, 2, seed=22)
-        before = training.clip_checks
+        before = clip_checks.count
         run_dp_step(arch, theta, X, y, DpConfig(1.0, 0.0), range(3))
-        assert training.clip_checks == before + 3
+        assert clip_checks.count == before + 3
 
     @pytest.mark.parametrize("batch", [4, 3], ids=["full_batch", "short_batch"])
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
@@ -236,16 +202,16 @@ class TestDpStep:
 
 
 class TestDpTraining:
-    def test_dp_disabled_paths_bitwise_equal(self):
+    def test_dp_disabled_paths_bitwise_equal(self, clip_checks):
         # dp=None must not consume noise streams or touch per-example code
         ds = synthetic_mixture(40, 4, 3, seed=23, noise=0.2)
         arch = ArchDescriptor(4, (5,), 3)
         mask = make_even_splits(ds.n, 1, seed=24)[0]
         cfg = TrainConfig(epochs=4, batch_size=8)
         a = train_model(ds, mask, arch, cfg, 25)
-        checks_before = training.clip_checks
+        checks_before = clip_checks.count
         b = train_model(ds, mask, arch, cfg, 25)
-        assert training.clip_checks == checks_before
+        assert clip_checks.count == checks_before
         assert a._params == b._params
 
     def test_dp_sigma_zero_equals_clipped_training(self):
