@@ -26,8 +26,12 @@ from .nn import (
     OBJECTIVE_KINDS,
     ObjectiveKind,
     adam_step,
+    check_params,
     init_adam,
-    input_gradient,
+    input_backward,
+    input_forward,
+    input_gradient,  # noqa: F401  stays bound here for perfbench's tracer
+    objective_grad_logits,
     scale_confidence,
 )
 from .rng import TAG_ALT_LABEL, substream
@@ -69,8 +73,8 @@ def scale_confidence_batch(f: np.ndarray) -> np.ndarray:
     return np.log(f / (1.0 - f))
 
 
-def fit_gaussians(rows) -> list[GaussianStats]:
-    """One fit per row of a 2-D array: mean and population std floored at SIGMA_FLOOR.
+def fit_gaussians(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sigma) per row of an array: mean and population std floored at SIGMA_FLOOR.
 
     Reduces over the contiguous last axis, where each row is summed
     exactly as a 1-D array is; a reduction over any other axis differs
@@ -79,8 +83,23 @@ def fit_gaussians(rows) -> list[GaussianStats]:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.shape[-1] == 0:
         raise ValueError("cannot fit a Gaussian to zero scores")
-    mu, sd = np.mean(rows, axis=-1), np.std(rows, axis=-1)
-    return [GaussianStats(float(m), max(float(s), SIGMA_FLOOR)) for m, s in zip(mu, sd)]
+    return np.mean(rows, axis=-1), np.maximum(np.std(rows, axis=-1), SIGMA_FLOOR)
+
+
+def _grouped_fits(phi: np.ndarray, side: np.ndarray) -> list:
+    """fits[t][q] = [mu, sigma] of phi[side[t], t, q], phi being (models, k, Q).
+
+    Targets with the same model count share one fit_gaussians call over their
+    contiguous (targets * Q, count) rows, each row bitwise the target's own.
+    """
+    counts = side.sum(axis=1)
+    fits = np.empty((*phi.shape[1:], 2))
+    for c in np.flatnonzero(np.bincount(counts)):  # np.unique would add 0.6 MB peak RSS
+        t = np.flatnonzero(counts == c)
+        models = np.nonzero(side[t])[1].reshape(t.size, c)  # ascending per target
+        rows = phi[models, t[:, None]].transpose(0, 2, 1)  # (targets, Q, count)
+        fits[t, :, 0], fits[t, :, 1] = fit_gaussians(rows)
+    return fits.tolist()
 
 
 def _log_pdf(x: float, stats: GaussianStats) -> float:
@@ -186,14 +205,6 @@ def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float):
     return delta, x
 
 
-def _model_groups(picks: np.ndarray):
-    """(model id, flat positions) for each model in a pick matrix, ascending."""
-    flat = picks.ravel()
-    order = np.argsort(flat, kind="stable")
-    models, starts = np.unique(flat[order], return_index=True)
-    return zip(models.tolist(), np.split(order, starts[1:]))
-
-
 def _optimize_rows(
     x_star: np.ndarray,
     y: np.ndarray,
@@ -209,10 +220,12 @@ def _optimize_rows(
     Row r starts at x_star[r] with label y[r]; member[r, m] says whether
     records[m] is an IN model for the row's target. Each row draws from its
     own rng in a fixed order (the init noise, then per step the OUT and, when
-    online, the IN permutation), so its canary does not depend on the other
-    rows of the block. At each step the (row, picked model) pairs are grouped
-    by model, one stacked input_gradient per model and side; Adam and the
-    projection run once on the whole block.
+    online, the IN permutation; offline, one permuted call draws the same),
+    so its canary does not depend on the other rows of the block. Per step
+    and side, each picked model runs one stacked forward and one backward
+    over its rows around one objective pass over all picks; Adam and the
+    projection run once on the block. A model's params are read when it is
+    first picked, so offline never reads a model IN for all rows.
 
     Returns the canaries and the number of evaluated (row, model) pairs whose
     model is IN for the row, counted from the ids actually evaluated.
@@ -227,22 +240,33 @@ def _optimize_rows(
         if noisy:
             delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
         out_ids, in_ids = np.flatnonzero(~member[r]), np.flatnonzero(member[r])
+        if not online:
+            order = np.tile(np.arange(out_ids.size), (steps, 1))
+            out_picks[:, r] = out_ids[rng.permuted(order, axis=1)[:, :b]]
+            continue
         for s in range(steps):
             out_picks[s, r] = out_ids[rng.permutation(out_ids.size)[:b]]
-            if online:
-                in_picks[s, r] = in_ids[rng.permutation(in_ids.size)[:b]]
+            in_picks[s, r] = in_ids[rng.permutation(in_ids.size)[:b]]
 
-    in_evaluations = 0
+    labels, alt_labels = y.repeat(b), None if alt is None else alt.repeat(b)
+    params, in_evaluations = {}, 0
 
-    def mean_gradient(x: np.ndarray, picks: np.ndarray, direction: str) -> np.ndarray:
+    def mean_gradient(x: np.ndarray, picks: np.ndarray, side: str) -> np.ndarray:
         nonlocal in_evaluations
+        in_evaluations += int(member[np.arange(n)[:, None], picks].sum())
+        logits = np.empty((n, b, records[0].arch.num_classes))
+        passes = []
+        for m in np.flatnonzero(np.bincount(picks.ravel())).tolist():
+            if m not in params:  # read and checked once per block
+                params[m] = check_params(records[m].arch, records[m].params)
+            rows, slots = np.nonzero(picks == m)
+            logits[rows, slots], act_grads = input_forward(records[m].arch, params[m], x[rows])
+            passes.append((params[m], rows, slots, act_grads))
+        kind = ObjectiveKind(config.objective, side, alt_labels)
+        dlogits = objective_grad_logits(logits.reshape(n * b, -1), labels, kind).reshape(n, b, -1)
         per_pick = np.empty((n, b, dim))
-        for m, pos in _model_groups(picks):
-            rows, slots = np.divmod(pos, b)
-            in_evaluations += int(member[rows, m].sum())
-            kind = ObjectiveKind(config.objective, direction, None if alt is None else alt[rows])
-            rec = records[m]
-            per_pick[rows, slots] = input_gradient(rec.arch, rec.params, x[rows], y[rows], kind)
+        for model, rows, slots, act_grads in passes:
+            per_pick[rows, slots] = input_backward(model, act_grads, dlogits[rows, slots])
         total = np.zeros((n, dim))
         for j in range(b):  # summed in pick order, as one row at a time would
             total += per_pick[:, j]
@@ -379,7 +403,8 @@ def _score_block(
     queries is (targets, Q, d). Each shadow model does one stacked forward
     over the blocks of the targets it may see: all of them online, only
     those it is OUT for offline. The Gaussian fits reduce over contiguous
-    (Q, models) rows; conf_t and the scores stay scalar math.
+    (targets * Q, models) rows, grouped by model count; conf_t and the
+    scores stay scalar math.
     """
     k, n_queries = queries.shape[:2]
     phi = np.full((len(records), k, n_queries), np.nan)
@@ -391,20 +416,17 @@ def _score_block(
             phi[m, sel] = model_confidence_batch(rec, queries[sel], y[sel])
     phi = scale_confidence_batch(phi)
     conf = oracle.confidences(queries, y)
-    scores = []
-    for t in range(k):
-        out_stats = fit_gaussians(phi[~member[t], t].T)
+    out_fits = _grouped_fits(phi, ~member)
+    in_fits = _grouped_fits(phi, member) if online else None
+
+    def score(t: int, q: int) -> float:
+        conf_t = scale_confidence(float(conf[t, q]))
+        out_stats = GaussianStats(*out_fits[t][q])
         if online:
-            in_stats = fit_gaussians(phi[member[t], t].T)
-        row = []
-        for q in range(n_queries):
-            conf_t = scale_confidence(float(conf[t, q]))
-            if online:
-                row.append(lira_online_score(conf_t, in_stats[q], out_stats[q]))
-            else:
-                row.append(lira_offline_score(conf_t, out_stats[q], density=cfg.offline_density))
-        scores.append(row)
-    return scores, in_evaluations
+            return lira_online_score(conf_t, GaussianStats(*in_fits[t][q]), out_stats)
+        return lira_offline_score(conf_t, out_stats, density=cfg.offline_density)
+
+    return [[score(t, q) for q in range(n_queries)] for t in range(k)], in_evaluations
 
 
 def _check_eligible(index: np.ndarray, member: np.ndarray, need: int, online: bool) -> None:

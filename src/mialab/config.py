@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .attacks import METHODS, MODES, CanaryConfig
-from .data import Dataset, load_csv, load_idx_pair, synthetic_mixture
+from .data import Dataset, check_mixture_sizes, load_csv, load_idx_pair, synthetic_mixture
 from .errors import ConfigError
 from .nn import ArchDescriptor
 from .training import TrainConfig
@@ -100,12 +100,11 @@ class DatasetSpec:
             raise ConfigError(f"dataset kind {self.kind!r} requires a path")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"dataset.noise must be finite and non-negative, got {self.noise!r}")
-        if self.kind == "synthetic" and (self.n_points < 2 or self.input_dim < 1
-                                         or self.num_classes < 2):
-            raise ConfigError(
-                "a synthetic dataset needs n_points >= 2, input_dim >= 1 and num_classes >= 2, "
-                f"got {self.n_points}, {self.input_dim} and {self.num_classes}"
-            )
+        if self.kind == "synthetic":
+            try:
+                check_mixture_sizes(self.n_points, self.input_dim, self.num_classes)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def materialize(self) -> Dataset:
         if self.kind == "csv":

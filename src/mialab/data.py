@@ -212,6 +212,13 @@ def load_idx_pair(images_path, labels_path=None) -> Dataset:
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
+def check_mixture_sizes(n_points: int, input_dim: int, num_classes: int) -> None:
+    """The sizes a synthetic mixture needs; ValueError otherwise."""
+    if n_points < 2 or input_dim < 1 or num_classes < 2:
+        raise ValueError("a synthetic dataset needs n_points >= 2, input_dim >= 1 and num_classes"
+                         f" >= 2, got {n_points}, {input_dim} and {num_classes}")
+
+
 def synthetic_mixture(
     n_points: int,
     input_dim: int,
@@ -226,8 +233,7 @@ def synthetic_mixture(
     Points are assigned to classes round-robin and then shuffled, so class
     counts are balanced to within one point.
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 points")
+    check_mixture_sizes(n_points, input_dim, num_classes)
     rng = np.random.default_rng(seed)
     means = rng.uniform(mean_low, mean_high, size=(num_classes, input_dim))
     labels = rng.permutation(np.arange(n_points) % num_classes)

@@ -135,8 +135,8 @@ def init_params(arch: ArchDescriptor, rng: np.random.Generator) -> Params:
     return Params(weights, biases)
 
 
-def _check_params(arch: ArchDescriptor, params: Params) -> None:
-    """Layer shapes must match arch; stacked (G, out, in) layers share one G."""
+def check_params(arch: ArchDescriptor, params: Params) -> Params:
+    """params, checked: layer shapes match arch; stacked (G, out, in) layers share one G."""
     shapes = arch.layer_shapes()
     if len(params.weights) != len(shapes) or len(params.biases) != len(shapes):
         raise ShapeError("parameter layer count does not match architecture")
@@ -147,6 +147,7 @@ def _check_params(arch: ArchDescriptor, params: Params) -> None:
                 f"layer shape mismatch: got {np.shape(W)}/{np.shape(b)}, "
                 f"expected {(*lead, out_d, in_d)}"
             )
+    return params
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -194,7 +195,7 @@ def forward_batch(arch: ArchDescriptor, params: Params, X: np.ndarray) -> np.nda
     X = np.asarray(X, dtype=np.float64)
     if X.ndim < 2 or X.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected batch of shape (B, {arch.input_dim}), got {X.shape}")
-    _check_params(arch, params)
+    check_params(arch, params)
     logits, _, _ = _forward_cached(arch, params, X)
     return logits
 
@@ -327,36 +328,36 @@ def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndar
     return g
 
 
-def _backprop_to_input(arch, params, pre, dlogits):
-    delta = dlogits
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1, -1, -1):
-        dh = delta @ params.weights[l]
-        if l > 0:
-            delta = dh * _activate_grad(pre[l - 1], arch.activation)
-        else:
-            return dh
-    return dh
+def input_forward(arch: ArchDescriptor, params: Params, x: np.ndarray):
+    """(n, K) logits of (n, input_dim) rows, and the activation derivatives
+    input_backward needs. Rows are stacked as (n, 1, input_dim) so every
+    matmul runs per row: each row is bitwise the row alone, which a flat
+    (n, input_dim) product would not be. Shapes are the caller's to check."""
+    logits, _, pre = _forward_cached(arch, params, x[:, None, :])
+    return logits[:, 0], [_activate_grad(z, arch.activation) for z in pre]
+
+
+def input_backward(params: Params, act_grads, dlogits: np.ndarray) -> np.ndarray:
+    """(n, input_dim) input gradients from the (n, K) logit gradients of input_forward's rows."""
+    delta = dlogits[:, None, :]
+    for l in range(len(params.weights) - 1, 0, -1):
+        delta = (delta @ params.weights[l]) * act_grads[l - 1]
+    return (delta @ params.weights[0])[:, 0]
 
 
 def input_gradient(
     arch: ArchDescriptor, params: Params, x: np.ndarray, y, kind: ObjectiveKind
 ) -> np.ndarray:
-    """Gradient of the objective with respect to the input.
-
-    Batch-first: x is (n, input_dim) with y an int or one label per row,
-    or a single (input_dim,) vector. Rows are stacked as (n, 1, input_dim)
-    so every matmul runs per row: each row's gradient is bitwise that of
-    the row alone, which a flat (n, input_dim) product would not be.
+    """Gradient of the objective with respect to the input (input_forward,
+    objective_grad_logits, input_backward). x is (n, input_dim) with y an
+    int or one label per row, or one (input_dim,) vector.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected input of shape (n, {arch.input_dim}), got {x.shape}")
-    _check_params(arch, params)
-    rows = x.reshape(-1, 1, arch.input_dim)
-    logits, _, pre = _forward_cached(arch, params, rows)
-    dlogits = objective_grad_logits(logits[:, 0], y, kind)
-    grad = _backprop_to_input(arch, params, pre, dlogits[:, None, :])[:, 0]
+    check_params(arch, params)
+    logits, act_grads = input_forward(arch, params, x.reshape(-1, arch.input_dim))
+    grad = input_backward(params, act_grads, objective_grad_logits(logits, y, kind))
     return grad[0] if x.ndim == 1 else grad
 
 
@@ -380,7 +381,7 @@ def param_gradient(
     if X.shape[-2] == 0:
         raise ValueError("empty batch")
     if out is None:
-        _check_params(arch, params)
+        check_params(arch, params)
     B = X.shape[-2]
     logits, acts, pre = _forward_cached(arch, params, X)
     delta = softmax(logits)
@@ -431,7 +432,7 @@ def per_example_grad_vectors(
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    _check_params(arch, params)
+    check_params(arch, params)
     deltas, acts = per_example_deltas(arch, params, X, y)
     B = X.shape[0]
     return np.concatenate([part for delta, a in zip(deltas, acts)

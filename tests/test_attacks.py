@@ -41,19 +41,33 @@ def toy_farm():
 
 class TestGaussianFit:
     def test_degenerate_variance_floors(self):
-        (stats,) = fit_gaussians([[1.0, 1.0, 1.0]])
-        assert stats.mu == 1.0 and stats.sigma == 1e-4
+        (mu,), (sigma,) = fit_gaussians([[1.0, 1.0, 1.0]])
+        assert mu == 1.0 and sigma == 1e-4
 
     def test_population_convention(self):
-        (stats,) = fit_gaussians([[0.0, 2.0]])
-        assert stats.mu == 1.0 and stats.sigma == 1.0
+        (mu,), (sigma,) = fit_gaussians([[0.0, 2.0]])
+        assert mu == 1.0 and sigma == 1.0
 
     def test_sampling_recovery(self):
         rng = np.random.default_rng(6)
         draws = rng.normal(3.0, 2.0, 100_000)
-        (stats,) = fit_gaussians(draws[None, :])
-        assert abs(stats.mu - 3.0) < 0.05
-        assert abs(stats.sigma - 2.0) < 0.05
+        (mu,), (sigma,) = fit_gaussians(draws[None, :])
+        assert abs(mu - 3.0) < 0.05
+        assert abs(sigma - 2.0) < 0.05
+
+    @pytest.mark.parametrize("n_queries", [1, 10])
+    def test_grouped_fits_match_per_target_fits(self, n_queries):
+        rng = np.random.default_rng(8)
+        n_models, k = 23, 40
+        phi = rng.normal(0.0, 3.0, size=(n_models, k, n_queries))
+        member = rng.random((k, n_models)) < rng.uniform(0.1, 0.9, size=(k, 1))
+        member[:, 0], member[:, 1] = True, False  # every target has both sides
+        assert len(np.unique(member.sum(axis=1))) > 3  # mixed counts on both sides
+        for side in (member, ~member):
+            fits = attacks._grouped_fits(phi, side)
+            for t in range(k):
+                ref_mu, ref_sigma = fit_gaussians(phi[side[t], t].T)
+                assert fits[t] == [[m, s] for m, s in zip(ref_mu.tolist(), ref_sigma.tolist())]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -283,6 +297,18 @@ class TestRunAttack:
         table = run_attack(ds, oracle, rest, targets, "canary", "offline", cfg, seed=35)
         assert table.in_model_accesses == 0
         assert oracle.hidden_param_reads == reads_before
+
+    def test_offline_never_reads_a_model_in_for_every_target(self, toy_farm):
+        ds, farm = toy_farm
+        oracle, rest = hold_out_target(farm, 4)
+        always_in = 0
+        points = np.flatnonzero(rest.splits[always_in])
+        targets = [(int(t), bool(farm.splits[4, t])) for t in points]
+        cfg = CanaryConfig(epsilon=0.15, steps=6, shadow_batch=2, num_queries=2)
+        table = run_attack(ds, oracle, rest, targets, "canary", "offline", cfg, seed=35)
+        assert len(table.rows) == len(targets) > 30
+        assert rest.records[always_in].access_count == 0
+        assert all(r.access_count > 0 for r in rest.records[1:])
 
     def test_fingerprint_mismatch_refused(self, toy_farm):
         ds, farm = toy_farm

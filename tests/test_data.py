@@ -137,6 +137,12 @@ class TestSynthetic:
         counts = np.bincount(ds.labels, minlength=10)
         assert counts.max() - counts.min() <= 1
 
+    @pytest.mark.parametrize("n_points,input_dim,num_classes",
+                             [(1, 4, 2), (20, 0, 2), (20, 4, 1), (20, 4, 0)])
+    def test_refuses_sizes_it_cannot_build(self, n_points, input_dim, num_classes):
+        with pytest.raises(ValueError, match="needs n_points >= 2, input_dim >= 1"):
+            synthetic_mixture(n_points, input_dim, num_classes, seed=1)
+
     def test_access_counting(self):
         ds = synthetic_mixture(20, 3, 2, seed=5)
         ds.enable_access_counting()

@@ -7,6 +7,9 @@ Through the CLI every such failure is one ``error:<Class>: ...`` line on
 stderr and exit code 1. A config with values changed and keys dropped
 either raises ConfigError or loads to a config whose manifest reloads
 equal; only the loader runs, so no mutated size starts any work.
+One row of ``numpy``'s ``Generator.permuted`` over a tiled ``arange``
+draws what a loop of ``permutation`` calls draws, which offline canary
+picks rely on (a numpy change that breaks it would change scores).
 Example counts are bounded and derandomized so the suite stays fast and
 repeatable.
 """
@@ -18,6 +21,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from mialab.cli import main
 from mialab.config import ExperimentConfig, load_config, write_manifest
 from mialab.errors import ConfigError, FormatError, MialabError
 from mialab.farm import farms_equal, load_farm
+from mialab.rng import substream
 
 ERROR_LINE = re.compile(r"error:[A-Za-z]+: [^\n]*\n")
 
@@ -203,3 +208,16 @@ def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
     write_manifest(manifest, {"resolved_config": cfg.to_dict()})
     reloaded = load_config(manifest)
     assert reloaded == cfg
+
+
+@bounded(300)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 34), steps=st.integers(0, 40),
+       noise_dim=st.integers(0, 3))
+def test_permuted_rows_draw_like_sequential_permutations(seed, k, steps, noise_dim):
+    one, loop = substream(seed, 1), substream(seed, 1)
+    for rng in (one, loop):  # a row's stream draws its init noise first
+        rng.normal(0.0, 1.0, size=noise_dim)
+    picks = one.permuted(np.tile(np.arange(k), (steps, 1)), axis=1)
+    expected = np.array([loop.permutation(k) for _ in range(steps)], dtype=picks.dtype)
+    assert np.array_equal(picks, expected.reshape(steps, k))
+    assert one.bit_generator.state == loop.bit_generator.state
