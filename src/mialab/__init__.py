@@ -44,12 +44,10 @@ from .nn import (
     ObjectiveKind,
     Params,
     adam_step,
-    cw_margin,
     forward_batch,
     init_adam,
     init_params,
     input_gradient,
-    objective_value,
     param_gradient,
     softmax,
 )

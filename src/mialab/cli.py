@@ -55,7 +55,7 @@ def cmd_train_shadows(args) -> None:
     farm = build_farm(dataset, cfg.n_models, arch, cfg.train, cfg.master_seed, jobs=args.jobs)
     wall = time.perf_counter() - start
     farm_path = out / "farm.bin"
-    save_farm(farm, farm_path)
+    farm_sha256 = hashlib.sha256(save_farm(farm, farm_path)).hexdigest()
     models = []
     for i, rec in enumerate(farm.records):
         models.append(
@@ -73,7 +73,7 @@ def cmd_train_shadows(args) -> None:
             "resolved_config": cfg.to_dict(),
             "dataset_fingerprint": dataset.fingerprint(),
             "models": models,
-            "outputs": {"farm.bin": _sha256(farm_path)},
+            "outputs": {"farm.bin": farm_sha256},
             "wall_time_s": wall,
         },
     )
@@ -115,13 +115,19 @@ def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     return table, info
 
 
+def _load_farm(path):
+    """The farm store at path and the sha256 of its bytes, read once."""
+    data = Path(path).read_bytes()
+    return load_farm(path, data), hashlib.sha256(data).hexdigest()
+
+
 def cmd_attack(args) -> None:
     """Materialise the dataset, load the farm and check its fingerprint once,
     before the output directory is touched; then run every seed on them."""
     start = time.perf_counter()
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
-    farm = load_farm(args.farm)
+    farm, farm_sha256 = _load_farm(args.farm)
     if farm.fingerprint != dataset.fingerprint():
         raise FingerprintMismatchError(
             f"farm fingerprint {farm.fingerprint:#x} does not match dataset "
@@ -140,7 +146,7 @@ def cmd_attack(args) -> None:
         {
             "command": "attack",
             "resolved_config": cfg.to_dict(),
-            "farm": {"path": str(args.farm), "sha256": _sha256(args.farm)},
+            "farm": {"path": str(args.farm), "sha256": farm_sha256},
             "runs": infos,
             "outputs": outputs,
             "wall_time_s": time.perf_counter() - start,

@@ -3,11 +3,12 @@
 The farm store (version 2) is a single binary file, little-endian
 throughout: 8-byte magic, version word, dataset fingerprint (blake2b-64),
 master seed, architecture descriptor, per-model training seeds, the split
-matrix as packed bits, each model's parameters as float64, and a trailing
-32-byte blake2b-256 checksum of every byte before it. Version 1 files
-(FNV-1a fingerprint, no checksum) are refused; rebuild them with
-train-shadows. A store is written to a temporary file next to its path
-and moved into place, so a reader never sees half a farm.
+matrix as packed bits, the records' parameter rows as one (n_models,
+param_count) float64 block, and a trailing 32-byte blake2b-256 checksum of
+every byte before it. Version 1 files (FNV-1a fingerprint, no checksum)
+are refused; rebuild them with train-shadows. A store is written to a
+temporary file next to its path and moved into place, so a reader never
+sees half a farm.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, ShapeError, UnsupportedVersionError
-from .nn import ArchDescriptor, Params, forward_batch, softmax
+from .nn import ArchDescriptor, forward_batch, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seed
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
@@ -157,14 +158,14 @@ def in_out_partition(farm: ShadowFarm, target_index: int) -> tuple[list[ModelRec
 def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowFarm]:
     """Wrap one model as the black-box target; return the remaining farm.
 
-    Every call wraps fresh records around the farm's frozen parameters, so
+    Every call wraps fresh records around the farm's frozen rows, so
     the access counters of one run (the oracle's hidden_param_reads, an
     offline attack's IN-model reads) never carry over into another run of
     the same loaded farm.
     """
     if not 0 <= which < farm.n_models:
         raise IndexError(f"model index {which} out of range for {farm.n_models} models")
-    fresh = [ModelRecord(r.arch, r.seed, r._params) for r in farm.records]
+    fresh = [ModelRecord(r.arch, r.seed, r._theta) for r in farm.records]
     oracle = TargetOracle(fresh.pop(which), farm.fingerprint)
     remaining = ShadowFarm(
         fingerprint=farm.fingerprint,
@@ -176,7 +177,8 @@ def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowF
     return oracle, remaining
 
 
-def save_farm(farm: ShadowFarm, path) -> None:
+def save_farm(farm: ShadowFarm, path) -> bytes:
+    """Write the farm store to path; returns the bytes written."""
     arch = farm.arch
     if not 0 <= farm.master_seed < 2**64:
         raise ValueError("master_seed must fit in an unsigned 64-bit field")
@@ -197,18 +199,20 @@ def save_farm(farm: ShadowFarm, path) -> None:
     parts.append(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
     parts.append(struct.pack(f"<{farm.n_models}Q", *(r.seed for r in farm.records)))
     parts.append(np.packbits(farm.splits.ravel()).tobytes())
-    for rec in farm.records:
-        parts.append(rec._params.to_vector().astype("<f8").tobytes())
-    blob = b"".join(parts)
+    parts.append(np.stack([rec._theta for rec in farm.records]).astype("<f8", copy=False))
+    checksum = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
+    for part in parts:
+        checksum.update(part)
+    parts.append(checksum.digest())
+    data = b"".join(parts)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.write(hashlib.blake2b(blob, digest_size=CHECKSUM_BYTES).digest())
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return data
 
 
 class _Reader:
@@ -231,11 +235,12 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
-def load_farm(path) -> ShadowFarm:
-    """Read a farm store, checking magic, version, length and checksum in
-    that order before any of the payload is decoded."""
+def load_farm(path, data: bytes | None = None) -> ShadowFarm:
+    """Read the farm store at path, or decode data, its bytes when the caller
+    has already read them. Magic, version, length and checksum are checked
+    in that order before any of the payload is decoded."""
     path = Path(path)
-    blob = memoryview(path.read_bytes())
+    blob = memoryview(path.read_bytes() if data is None else data)
     reader = _Reader(blob, path)
     magic = bytes(reader.read(8))
     if magic != MAGIC:
@@ -267,10 +272,9 @@ def load_farm(path) -> ShadowFarm:
     seeds = reader.unpack(f"<{n_models}Q")
     packed = np.frombuffer(reader.read((n_bits + 7) // 8), dtype=np.uint8)
     splits = np.unpackbits(packed, count=n_bits).astype(bool).reshape(n_models, n_points)
-    records = []
-    for i in range(n_models):
-        vec = np.frombuffer(reader.read(pcount * 8), dtype="<f8").astype(np.float64)
-        records.append(ModelRecord(arch, seeds[i], Params.from_vector(arch, vec)))
+    thetas = np.frombuffer(reader.read(8 * pcount * n_models), dtype="<f8").astype(np.float64)
+    records = [ModelRecord(arch, seed, row)
+               for seed, row in zip(seeds, thetas.reshape(n_models, pcount))]
     return ShadowFarm(fingerprint, arch, splits, records, master_seed)
 
 
@@ -280,6 +284,5 @@ def farms_equal(a: ShadowFarm, b: ShadowFarm) -> bool:
         and a.master_seed == b.master_seed
         and a.arch == b.arch
         and np.array_equal(a.splits, b.splits)
-        and len(a.records) == len(b.records)
-        and all(x == y for x, y in zip(a.records, b.records))
+        and a.records == b.records
     )

@@ -11,6 +11,7 @@ interpolation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +143,17 @@ def read_csv_rows(path, header: list[str], what: str):
 
 
 def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[str, float]]]:
-    """Inverse of write_report_csv: (per-seed rows, aggregate rows)."""
+    """Inverse of write_report_csv: (per-seed rows, aggregate rows). Every
+    value is a finite number."""
     per_seed: dict[int, dict[str, float]] = {}
     aggregates: dict[str, dict[str, float]] = {}
     for lineno, (metric, seed, value) in read_csv_rows(path, ["metric", "seed", "value"], "report"):
         try:
             val = float(value)
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: bad value {value!r}") from exc
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val):
+            raise FormatError(f"{path}: line {lineno}: value {value!r} is not a finite number")
         if seed in ("mean", "std"):
             aggregates.setdefault(metric, {})[seed] = val
         else:

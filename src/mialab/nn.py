@@ -75,9 +75,10 @@ class ArchDescriptor:
         return sum(o * i + o for o, i in self.layer_shapes())
 
 
-@dataclass
+@dataclass(eq=False)
 class Params:
-    """Per-layer weight matrices (fan_out, fan_in) and bias vectors."""
+    """Per-layer weight matrices (fan_out, fan_in) and bias vectors. Models
+    compare by their (P,) row (ModelRecord), so Params compare by identity."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -96,17 +97,7 @@ class Params:
             raise ShapeError(
                 f"expected parameter vector of length {arch.param_count()}, got {vec.shape}"
             )
-        views = layer_views(arch, vec)
-        return Params([W.copy() for W in views.weights], [b.copy() for b in views.biases])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Params):
-            return NotImplemented
-        return (
-            len(self.weights) == len(other.weights)
-            and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
-            and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
-        )
+        return layer_views(arch, vec.copy())
 
 
 def layer_views(arch: ArchDescriptor, flat: np.ndarray) -> Params:
@@ -213,13 +204,6 @@ def scale_confidence(f: float) -> float:
     return math.log(f / (1.0 - f))
 
 
-def cw_margin(logits: np.ndarray, y: int) -> float:
-    """logits[y] minus the best other logit; positive iff y is the argmax."""
-    logits = np.asarray(logits, dtype=np.float64)
-    others = np.delete(logits, y)
-    return float(logits[y] - np.max(others))
-
-
 @dataclass(frozen=True)
 class ObjectiveKind:
     """One side of an attack objective pair.
@@ -250,35 +234,6 @@ def _check_alt(y, kind: ObjectiveKind):
     return kind.alt_label
 
 
-def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
-    """Scalar loss for one objective side, computed in a stable form."""
-    logits = np.asarray(logits, dtype=np.float64)
-    k, d = kind.kind, kind.direction
-    if k in ("cross_entropy", "cross_entropy_random_label"):
-        m = np.max(logits)
-        lse = m + math.log(np.sum(np.exp(logits - m)))
-        if d == IN_MINIMIZE or k == "cross_entropy_random_label":
-            # -log softmax(z)[label] = lse(z) - z_label
-            label = y if d == IN_MINIMIZE else _check_alt(y, kind)
-            return float(lse - logits[label])
-        # reverse CE, -log(1 - f_y) = lse(z) - lse(z without y)
-        rest = np.delete(logits, y)
-        mr = np.max(rest)
-        lse_rest = mr + math.log(np.sum(np.exp(rest - mr)))
-        return lse - lse_rest
-    if k in ("cw_margin", "cw_margin_random_label"):
-        if d == IN_MINIMIZE:
-            return -cw_margin(logits, y)
-        if k == "cw_margin_random_label":
-            return -cw_margin(logits, _check_alt(y, kind))
-        return cw_margin(logits, y)
-    if k == "scaled_log_score":
-        phi = scale_confidence(softmax(logits)[y])
-        return phi if d == IN_MINIMIZE else -phi
-    # raw_logit
-    return float(logits[y]) if d == IN_MINIMIZE else -float(logits[y])
-
-
 def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     e = np.zeros((labels.size, K))
     e[np.arange(labels.size), labels] = 1.0
@@ -286,7 +241,7 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
 
 
 def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndarray:
-    """Exact gradient of objective_value with respect to the logits.
+    """Exact gradient of one objective side's loss with respect to the logits.
 
     logits is (n, K) with y (and a random-label kind's alt_label) an int
     or one label per row. Every operation is row-wise, so each row is
@@ -382,41 +337,41 @@ def param_gradient(
         raise ValueError("empty batch")
     if out is None:
         check_params(arch, params)
-    B = X.shape[-2]
-    logits, acts, pre = _forward_cached(arch, params, X)
-    delta = softmax(logits)
-    delta[(*np.indices(y.shape), y)] -= 1.0
-    delta /= B
-    n_layers = len(params.weights)
-    gw = [None] * n_layers if out is None else out.weights
-    gb = [None] * n_layers if out is None else out.biases
-    for l in range(n_layers - 1, -1, -1):
-        gw[l] = np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=gw[l])
-        gb[l] = np.sum(delta, axis=-2, out=gb[l])
-        if l > 0:
-            delta = delta @ params.weights[l]
-            delta *= _activate_grad(pre[l - 1], arch.activation)
-    return Params(gw, gb) if out is None else out
+        out = layer_views(arch, np.empty((*X.shape[:-2], arch.param_count())))
+    deltas, acts = per_example_deltas(arch, params, X, y, X.shape[-2])
+    return write_batch_gradient(deltas, acts, out)
 
 
-def per_example_deltas(arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray):
-    """Per-layer backprop signals of each example's own cross-entropy loss.
+def per_example_deltas(arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray,
+                       divisor):
+    """Per-layer backprop signals of each example's own cross-entropy loss,
+    divided by divisor: B for param_gradient's mean, 1 (exact) for DP-SGD.
 
     Returns (deltas, acts): deltas[l] is layer l's (..., B, out) output
-    gradient, not divided by the batch size, and acts[l] its (..., B, in)
-    input. Example i's loss has weight gradient outer(deltas[l][i],
-    acts[l][i]) and bias gradient deltas[l][i]. Stacked params and
-    (G, B, input_dim) batches run slice by slice, as in param_gradient.
+    gradient and acts[l] its (..., B, in) input. Example i's loss has
+    weight gradient outer(deltas[l][i], acts[l][i]) and bias gradient
+    deltas[l][i]. Stacked params and (G, B, input_dim) batches run slice
+    by slice.
     """
     logits, acts, pre = _forward_cached(arch, params, X)
     delta = softmax(logits)
     delta[(*np.indices(y.shape), y)] -= 1.0
+    delta /= divisor
     deltas = [delta]
     for l in range(len(params.weights) - 1, 0, -1):
         delta = delta @ params.weights[l]
         delta *= _activate_grad(pre[l - 1], arch.activation)
         deltas.insert(0, delta)
     return deltas, acts
+
+
+def write_batch_gradient(deltas, acts, out: Params) -> Params:
+    """Write each layer's batch-summed gradient, deltas[l]^T acts[l] and the
+    sum of deltas[l], into out's views; returns out."""
+    for l, (delta, a) in enumerate(zip(deltas, acts)):
+        np.matmul(np.swapaxes(delta, -1, -2), a, out=out.weights[l])
+        np.sum(delta, axis=-2, out=out.biases[l])
+    return out
 
 
 def per_example_grad_vectors(
@@ -433,7 +388,7 @@ def per_example_grad_vectors(
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     check_params(arch, params)
-    deltas, acts = per_example_deltas(arch, params, X, y)
+    deltas, acts = per_example_deltas(arch, params, X, y, 1)
     B = X.shape[0]
     return np.concatenate([part for delta, a in zip(deltas, acts)
                            for part in ((delta[:, :, None] * a[:, None, :]).reshape(B, -1), delta)],

@@ -29,6 +29,7 @@ from .nn import (
     param_gradient,
     per_example_deltas,
     per_example_grad_vectors,  # noqa: F401  stays bound here for perfbench's tracer
+    write_batch_gradient,
 )
 from .rng import substream
 
@@ -72,22 +73,28 @@ class TrainConfig:
 
 
 class ModelRecord:
-    """A trained model: architecture, parameters and training seed.
+    """A trained model: architecture, training seed and its parameters as
+    one read-only (P,) float64 row, whose layer_views are ._params.
 
-    Immutable after construction (parameter arrays are frozen). Reads of
-    the .params property are counted so attack-isolation properties can
-    be asserted; code that legitimately owns the record (serialization,
-    the oracle's internal evaluation) uses ._params directly.
+    Records compare by that row and pickle as (arch, seed, theta), so a
+    copy is frozen again. Reads of the .params property are counted so
+    attack-isolation properties can be asserted; code that legitimately
+    owns the record (serialization, the oracle's internal evaluation)
+    uses ._theta and ._params directly.
     """
 
-    __slots__ = ("arch", "seed", "_params", "access_count")
+    __slots__ = ("arch", "seed", "_theta", "_params", "access_count")
 
-    def __init__(self, arch: ArchDescriptor, seed: int, params: Params):
+    def __init__(self, arch: ArchDescriptor, seed: int, theta: np.ndarray):
+        P = arch.param_count()
+        if not isinstance(theta, np.ndarray) or theta.dtype != np.float64 or theta.shape != (P,):
+            raise ShapeError(f"expected a float64 parameter row of length {P}, got "
+                             f"{np.asarray(theta).dtype} {np.shape(theta)}")
+        theta.flags.writeable = False
         self.arch = arch
         self.seed = int(seed)
-        for arr in (*params.weights, *params.biases):
-            arr.flags.writeable = False
-        self._params = params
+        self._theta = theta
+        self._params = layer_views(arch, theta)
         self.access_count = 0
 
     @property
@@ -101,8 +108,11 @@ class ModelRecord:
         return (
             self.arch == other.arch
             and self.seed == other.seed
-            and self._params == other._params
+            and np.array_equal(self._theta, other._theta)
         )
+
+    def __reduce__(self):
+        return ModelRecord, (self.arch, self.seed, self._theta)
 
 
 def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
@@ -140,7 +150,7 @@ def dp_step(
     by B. Every product and reduction runs per model, so each row is
     bitwise that of the model alone.
     """
-    deltas, acts = per_example_deltas(arch, params, X, y)
+    deltas, acts = per_example_deltas(arch, params, X, y, 1)
     norms = np.sqrt(sum(np.sum(delta * delta, axis=-1) * (np.sum(a * a, axis=-1) + 1.0)
                         for delta, a in zip(deltas, acts)))
     factors = np.ones_like(norms)  # min(1, clip_norm / norm)
@@ -152,11 +162,8 @@ def dp_step(
         raise AssertionError(
             f"post-clip norm {clipped.max():.17g} exceeds bound {dp.clip_norm}"
         )
-    out = layer_views(arch, grad)
-    for l, (delta, a) in enumerate(zip(deltas, acts)):
-        delta = delta * factors[..., None]
-        np.matmul(np.swapaxes(delta, -1, -2), a, out=out.weights[l])
-        np.sum(delta, axis=-2, out=out.biases[l])
+    write_batch_gradient([delta * factors[..., None] for delta in deltas], acts,
+                         layer_views(arch, grad))
     if dp.noise_multiplier > 0:
         for row, rng in zip(grad, rngs):
             row += rng.normal(0.0, dp.noise_multiplier * dp.clip_norm, size=row.shape)
@@ -257,8 +264,7 @@ def train_models(
     train = partial(_train_group, dataset, masks, arch, config, seeds)
     thetas = map_jobs(train, plan_groups(len(seeds), arch, jobs), jobs)
     rows = (row for theta in thetas for row in theta)
-    return [ModelRecord(arch, seed, Params.from_vector(arch, row))
-            for seed, row in zip(seeds, rows)]
+    return [ModelRecord(arch, seed, row) for seed, row in zip(seeds, rows)]
 
 
 def train_model(

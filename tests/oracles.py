@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own code paths: finite
-differences for gradients, explicit pairwise counting for AUC, a
+differences of scalar objective values for gradients, explicit pairwise
+counting for AUC, a
 hand-rolled recurrence for Adam, and the one-target attack and one-model
 training loops the batched library code must reproduce bit for bit.
 """
@@ -10,7 +11,57 @@ import math
 
 import numpy as np
 
-from mialab.nn import forward_batch, objective_value, Params
+from mialab.nn import (
+    IN_MINIMIZE,
+    ObjectiveKind,
+    Params,
+    forward_batch,
+    scale_confidence,
+    softmax,
+)
+
+
+def cw_margin(logits: np.ndarray, y: int) -> float:
+    """logits[y] minus the best other logit; positive iff y is the argmax."""
+    logits = np.asarray(logits, dtype=np.float64)
+    others = np.delete(logits, y)
+    return float(logits[y] - np.max(others))
+
+
+def _alt_label(y: int, kind: ObjectiveKind) -> int:
+    if kind.alt_label == y:
+        raise ValueError("alternative label must differ from the true label")
+    return kind.alt_label
+
+
+def objective_value(logits: np.ndarray, y: int, kind: ObjectiveKind) -> float:
+    """Scalar loss of one objective side on one logit vector, in a stable
+    form; the library descends its gradient (objective_grad_logits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    k, d = kind.kind, kind.direction
+    if k in ("cross_entropy", "cross_entropy_random_label"):
+        m = np.max(logits)
+        lse = m + math.log(np.sum(np.exp(logits - m)))
+        if d == IN_MINIMIZE or k == "cross_entropy_random_label":
+            # -log softmax(z)[label] = lse(z) - z_label
+            label = y if d == IN_MINIMIZE else _alt_label(y, kind)
+            return float(lse - logits[label])
+        # reverse CE, -log(1 - f_y) = lse(z) - lse(z without y)
+        rest = np.delete(logits, y)
+        mr = np.max(rest)
+        lse_rest = mr + math.log(np.sum(np.exp(rest - mr)))
+        return lse - lse_rest
+    if k in ("cw_margin", "cw_margin_random_label"):
+        if d == IN_MINIMIZE:
+            return -cw_margin(logits, y)
+        if k == "cw_margin_random_label":
+            return -cw_margin(logits, _alt_label(y, kind))
+        return cw_margin(logits, y)
+    if k == "scaled_log_score":
+        phi = scale_confidence(softmax(logits)[y])
+        return phi if d == IN_MINIMIZE else -phi
+    # raw_logit
+    return float(logits[y]) if d == IN_MINIMIZE else -float(logits[y])
 
 
 def batch_cross_entropy(arch, params, X, y):

@@ -72,6 +72,22 @@ class TestTrainShadows:
         assert main(["train-shadows", "--config", str(manifest), "--out", str(out2)]) == 0
         assert sha(out2 / "farm.bin") == sha(out / "farm.bin")
 
+    def test_dp_store_is_byte_identical_across_jobs(self, tmp_path):
+        # 60 training points in batches of 16: the last batch of each epoch is 12
+        cfg = base_config(train={"epochs": 3, "batch_size": 16, "lr": 0.05, "optimizer": "adam",
+                                 "dp": {"clip_norm": 1.0, "noise_multiplier": 0.5}})
+        cfg_path = tmp_path / "dp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        digests = set()
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["train-shadows", "--config", str(cfg_path), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            manifest = json.loads((out / "train_manifest.json").read_text())
+            assert manifest["outputs"]["farm.bin"] == sha(out / "farm.bin")
+            digests.add(sha(out / "farm.bin"))
+        assert len(digests) == 1
+
     def test_missing_dataset_path_fails_before_training(self, tmp_path, capsys):
         cfg = base_config(dataset={"kind": "csv", "path": str(tmp_path / "nope.csv")})
         cfg_path = tmp_path / "c.json"
@@ -186,6 +202,7 @@ class TestAttack:
             assert abs(members - (len(table.rows) - members)) <= 1
         manifest = json.loads((att / "attack_manifest.json").read_text())
         assert {r["seed"] for r in manifest["runs"]} == {0, 1}
+        assert manifest["farm"]["sha256"] == sha(out / "farm.bin")
         for run in manifest["runs"]:
             assert run["target_param_reads"] == 0
 
@@ -515,6 +532,19 @@ class TestEvalCompare:
         assert main(["compare", *map(str, paths), "--out", str(tmp_path / "c")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error:{error}: ") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_compare_refuses_non_finite_values(self, tmp_path, capsys, value):
+        # a NaN or infinite report value used to pass through to compare.csv with exit 0
+        from mialab.metrics import write_report_csv
+
+        lira, canary = tmp_path / "lira.csv", tmp_path / "canary.csv"
+        write_report_csv(lira, {0: {"auc": 0.7}, 1: {"auc": 0.7}})
+        canary.write_text(f"metric,seed,value\nauc,0,0.6\nauc,1,{value}\n")
+        assert main(["compare", str(lira), str(canary), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error:FormatError: {canary}: line 3: value {value!r} is not a finite number\n"
         assert not (tmp_path / "c").exists()
 
     def test_compare_arity_checked(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Shadow farm: build determinism, partition, oracle, binary round trips."""
 
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import mialab
 import mialab.training as training
 
 from mialab.data import synthetic_mixture
-from mialab.errors import FormatError, MialabError, UnsupportedVersionError
+from mialab.errors import FormatError, MialabError, ShapeError, UnsupportedVersionError
 from mialab.farm import (
     CHECKSUM_BYTES,
     ShadowFarm,
@@ -81,7 +82,7 @@ class TestBuild:
         assert [len(g) for g in training.plan_groups(7, arch, jobs=2)] == [3, 3, 1]
         assert farms_equal(serial, build_farm(ds, 7, arch, cfg, master_seed=78, jobs=2))
         for rec, mask in zip(serial.records, serial.splits):
-            assert np.array_equal(rec._params.to_vector(),
+            assert np.array_equal(rec._theta,
                                   reference_train(ds, mask, arch, cfg, rec.seed))
 
     def test_parallel_dp_build_matches_serial_and_reference(self, toy):
@@ -91,7 +92,7 @@ class TestBuild:
         assert [len(g) for g in training.plan_groups(5, arch, jobs=2)] == [3, 2]
         assert farms_equal(serial, build_farm(ds, 5, arch, dp_cfg, master_seed=79, jobs=2))
         for rec, mask in zip(serial.records, serial.splits):
-            assert np.array_equal(rec._params.to_vector(),
+            assert np.array_equal(rec._theta,
                                   reference_train(ds, mask, arch, dp_cfg, rec.seed))
 
     def test_store_bytes_identical_across_blas_threads(self, tmp_path):
@@ -240,6 +241,19 @@ class TestStore:
         loaded = load_farm(path)
         assert farms_equal(farm, loaded)
 
+    def test_loaded_records_are_frozen_rows_equal_to_the_built_ones(self, toy, tmp_path):
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        data = save_farm(farm, path)
+        assert data == path.read_bytes()
+        for loaded in (load_farm(path), load_farm(path, data)):
+            assert loaded.records == farm.records
+            assert [r.seed for r in loaded.records] == [r.seed for r in farm.records]
+            for rec in loaded.records:
+                assert not rec._theta.flags.writeable
+                assert not any(a.flags.writeable for a in rec._params.weights + rec._params.biases)
+                assert rec.access_count == 0
+
     def test_truncated_file(self, toy, tmp_path):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"
@@ -346,3 +360,33 @@ class TestRecord:
         _, _, _, farm = toy
         assert farm.records[0] == farm.records[0]
         assert farm.records[0] != farm.records[1]
+
+    def test_row_is_the_parameters(self, toy):
+        _, arch, _, farm = toy
+        rec = farm.records[0]
+        assert rec._theta.shape == (arch.param_count(),) and not rec._theta.flags.writeable
+        assert np.array_equal(rec._params.to_vector(), rec._theta)
+        assert all(np.shares_memory(a, rec._theta) for a in rec._params.weights + rec._params.biases)
+
+    @pytest.mark.parametrize("theta", [
+        pytest.param(lambda p: np.zeros(p - 1), id="short"),
+        pytest.param(lambda p: np.zeros((1, p)), id="stacked"),
+        pytest.param(lambda p: np.zeros(p, dtype=np.float32), id="float32"),
+        pytest.param(lambda p: np.zeros(p, dtype=np.int64), id="int64"),
+        pytest.param(lambda p: [0.0] * p, id="list"),
+    ])
+    def test_refuses_anything_but_a_float64_row(self, toy, theta):
+        _, arch, _, _ = toy
+        with pytest.raises(ShapeError, match="float64 parameter row"):
+            training.ModelRecord(arch, 0, theta(arch.param_count()))
+
+    def test_pickled_record_is_frozen_and_equal(self, toy):
+        _, _, _, farm = toy
+        rec = farm.records[2]
+        rec.params
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec and copy.access_count == 0
+        assert not copy._theta.flags.writeable
+        assert not any(a.flags.writeable for a in copy._params.weights + copy._params.biases)
+        with pytest.raises(ValueError):
+            copy._params.biases[0][0] = 1.0

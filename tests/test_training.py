@@ -88,7 +88,7 @@ class TestTrainModel:
         cfg = TrainConfig(epochs=5, batch_size=16, lr=0.02)
         a = train_model(ds, mask, arch, cfg, 10)
         b = train_model(ds, mask, arch, cfg, 10)
-        assert a._params == b._params
+        assert a == b
 
     def test_sgd_optimizer_runs(self):
         ds = synthetic_mixture(30, 4, 2, seed=11, noise=0.2)
@@ -212,7 +212,7 @@ class TestDpTraining:
         checks_before = clip_checks.count
         b = train_model(ds, mask, arch, cfg, 25)
         assert clip_checks.count == checks_before
-        assert a._params == b._params
+        assert a == b
 
     def test_dp_sigma_zero_equals_clipped_training(self):
         ds = synthetic_mixture(40, 4, 3, seed=26, noise=0.2)
@@ -224,7 +224,7 @@ class TestDpTraining:
         a = train_model(ds, mask, arch, huge_clip, 28)
         b = train_model(ds, mask, arch, plain, 28)
         # full-batch, no clipping bite, no noise: same trajectory
-        np.testing.assert_allclose(a._params.to_vector(), b._params.to_vector(), atol=1e-10)
+        np.testing.assert_allclose(a._theta, b._theta, atol=1e-10)
 
     def test_dp_training_runs_and_differs(self):
         ds = synthetic_mixture(40, 4, 3, seed=29, noise=0.2)
@@ -234,7 +234,7 @@ class TestDpTraining:
         plain = TrainConfig(epochs=3, batch_size=8)
         a = train_model(ds, mask, arch, dp, 31)
         b = train_model(ds, mask, arch, plain, 31)
-        assert a._params != b._params
+        assert a != b
 
     def test_invalid_dp_config(self):
         with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ class TestLockStepTraining:
         assert len(records) == N_GROUP_MODELS
         for rec, mask, seed in zip(records, masks, GROUP_SEEDS):
             assert rec.seed == seed
-            assert np.array_equal(rec._params.to_vector(),
+            assert np.array_equal(rec._theta,
                                   reference_train(GROUP_DS, mask, arch, config, seed))
 
     def test_parallel_groups_cover_every_worker(self):
