@@ -34,7 +34,11 @@ from .nn import (
     objective_grad_logits,
     scale_confidence,
 )
-from .rng import TAG_ALT_LABEL, substream
+from .rng import (  # noqa: F401  substream stays bound here for perfbench's tracer
+    TAG_ALT_LABEL,
+    substream,
+    substreams,
+)
 
 # Gaussian fits floor the standard deviation here, which keeps scores finite.
 SIGMA_FLOOR = 1e-4
@@ -140,12 +144,17 @@ def lira_offline_score(conf_t: float, out_stats: GaussianStats, density: bool = 
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def ensemble_scores(scores) -> float:
-    """Arithmetic mean of per-query scores; permutation invariant."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
+def ensemble_scores(scores) -> np.ndarray:
+    """Arithmetic mean of per-query scores over the last axis: one float for
+    Q scores, one per target for a (targets, Q) block; permutation invariant.
+
+    Reduces over the contiguous last axis, so each target's mean is bitwise
+    that of its scores alone (see fit_gaussians).
+    """
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    if scores.shape[-1] == 0:
         raise ValueError("need at least one query score")
-    return float(np.mean(scores))
+    return np.mean(scores, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -221,11 +230,13 @@ def _optimize_rows(
     records[m] is an IN model for the row's target. Each row draws from its
     own rng in a fixed order (the init noise, then per step the OUT and, when
     online, the IN permutation; offline, one permuted call draws the same),
-    so its canary does not depend on the other rows of the block. Per step
-    and side, each picked model runs one stacked forward and one backward
-    over its rows around one objective pass over all picks; Adam and the
-    projection run once on the block. A model's params are read when it is
-    first picked, so offline never reads a model IN for all rows.
+    so its canary does not depend on the other rows of the block. Online
+    permutations are shuffles of a refilled arange buffer, which draw exactly
+    what rng.permutation draws. Per step and side, each picked model runs one
+    stacked forward and one backward over its rows around one objective pass
+    over all picks; Adam and the projection run once on the block. A model's
+    params are read when it is first picked, so offline never reads a model
+    IN for all rows.
 
     Returns the canaries and the number of evaluated (row, model) pairs whose
     model is IN for the row, counted from the ids actually evaluated.
@@ -236,17 +247,28 @@ def _optimize_rows(
     noisy = config.init == "target_plus_noise" and config.noise_scale > 0
     out_picks = np.empty((steps, n, b), dtype=np.intp)
     in_picks = np.empty((steps, n, b), dtype=np.intp)
+    orders, buffers = {}, {}  # per model count: offline tiled order; online arange and buffer
     for r, rng in enumerate(rngs):
         if noisy:
             delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
         out_ids, in_ids = np.flatnonzero(~member[r]), np.flatnonzero(member[r])
         if not online:
-            order = np.tile(np.arange(out_ids.size), (steps, 1))
-            out_picks[:, r] = out_ids[rng.permuted(order, axis=1)[:, :b]]
+            if out_ids.size not in orders:
+                orders[out_ids.size] = np.tile(np.arange(out_ids.size), (steps, 1))
+            out_picks[:, r] = out_ids[rng.permuted(orders[out_ids.size], axis=1)[:, :b]]
             continue
-        for s in range(steps):
-            out_picks[s, r] = out_ids[rng.permutation(out_ids.size)[:b]]
-            in_picks[s, r] = in_ids[rng.permutation(in_ids.size)[:b]]
+        for size in (out_ids.size, in_ids.size):
+            if size not in buffers:
+                buffers[size] = np.arange(size), np.empty(size, dtype=np.intp)
+        (out_range, out_buf), (in_range, in_buf) = buffers[out_ids.size], buffers[in_ids.size]
+        for s in range(steps):  # positions first, mapped to model ids once per row
+            out_buf[:] = out_range
+            rng.shuffle(out_buf)
+            out_picks[s, r] = out_buf[:b]
+            in_buf[:] = in_range
+            rng.shuffle(in_buf)
+            in_picks[s, r] = in_buf[:b]
+        out_picks[:, r], in_picks[:, r] = out_ids[out_picks[:, r]], in_ids[in_picks[:, r]]
 
     labels, alt_labels = y.repeat(b), None if alt is None else alt.repeat(b)
     params, in_evaluations = {}, 0
@@ -318,12 +340,18 @@ def optimize_canary(
     return x[0]
 
 
-def random_noise_query(x_star: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform perturbation in the epsilon ball, clamped to the domain."""
+def random_noise_query(x_star: np.ndarray, epsilon: float, rngs) -> np.ndarray:
+    """Uniform perturbations in the epsilon ball, clamped to the domain: row r
+    of the (n, d) x_star moved by noise drawn from rngs[r]."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     x_star = np.asarray(x_star, dtype=np.float64)
-    noise = rng.uniform(-epsilon, epsilon, size=x_star.shape) if epsilon > 0 else 0.0
+    if x_star.ndim != 2 or len(rngs) != len(x_star):
+        raise ValueError(f"expected an (n, d) block with one rng per row, got {x_star.shape}")
+    noise = 0.0
+    if epsilon > 0 and len(x_star):
+        noise = np.stack([rng.uniform(-epsilon, epsilon, size=x_star.shape[1])
+                          for rng in rngs])
     return np.clip(x_star + noise, DOMAIN_LOW, DOMAIN_HIGH)
 
 
@@ -384,9 +412,11 @@ class ScoreTable:
         return ScoreTable(list(rows.values()))
 
 
-def _draw_alt_label(seed: int, target_index: int, y: int, num_classes: int) -> int:
-    draw = int(substream(seed, TAG_ALT_LABEL, target_index).integers(num_classes - 1))
-    return draw + (draw >= y)
+def _draw_alt_labels(seed: int, index: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
+    """One random label other than y[i] per target index[i], from its own stream."""
+    rngs = substreams([(seed, TAG_ALT_LABEL, t) for t in index.tolist()])
+    draws = np.array([rng.integers(num_classes - 1) for rng in rngs], dtype=np.int64)
+    return draws + (draws >= y)
 
 
 def _score_block(
@@ -500,15 +530,13 @@ def run_attack(
         # one row per (target, query), target-major; LiRA rows draw no stream
         x_rows = x_star.repeat(n_queries, axis=0)
         if method != "lira":
-            rngs = [substream(seed, t, q) for t in idx for q in range(n_queries)]
+            rngs = substreams([(seed, t, q) for t in idx.tolist() for q in range(n_queries)])
         if method == "random_noise":
-            x_rows = np.stack([random_noise_query(x, config.epsilon, rng)
-                               for x, rng in zip(x_rows, rngs)])
+            x_rows = random_noise_query(x_rows, config.epsilon, rngs)
         elif method == "canary":
             alt = None
             if config.objective.endswith("random_label"):
-                alt = np.array([_draw_alt_label(seed, t, lbl, num_classes)
-                                for t, lbl in zip(idx, y)]).repeat(n_queries)
+                alt = _draw_alt_labels(seed, idx, y, num_classes).repeat(n_queries)
             x_rows, hits = _optimize_rows(
                 x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
                 farm.records, config, online, rngs, alt)
@@ -520,6 +548,7 @@ def run_attack(
             raise IsolationError(
                 f"offline attack evaluated IN shadow models ({in_evaluations} (row, model) pairs)"
             )
-        for (t, is_member), row in zip(targets[start:start + block], scores):
-            rows.append(ScoreRow(t, is_member, row, ensemble_scores(row)))
+        aggregated = ensemble_scores(scores).tolist()
+        for (t, is_member), row, agg in zip(targets[start:start + block], scores, aggregated):
+            rows.append(ScoreRow(t, is_member, row, agg))
     return ScoreTable(rows, in_model_accesses=None if online else in_evaluations)

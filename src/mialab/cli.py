@@ -55,7 +55,7 @@ def cmd_train_shadows(args) -> None:
     farm = build_farm(dataset, cfg.n_models, arch, cfg.train, cfg.master_seed, jobs=args.jobs)
     wall = time.perf_counter() - start
     farm_path = out / "farm.bin"
-    farm_sha256 = hashlib.sha256(save_farm(farm, farm_path)).hexdigest()
+    farm_sha256 = save_farm(farm, farm_path)
     models = []
     for i, rec in enumerate(farm.records):
         models.append(

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .rng import substream
 
 DOMAIN_LOW = 0.0
 DOMAIN_HIGH = 1.0
@@ -234,7 +235,7 @@ def synthetic_mixture(
     counts are balanced to within one point.
     """
     check_mixture_sizes(n_points, input_dim, num_classes)
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     means = rng.uniform(mean_low, mean_high, size=(num_classes, input_dim))
     labels = rng.permutation(np.arange(n_points) % num_classes)
     features = means[labels] + rng.normal(0.0, noise, size=(n_points, input_dim))

@@ -17,6 +17,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .errors import FormatError, ShapeError, UnsupportedVersionError
 from .nn import ArchDescriptor, forward_batch, softmax
-from .rng import TAG_MODEL, TAG_SPLITS, derive_seed
+from .rng import TAG_MODEL, TAG_SPLITS, derive_seeds
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
     TrainConfig,
@@ -139,8 +140,9 @@ def build_farm(
         raise ValueError("a farm needs at least 2 models")
     if arch.input_dim != dataset.input_dim or arch.num_classes < dataset.num_classes:
         raise ValueError("architecture does not fit the dataset")
-    splits = make_even_splits(dataset.n, n_models, derive_seed(master_seed, TAG_SPLITS))
-    seeds = [derive_seed(master_seed, TAG_MODEL, i) for i in range(n_models)]
+    split_seed, *seeds = derive_seeds([(master_seed, TAG_SPLITS)]
+                                      + [(master_seed, TAG_MODEL, i) for i in range(n_models)])
+    splits = make_even_splits(dataset.n, n_models, split_seed)
     records = train_models(dataset, splits, arch, train_config, seeds, jobs=jobs)
     return ShadowFarm(dataset.fingerprint(), arch, splits, records, int(master_seed))
 
@@ -177,42 +179,44 @@ def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowF
     return oracle, remaining
 
 
-def save_farm(farm: ShadowFarm, path) -> bytes:
-    """Write the farm store to path; returns the bytes written."""
+def save_farm(farm: ShadowFarm, path) -> str:
+    """Write the farm store to path; returns the sha256 hex digest of its bytes.
+
+    Each part goes to the temporary file as it is hashed, the parameter
+    block one record row at a time, so no second copy of it is made.
+    """
     arch = farm.arch
     if not 0 <= farm.master_seed < 2**64:
         raise ValueError("master_seed must fit in an unsigned 64-bit field")
-    parts = [MAGIC]
-    parts.append(struct.pack("<I", VERSION))
-    parts.append(struct.pack("<QQ", farm.fingerprint, farm.master_seed))
-    parts.append(
-        struct.pack(
-            "<IIIIB",
-            farm.n_models,
-            farm.n_points,
-            arch.input_dim,
-            arch.num_classes,
-            _ACT_CODES[arch.activation],
-        )
-    )
-    parts.append(struct.pack("<I", len(arch.hidden_dims)))
-    parts.append(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
-    parts.append(struct.pack(f"<{farm.n_models}Q", *(r.seed for r in farm.records)))
-    parts.append(np.packbits(farm.splits.ravel()).tobytes())
-    parts.append(np.stack([rec._theta for rec in farm.records]).astype("<f8", copy=False))
+    header = [
+        MAGIC,
+        struct.pack("<I", VERSION),
+        struct.pack("<QQ", farm.fingerprint, farm.master_seed),
+        struct.pack("<IIIIB", farm.n_models, farm.n_points, arch.input_dim, arch.num_classes,
+                    _ACT_CODES[arch.activation]),
+        struct.pack("<I", len(arch.hidden_dims)),
+        struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims),
+        struct.pack(f"<{farm.n_models}Q", *(r.seed for r in farm.records)),
+        np.packbits(farm.splits.ravel()).tobytes(),
+    ]
+    rows = (rec._theta.astype("<f8", copy=False) for rec in farm.records)
     checksum = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
-    for part in parts:
-        checksum.update(part)
-    parts.append(checksum.digest())
-    data = b"".join(parts)
+    digest = hashlib.sha256()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for part in chain(header, rows):
+                fh.write(part)
+                checksum.update(part)
+                digest.update(part)
+            tail = checksum.digest()
+            fh.write(tail)
+            digest.update(tail)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return data
+    return digest.hexdigest()
 
 
 class _Reader:

@@ -31,7 +31,7 @@ from .nn import (
     per_example_grad_vectors,  # noqa: F401  stays bound here for perfbench's tracer
     write_batch_gradient,
 )
-from .rng import substream
+from .rng import generators, stream_states, substream, substreams
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -121,7 +121,7 @@ def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
         raise ValueError("need at least 2 points to split")
     if n_models < 1:
         raise ValueError("need at least one model")
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     half = n_points // 2
     splits = np.zeros((n_models, n_points), dtype=bool)
     for row in range(n_models):
@@ -199,22 +199,29 @@ def _train_group(
     Each step gathers every model's own batch as (G, B, input_dim), writes
     all gradients into one (G, P) buffer and takes one in-place optimizer
     step on the (G, P) parameters. Each model draws its init, batch order
-    and DP noise from its own seed's substreams.
+    and DP noise from its own seed's substreams; the streams of every epoch
+    are derived up front in one batch, and each epoch's generators are built
+    when it starts.
     """
     masks, seeds = masks[group.start:group.stop], seeds[group.start:group.stop]
     X, y = dataset.take(np.stack([np.flatnonzero(mask) for mask in masks]))
     n = X.shape[1]
     if n == 0:
         raise ValueError("empty training set")
-    theta = np.stack([init_params(arch, substream(seed, 0)).to_vector() for seed in seeds])
+    theta = np.stack([init_params(arch, rng).to_vector()
+                      for rng in substreams([(seed, 0) for seed in seeds])])
     grad = np.empty_like(theta)
     params, grads = layer_views(arch, theta), layer_views(arch, grad)
     adam = init_adam(theta.shape) if config.optimizer == "adam" else None
     dp = config.dp
     rows = np.arange(len(seeds))[:, None]
+    tags = (1,) if dp is None else (1, 2)  # batch order, DP noise
+    states = stream_states([(seed, tag, epoch) for epoch in range(config.epochs)
+                            for tag in tags for seed in seeds])
+    states = states.reshape(config.epochs, len(tags), len(seeds), -1)
     for epoch in range(config.epochs):
-        order = np.stack([substream(seed, 1, epoch).permutation(n) for seed in seeds])
-        noise_rngs = [substream(seed, 2, epoch) for seed in seeds] if dp is not None else None
+        order = np.stack([rng.permutation(n) for rng in generators(states[epoch, 0])])
+        noise_rngs = generators(states[epoch, 1]) if dp is not None else None
         for start in range(0, n, config.batch_size):
             batch = order[:, start:start + config.batch_size]
             Xb, yb = X[rows, batch], y[rows, batch]

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: finite
 differences of scalar objective values for gradients, explicit pairwise
 counting for AUC, a
 hand-rolled recurrence for Adam, and the one-target attack and one-model
-training loops the batched library code must reproduce bit for bit.
+training loops the batched library code must reproduce bit for bit, with
+streams built by numpy's SeedSequence directly.
 """
 
 import math
@@ -103,6 +104,11 @@ def fd_param_gradient_coords(arch, params, X, y, coords, h=1e-4):
             - batch_cross_entropy(arch, Params.from_vector(arch, vm), X, y)
         ) / (2.0 * h)
     return out
+
+
+def _ref_stream(*keys):
+    """numpy's own stream of a key tuple, built without mialab.rng."""
+    return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
 def pairwise_auc(scores, labels):
@@ -269,7 +275,7 @@ def _ref_log_pdf(x, mu, sigma):
 
 def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, seed):
     """Per-target scores as (target, is_member, query scores, aggregate) tuples."""
-    from mialab.rng import TAG_ALT_LABEL, substream
+    from mialab.rng import TAG_ALT_LABEL
 
     offline = mode == "offline"
     out = []
@@ -280,14 +286,14 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
         s_out = [r for r, flag in zip(farm.records, column) if not flag]
         alt = None
         if cfg.objective.endswith("random_label"):
-            draw = int(substream(seed, TAG_ALT_LABEL, t).integers(farm.arch.num_classes - 1))
+            draw = int(_ref_stream(seed, TAG_ALT_LABEL, t).integers(farm.arch.num_classes - 1))
             alt = draw + (draw >= y)
         queries = []
         for q in range(cfg.num_queries):
             if method == "lira":
                 queries.append(x_star)
                 continue
-            rng = substream(seed, t, q)
+            rng = _ref_stream(seed, t, q)
             if method == "random_noise":
                 noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x_star.shape) if cfg.epsilon > 0 else 0.0
                 queries.append(np.clip(x_star + noise, 0.0, 1.0))
@@ -422,12 +428,10 @@ def ghost_dp_gradient(weights, biases, activation, X, y, clip, noise_multiplier,
 
 def reference_train(dataset, mask, arch, config, seed):
     """Flat parameter vector of one model trained alone on its masked-in points."""
-    from mialab.rng import substream
-
     shapes = arch.layer_shapes()
     idx = np.flatnonzero(mask)
     X, y, n = dataset.features[idx], dataset.labels[idx], idx.size
-    init = substream(seed, 0)
+    init = _ref_stream(seed, 0)
     gain = 2.0 if arch.activation == "relu" else 1.0
     theta = np.concatenate([
         part for out_d, in_d in shapes
@@ -438,8 +442,8 @@ def reference_train(dataset, mask, arch, config, seed):
     v = np.zeros_like(theta)
     t = 0
     for epoch in range(config.epochs):
-        order = substream(seed, 1, epoch).permutation(n)
-        noise = substream(seed, 2, epoch) if config.dp is not None else None
+        order = _ref_stream(seed, 1, epoch).permutation(n)
+        noise = _ref_stream(seed, 2, epoch) if config.dp is not None else None
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             weights, biases = _ref_unpack(shapes, theta)

@@ -24,7 +24,7 @@ from mialab.data import synthetic_mixture
 from mialab.errors import ConfigError, FingerprintMismatchError
 from mialab.farm import build_farm, hold_out_target, in_out_partition
 from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
-from mialab.rng import substream
+from mialab.rng import substream, substreams
 from mialab.training import TrainConfig
 
 from oracles import reference_attack
@@ -240,24 +240,35 @@ class TestCanaryOptimizer:
 
 class TestRandomNoise:
     def test_epsilon_zero_identity(self):
-        x = np.array([0.1, 0.9, 0.5])
-        out = random_noise_query(x, 0.0, substream(17, 0))
+        x = np.array([[0.1, 0.9, 0.5]])
+        out = random_noise_query(x, 0.0, [substream(17, 0)])
         assert np.array_equal(out, x)
 
     def test_ball_and_domain(self):
         rng = np.random.default_rng(18)
         for _ in range(50):
-            x = rng.uniform(0, 1, 6)
+            x = rng.uniform(0, 1, (3, 6))
             eps = rng.uniform(0, 0.5)
-            out = random_noise_query(x, eps, substream(19, int(eps * 1e6)))
+            out = random_noise_query(x, eps, substreams([(19, int(eps * 1e6), r) for r in range(3)]))
             assert np.max(np.abs(out - x)) <= eps
             assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_deterministic(self):
-        x = np.array([0.4, 0.6])
-        a = random_noise_query(x, 0.3, substream(20, 1))
-        b = random_noise_query(x, 0.3, substream(20, 1))
+        x = np.array([[0.4, 0.6]])
+        a = random_noise_query(x, 0.3, [substream(20, 1)])
+        b = random_noise_query(x, 0.3, [substream(20, 1)])
         assert np.array_equal(a, b)
+
+    def test_block_rows_are_the_rows_alone(self):
+        x = np.random.default_rng(21).uniform(0, 1, (5, 4))
+        keys = [(22, r) for r in range(5)]
+        block = random_noise_query(x, 0.2, substreams(keys))
+        for r, key in enumerate(keys):
+            assert np.array_equal(block[r], random_noise_query(x[r:r + 1], 0.2, [substream(*key)])[0])
+
+    def test_one_rng_per_row(self):
+        with pytest.raises(ValueError, match="one rng per row"):
+            random_noise_query(np.zeros((2, 3)), 0.1, [substream(23)])
 
 
 def _targets_for(farm, model_index, n_each, rng):
@@ -407,6 +418,18 @@ class TestEngineMatchesReference:
         got, ref, oracle, targets = _engine_and_reference(ds, farm, 2, method, mode, cfg, seed=51)
         assert got == ref
         assert oracle.query_count == len(targets) * 3
+
+    @pytest.mark.parametrize("method,mode", [("lira", "online"), ("lira", "offline"),
+                                             ("random_noise", "online"),
+                                             ("random_noise", "offline")])
+    def test_ten_queries(self, toy_farm, method, mode):
+        # ten scores per target: the block ensemble's mean passes numpy's
+        # eight-element pairwise-summation unroll
+        ds, farm = toy_farm
+        cfg = CanaryConfig(epsilon=0.15, num_queries=10)
+        got, ref, oracle, targets = _engine_and_reference(ds, farm, 4, method, mode, cfg, seed=57)
+        assert got == ref
+        assert oracle.query_count == len(targets) * 10
 
     @pytest.mark.parametrize("objective", OBJECTIVE_KINDS)
     def test_every_objective(self, toy_farm, deep_tanh_farm, objective):

@@ -9,7 +9,10 @@ either raises ConfigError or loads to a config whose manifest reloads
 equal; only the loader runs, so no mutated size starts any work.
 One row of ``numpy``'s ``Generator.permuted`` over a tiled ``arange``
 draws what a loop of ``permutation`` calls draws, which offline canary
-picks rely on (a numpy change that breaks it would change scores).
+picks rely on, and a shuffle of a refilled buffer draws what
+``permutation`` draws, which online picks rely on (a numpy change that
+breaks either would change scores). A batch of streams derived together
+is numpy's own ``SeedSequence`` stream of each key tuple, state for state.
 Example counts are bounded and derandomized so the suite stays fast and
 repeatable.
 """
@@ -31,7 +34,7 @@ from mialab.cli import main
 from mialab.config import ExperimentConfig, load_config, write_manifest
 from mialab.errors import ConfigError, FormatError, MialabError
 from mialab.farm import farms_equal, load_farm
-from mialab.rng import substream
+from mialab.rng import substream, substreams
 
 ERROR_LINE = re.compile(r"error:[A-Za-z]+: [^\n]*\n")
 
@@ -221,3 +224,46 @@ def test_permuted_rows_draw_like_sequential_permutations(seed, k, steps, noise_d
     expected = np.array([loop.permutation(k) for _ in range(steps)], dtype=picks.dtype)
     assert np.array_equal(picks, expected.reshape(steps, k))
     assert one.bit_generator.state == loop.bit_generator.state
+
+
+@bounded(300)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 34), min_size=1, max_size=6),
+       steps=st.integers(1, 12))
+def test_shuffled_buffer_draws_like_permutation(seed, sizes, steps):
+    one, loop = substream(seed, 3), substream(seed, 3)
+    buffers = {k: (np.arange(k), np.empty(k, dtype=np.intp)) for k in sizes}
+    for _ in range(steps):
+        for k in sizes:  # one buffer per size, refilled before every shuffle
+            arange, buf = buffers[k]
+            buf[:] = arange
+            one.shuffle(buf)
+            assert np.array_equal(buf, loop.permutation(k))
+    assert one.bit_generator.state == loop.bit_generator.state
+
+
+KEY = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**200),
+)
+
+
+@bounded(300)
+@given(keys=st.lists(st.lists(KEY, max_size=8).map(tuple), min_size=1, max_size=12))
+def test_batched_streams_are_numpys_streams(keys):
+    """Key tuples of mixed lengths and word counts in one batch."""
+    for key, rng in zip(keys, substreams(keys), strict=True):
+        expected = np.random.default_rng(np.random.SeedSequence(list(key)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.integers(2**63) == expected.integers(2**63)
+
+
+@bounded(100)
+@given(keys=st.lists(st.integers(0, 2**70), max_size=4), negative=st.integers(-2**70, -1),
+       at=st.integers(0, 4))
+def test_negative_key_is_refused(keys, negative, at):
+    keys = keys[:at] + [negative] + keys[at:]
+    for derive in (lambda: substream(*keys), lambda: substreams([(1, 2), tuple(keys)])):
+        with pytest.raises(ValueError, match=f"stream keys must be non-negative, got {negative}"):
+            derive()
