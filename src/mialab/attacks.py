@@ -42,9 +42,10 @@ from .rng import (  # noqa: F401  substream stays bound here for perfbench's tra
 
 # Gaussian fits floor the standard deviation here, which keeps scores finite.
 SIGMA_FLOOR = 1e-4
-# run_attack processes targets in blocks of at most this many
-# (target, query) rows x widest layer elements, which bounds the activations
-# one stacked shadow-model pass holds. Scores do not depend on it.
+# run_attack processes targets in blocks of at most this many (target, query)
+# rows x widest layer elements, which bounds the activations one pass over a
+# block holds; LiRA keeps these blocks, as wider ones cost peak memory.
+# Scores do not depend on it.
 BLOCK_ELEMENTS = 1 << 16
 
 METHODS = ("lira", "canary", "random_noise")
@@ -90,20 +91,21 @@ def fit_gaussians(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.mean(rows, axis=-1), np.maximum(np.std(rows, axis=-1), SIGMA_FLOOR)
 
 
-def _grouped_fits(phi: np.ndarray, side: np.ndarray) -> list:
-    """fits[t][q] = [mu, sigma] of phi[side[t], t, q], phi being (models, k, Q).
+def _grouped_fits(phi: np.ndarray, side: np.ndarray, n_queries: int) -> list:
+    """fits[t][q] = [mu, sigma] of phi[side[t], t, q], phi being (models, k, S)
+    with S = n_queries, or S = 1 for one fit that serves all n_queries.
 
     Targets with the same model count share one fit_gaussians call over their
-    contiguous (targets * Q, count) rows, each row bitwise the target's own.
+    contiguous (targets * S, count) rows, each row bitwise the target's own.
     """
     counts = side.sum(axis=1)
     fits = np.empty((*phi.shape[1:], 2))
     for c in np.flatnonzero(np.bincount(counts)):  # np.unique would add 0.6 MB peak RSS
         t = np.flatnonzero(counts == c)
         models = np.nonzero(side[t])[1].reshape(t.size, c)  # ascending per target
-        rows = phi[models, t[:, None]].transpose(0, 2, 1)  # (targets, Q, count)
+        rows = phi[models, t[:, None]].transpose(0, 2, 1)  # (targets, S, count)
         fits[t, :, 0], fits[t, :, 1] = fit_gaussians(rows)
-    return fits.tolist()
+    return np.broadcast_to(fits, (len(fits), n_queries, 2)).tolist()
 
 
 def _log_pdf(x: float, stats: GaussianStats) -> float:
@@ -421,6 +423,7 @@ def _draw_alt_labels(seed: int, index: np.ndarray, y: np.ndarray, num_classes: i
 
 def _score_block(
     queries: np.ndarray,
+    shadow_queries: np.ndarray,
     y: np.ndarray,
     member: np.ndarray,
     records,
@@ -430,24 +433,25 @@ def _score_block(
 ) -> tuple[list[list[float]], int]:
     """Query scores of a block of targets, and the IN evaluations made.
 
-    queries is (targets, Q, d). Each shadow model does one stacked forward
-    over the blocks of the targets it may see: all of them online, only
-    those it is OUT for offline. The Gaussian fits reduce over contiguous
-    (targets * Q, models) rows, grouped by model count; conf_t and the
-    scores stay scalar math.
+    The oracle answers the (targets, Q, d) queries; each shadow model scores
+    the (targets, S, d) shadow_queries (the queries, or the one point a LiRA
+    target's queries repeat) of the targets it may see: all online, those it
+    is OUT for offline. Every row is evaluated alone. Gaussian fits reduce
+    over contiguous (targets * S, models) rows grouped by model count; each
+    (target, query) score uses that query's own oracle answer, in scalar math.
     """
-    k, n_queries = queries.shape[:2]
-    phi = np.full((len(records), k, n_queries), np.nan)
+    (k, n_shadow), n_queries = shadow_queries.shape[:2], queries.shape[1]
+    phi = np.full((len(records), k, n_shadow), np.nan)
     in_evaluations = 0
     for m, rec in enumerate(records):
         sel = np.arange(k) if online else np.flatnonzero(~member[:, m])
         if sel.size:
             in_evaluations += int(member[sel, m].sum())
-            phi[m, sel] = model_confidence_batch(rec, queries[sel], y[sel])
+            phi[m, sel] = model_confidence_batch(rec, shadow_queries[sel], y[sel])
     phi = scale_confidence_batch(phi)
     conf = oracle.confidences(queries, y)
-    out_fits = _grouped_fits(phi, ~member)
-    in_fits = _grouped_fits(phi, member) if online else None
+    out_fits = _grouped_fits(phi, ~member, n_queries)
+    in_fits = _grouped_fits(phi, member, n_queries) if online else None
 
     def score(t: int, q: int) -> float:
         conf_t = scale_confidence(float(conf[t, q]))
@@ -489,12 +493,13 @@ def run_attack(
     membership bits come from the held-out target model's own split mask.
     Every target is checked for enough IN/OUT shadow models before any
     work is done. Targets are then processed in fixed-size blocks: all
-    (target, query) rows of a block are optimised together and each
-    shadow model scores the block in one stacked pass. Every row is
-    computed exactly as it would be alone, so the scores depend neither on
-    the block size nor on which other targets are attacked. Offline mode
-    never evaluates an IN shadow model; the evaluated ids are counted and
-    any IN evaluation raises IsolationError.
+    (target, query) rows of a block are optimised together, and each shadow
+    model scores one row per query (per target for LiRA, whose queries
+    repeat the target point). Every row is computed exactly as it would be
+    alone, so a query's score depends on neither the block size, nor
+    num_queries, nor the other targets, and a LiRA target's scores are
+    equal. Offline mode never evaluates an IN shadow model; the evaluated
+    ids are counted and any IN evaluation raises IsolationError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -542,7 +547,8 @@ def run_attack(
                 farm.records, config, online, rngs, alt)
             in_evaluations += hits
         queries = x_rows.reshape(len(idx), n_queries, -1)
-        scores, hits = _score_block(queries, y, blk_member, farm.records, oracle, config, online)
+        scores, hits = _score_block(queries, x_star[:, None] if method == "lira" else queries,
+                                    y, blk_member, farm.records, oracle, config, online)
         in_evaluations += hits
         if not online and in_evaluations:
             raise IsolationError(

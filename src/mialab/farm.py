@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, ShapeError, UnsupportedVersionError
-from .nn import ArchDescriptor, forward_batch, softmax
+from .nn import ArchDescriptor, Params, forward_batch, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seeds
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
@@ -66,7 +66,7 @@ class TargetOracle:
     """Black-box query access to one hidden model.
 
     Only confidence values are exposed; the wrapped record (and its
-    parameters) is unreachable through this interface. Every queried
+    parameters) is unreachable through this interface. Every answered
     row increments query_count.
     """
 
@@ -82,19 +82,12 @@ class TargetOracle:
         return float(self.confidences(x[None, :], y)[0])
 
     def confidences(self, X: np.ndarray, y) -> np.ndarray:
-        """Confidences of a (B, d) batch with one label, or of (T, Q, d)
-        query blocks with one label per block; one query per row.
-
-        Rows are evaluated one at a time (stacked as (rows, 1, d)), so each
-        confidence is bitwise that of a single-row query.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        arch = self._record.arch
-        if X.ndim not in (2, 3) or X.shape[-1] != arch.input_dim:
-            raise ShapeError(f"expected queries of shape (..., {arch.input_dim}), got {X.shape}")
-        self.query_count += X.size // arch.input_dim
-        logits = forward_batch(arch, self._record._params, X.reshape(-1, 1, arch.input_dim))
-        return _label_confidence(logits.reshape(*X.shape[:-1], arch.num_classes), y)
+        """Confidences of a (B, d) batch with one label, or of (T, Q, d) query
+        blocks with one label per block (see row_confidences). Each answered
+        row counts one query; a refused call counts none."""
+        conf = row_confidences(self._record.arch, self._record._params, X, y)
+        self.query_count += conf.size
+        return conf
 
     @property
     def hidden_param_reads(self) -> int:
@@ -102,25 +95,26 @@ class TargetOracle:
         return self._record.access_count
 
 
-def _label_confidence(logits: np.ndarray, y) -> np.ndarray:
-    """Softmax confidence on the label: (B, K) logits with an int label, or
-    (T, Q, K) logits with one label per block, giving (B,) or (T, Q)."""
-    if logits.ndim not in (2, 3):
-        raise ShapeError(f"expected (B, d) or (T, Q, d) queries, got logits {logits.shape}")
+def row_confidences(arch: ArchDescriptor, params: Params, X: np.ndarray, y) -> np.ndarray:
+    """Softmax confidence on the label of each row: (B,) for a (B, d) batch with
+    one label, (T, Q) for (T, Q, d) query blocks with one label per block.
+    Each row is its own (1, d) matmul slice, so its confidence is bitwise
+    that of the row evaluated alone, whatever the batch."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (2, 3) or X.shape[-1] != arch.input_dim:
+        raise ShapeError(f"expected queries of shape (..., {arch.input_dim}), got {X.shape}")
     y = np.asarray(y, dtype=np.intp)
-    K = logits.shape[-1]
-    if y.shape != logits.shape[:-2] or np.any((y < 0) | (y >= K)):
-        raise IndexError(f"class labels {y} do not fit logits of shape {logits.shape}")
-    p = softmax(logits)
-    if logits.ndim == 2:
-        return p[:, y]
-    return p[np.arange(len(y)), :, y]
+    if y.shape != X.shape[:-2] or np.any((y < 0) | (y >= arch.num_classes)):
+        raise IndexError(f"class labels {y} do not fit queries {X.shape} of {arch.num_classes} classes")
+    labels = np.broadcast_to(y[..., None], X.shape[:-1]).ravel()
+    p = softmax(forward_batch(arch, params, X.reshape(-1, 1, arch.input_dim))[:, 0])
+    return p[np.arange(labels.size), labels].reshape(X.shape[:-1])
 
 
 def model_confidence_batch(record: ModelRecord, X: np.ndarray, y) -> np.ndarray:
-    """Shadow confidences of a (B, d) batch with one label, or of stacked
-    (T, Q, d) query blocks with one label per block; one counted params read."""
-    return _label_confidence(forward_batch(record.arch, record.params, X), y)
+    """Shadow confidences of queries laid out as for row_confidences, each row
+    evaluated alone as the oracle evaluates it; one counted params read."""
+    return row_confidences(record.arch, record.params, X, y)
 
 
 def build_farm(

@@ -303,7 +303,8 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
         clamp = CONF_CLAMP
 
         def phis(models):
-            conf = np.stack([_ref_confidence(r, batch, y) for r in models])
+            conf = np.array([[_ref_confidence(r, batch[q:q + 1].copy(), y)[0]
+                              for q in range(len(batch))] for r in models])
             conf = np.clip(conf, clamp, 1.0 - clamp)
             return np.log(conf / (1.0 - conf))
 

@@ -64,7 +64,7 @@ class TestGaussianFit:
         member[:, 0], member[:, 1] = True, False  # every target has both sides
         assert len(np.unique(member.sum(axis=1))) > 3  # mixed counts on both sides
         for side in (member, ~member):
-            fits = attacks._grouped_fits(phi, side)
+            fits = attacks._grouped_fits(phi, side, n_queries)
             for t in range(k):
                 ref_mu, ref_sigma = fit_gaussians(phi[side[t], t].T)
                 assert fits[t] == [[m, s] for m, s in zip(ref_mu.tolist(), ref_sigma.tolist())]
@@ -464,6 +464,34 @@ class TestBatchComposition:
         part = run_attack(ds, oracle, rest, subset, method, mode, cfg, seed=55)
         assert [r.target_index for r in part.rows] == [t for t, _ in subset]
         assert all(repr(r) == repr(full[r.target_index]) for r in part.rows)
+
+
+@pytest.fixture(scope="module")
+def desk_net_farm():
+    # the desk scale's 20-128-10 ReLU net: a 10-row GEMM slice of it rounds
+    # its last rows apart from a 16-row one, which the 8-12-4 toy net does not
+    ds = synthetic_mixture(200, 20, 10, seed=14, noise=0.25)
+    farm = build_farm(ds, 16, ArchDescriptor(20, (128,), 10),
+                      TrainConfig(epochs=3, batch_size=32), master_seed=15)
+    return ds, farm
+
+
+class TestQueryLayout:
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("method", ["lira", "canary", "random_noise"])
+    def test_scores_do_not_depend_on_num_queries(self, desk_net_farm, method, mode):
+        ds, farm = desk_net_farm
+        targets = _targets_for(farm, 0, 10, np.random.default_rng(62))
+        oracle, rest = hold_out_target(farm, 0)
+        rows = {}
+        for n_queries in (10, 16):
+            cfg = CanaryConfig(epsilon=0.05, steps=2, num_queries=n_queries)
+            rows[n_queries] = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=63).rows
+        for ten, sixteen in zip(rows[10], rows[16]):
+            assert repr(ten.query_scores) == repr(sixteen.query_scores[:10])
+            if method == "lira":  # Q copies of the target point score alike
+                assert len({repr(s) for s in sixteen.query_scores}) == 1
+        assert oracle.query_count == 26 * len(targets)
 
 
 class TestEligibility:

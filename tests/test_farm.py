@@ -195,6 +195,33 @@ class TestOracle:
         with pytest.raises(IndexError):
             model_confidence_batch(rec, X, np.array([1, 0, 3, 2, 1]))
 
+    def test_shadows_and_oracle_score_rows_alone(self):
+        # a 10-row slice of the desk 20-128-10 net rounds its last rows apart
+        # from the rows alone; every row must be evaluated as the oracle does
+        arch = ArchDescriptor(20, (128,), 10)
+        rng = np.random.default_rng(9)
+        theta = rng.normal(0.0, 0.3, arch.param_count())
+        rec = ModelRecord(arch, 0, theta)
+        X = rng.uniform(0, 1, (12, 10, 20))
+        y = rng.integers(10, size=12)
+        shadow = model_confidence_batch(rec, X, y)
+        assert np.array_equal(shadow, TargetOracle(ModelRecord(arch, 0, theta), 1).confidences(X, y))
+        for t in range(12):
+            for q in range(10):
+                assert shadow[t, q] == model_confidence_batch(rec, X[t, q:q + 1], int(y[t]))[0]
+
+    def test_refused_query_is_not_counted(self, toy):
+        ds, _, _, farm = toy
+        oracle, _ = hold_out_target(farm, 0)
+        oracle.confidences(ds.features[:2], 1)
+        for X, y in ((ds.features[:4], 3), (ds.features[:4], -1),
+                     (ds.features[:4].reshape(2, 2, -1), np.array([0, 3]))):
+            with pytest.raises(IndexError):
+                oracle.confidences(X, y)
+        with pytest.raises(ShapeError):
+            oracle.confidences(ds.features[:4, :2], 0)
+        assert oracle.query_count == 2
+
     def test_remaining_farm_excludes_target(self, toy):
         _, _, _, farm = toy
         _, rest = hold_out_target(farm, 3)
