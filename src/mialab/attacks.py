@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DOMAIN_HIGH, DOMAIN_LOW, Dataset
 from .errors import ConfigError, FingerprintMismatchError, FormatError, IsolationError
-from .farm import ShadowFarm, TargetOracle, model_confidence_batch
+from .farm import ShadowFarm, TargetOracle, check_farm_fits, model_confidence_batch
 from .metrics import read_csv_rows
 from .nn import (
     CONF_CLAMP,
@@ -491,8 +491,9 @@ def run_attack(
 
     targets is a sequence of (dataset index, is_member) pairs whose
     membership bits come from the held-out target model's own split mask.
-    Every target is checked for enough IN/OUT shadow models before any
-    work is done. Targets are then processed in fixed-size blocks: all
+    Before any work, the farm must fit the dataset (check_farm_fits), the
+    oracle carry its fingerprint, and every target have enough IN/OUT
+    shadow models. Targets are then processed in fixed-size blocks: all
     (target, query) rows of a block are optimised together, and each shadow
     model scores one row per query (per target for LiRA, whose queries
     repeat the target point). Every row is computed exactly as it would be
@@ -505,11 +506,7 @@ def run_attack(
         raise ValueError(f"unknown method {method!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if dataset.fingerprint() != farm.fingerprint:
-        raise FingerprintMismatchError(
-            f"dataset fingerprint {dataset.fingerprint():#x} does not match "
-            f"farm fingerprint {farm.fingerprint:#x}"
-        )
+    check_farm_fits(farm, dataset)
     if oracle.fingerprint != farm.fingerprint:
         raise FingerprintMismatchError(
             f"oracle fingerprint {oracle.fingerprint:#x} does not match "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import re
 import sys
 import time
@@ -21,8 +20,8 @@ import numpy as np
 
 from .attacks import ScoreTable, run_attack
 from .config import ExperimentConfig, load_config, write_manifest
-from .errors import ConfigError, FingerprintMismatchError, MialabError, OutputExistsError
-from .farm import build_farm, hold_out_target, load_farm, save_farm
+from .errors import ConfigError, MialabError, OutputExistsError
+from .farm import build_farm, check_farm_fits, hold_out_target, load_farm, save_farm
 from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
 from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, derive_seed, substream
 from .training import map_jobs, record_accuracy
@@ -37,8 +36,11 @@ def _sha256(path) -> str:
 
 
 def _ensure_out(out_dir, names, force: bool) -> Path:
+    """Path(out_dir), refusing existing outputs unless force; each command
+    creates the directory just before its first write."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise OutputExistsError(f"{out} exists and is not a directory")
     for name in names:
         target = out / name
         if target.exists() and not force:
@@ -55,6 +57,7 @@ def cmd_train_shadows(args) -> None:
     farm = build_farm(dataset, cfg.n_models, arch, cfg.train, cfg.master_seed, jobs=args.jobs)
     wall = time.perf_counter() - start
     farm_path = out / "farm.bin"
+    out.mkdir(parents=True, exist_ok=True)
     farm_sha256 = save_farm(farm, farm_path)
     models = []
     for i, rec in enumerate(farm.records):
@@ -122,21 +125,18 @@ def _load_farm(path):
 
 
 def cmd_attack(args) -> None:
-    """Materialise the dataset, load the farm and check its fingerprint once,
-    before the output directory is touched; then run every seed on them."""
+    """Materialise the dataset, load the farm and check that it fits the dataset
+    once, before any run; then run every seed on them."""
     start = time.perf_counter()
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
     farm, farm_sha256 = _load_farm(args.farm)
-    if farm.fingerprint != dataset.fingerprint():
-        raise FingerprintMismatchError(
-            f"farm fingerprint {farm.fingerprint:#x} does not match dataset "
-            f"fingerprint {dataset.fingerprint():#x}"
-        )
+    check_farm_fits(farm, dataset)
     score_names = [f"scores_seed{s}.csv" for s in cfg.seeds]
     out = _ensure_out(args.out, score_names + ["attack_manifest.json"], args.force)
     runs = map_jobs(partial(_run_attack_seed, cfg, dataset, farm), cfg.seeds, args.jobs)
     outputs, infos = {}, []
+    out.mkdir(parents=True, exist_ok=True)
     for (table, info), name in zip(runs, score_names):
         table.write_csv(out / name)
         outputs[name] = _sha256(out / name)
@@ -172,11 +172,13 @@ def cmd_eval(args) -> None:
         tables[seed] = (path, ScoreTable.read_csv(path))
     roc_names = [f"roc_seed{s}.csv" for s in tables]
     out = _ensure_out(args.out, ["report.csv", "eval_manifest.json"] + roc_names, args.force)
-    per_seed = {}
+    summaries = {seed: summarize(table.scores(), table.labels(), (FPR_TARGET,))
+                 for seed, (_, table) in sorted(tables.items())}
+    per_seed = {seed: {METRIC_AUC: summary.auc, METRIC_TPR: summary.tpr_at[FPR_TARGET]}
+                for seed, summary in summaries.items()}
     outputs = {}
-    for seed, (path, table) in sorted(tables.items()):
-        summary = summarize(table.scores(), table.labels(), (FPR_TARGET,))
-        per_seed[seed] = {METRIC_AUC: summary.auc, METRIC_TPR: summary.tpr_at[FPR_TARGET]}
+    out.mkdir(parents=True, exist_ok=True)
+    for seed, summary in summaries.items():
         roc_name = f"roc_seed{seed}.csv"
         write_roc_csv(out / roc_name, summary.fpr, summary.tpr)
         outputs[roc_name] = _sha256(out / roc_name)
@@ -220,6 +222,7 @@ def cmd_compare(args) -> None:
     means = {name: {m: float(np.mean([per_seed[s][m] for s in sorted(base_seeds)]))
                     for m in metrics} for name, per_seed in loaded.items()}
     compare_path = out / "compare.csv"
+    out.mkdir(parents=True, exist_ok=True)
     with open(compare_path, "w", newline="") as fh:
         fh.write("metric,lira,canary,noise,canary_minus_lira,noise_minus_lira\n")
         for metric in metrics:

@@ -100,6 +100,8 @@ class DatasetSpec:
             raise ConfigError(f"dataset kind {self.kind!r} requires a path")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"dataset.noise must be finite and non-negative, got {self.noise!r}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset.seed must be non-negative, got {self.seed}")
         if self.kind == "synthetic":
             try:
                 check_mixture_sizes(self.n_points, self.input_dim, self.num_classes)
@@ -154,6 +156,8 @@ class TargetsSpec:
             raise ConfigError(
                 f"targets.count must be at least 2 (one member and one non-member), got {self.count}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"targets.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,8 @@ class ExperimentConfig:
             raise ConfigError("n_models must be at least 2")
         if self.master_seed < 0 or any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        if self.master_seed >= 2**64:
+            raise ConfigError(f"master_seed must be below 2**64 (farm.bin's u64), got {self.master_seed}")
         if not self.seeds:
             raise ConfigError("need at least one run seed")
         if len(set(self.seeds)) != len(self.seeds):

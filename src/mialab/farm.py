@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import FormatError, ShapeError, UnsupportedVersionError
+from .errors import FingerprintMismatchError, FormatError, ShapeError, UnsupportedVersionError
 from .nn import ArchDescriptor, Params, forward_batch, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, derive_seeds
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
@@ -117,6 +117,23 @@ def model_confidence_batch(record: ModelRecord, X: np.ndarray, y) -> np.ndarray:
     return row_confidences(record.arch, record.params, X, y)
 
 
+def _arch_fits(arch: ArchDescriptor, dataset: Dataset) -> bool:
+    """Whether arch takes the dataset's rows and labels."""
+    return arch.input_dim == dataset.input_dim and arch.num_classes >= dataset.num_classes
+
+
+def check_farm_fits(farm: ShadowFarm, dataset: Dataset) -> None:
+    """Refuse a farm not built on dataset: another fingerprint or point count, or an
+    architecture that cannot take its rows and labels (another input width, fewer classes)."""
+    if not (farm.fingerprint == dataset.fingerprint() and farm.n_points == dataset.n
+            and _arch_fits(farm.arch, dataset)):
+        raise FingerprintMismatchError(
+            f"farm fingerprint {farm.fingerprint:#x} ({farm.n_points} points, {farm.arch.input_dim} "
+            f"features, {farm.arch.num_classes} classes) does not fit dataset fingerprint "
+            f"{dataset.fingerprint():#x} ({dataset.n} points, {dataset.input_dim} features, "
+            f"{dataset.num_classes} classes)")
+
+
 def build_farm(
     dataset: Dataset,
     n_models: int,
@@ -132,7 +149,7 @@ def build_farm(
     """
     if n_models < 2:
         raise ValueError("a farm needs at least 2 models")
-    if arch.input_dim != dataset.input_dim or arch.num_classes < dataset.num_classes:
+    if not _arch_fits(arch, dataset):
         raise ValueError("architecture does not fit the dataset")
     split_seed, *seeds = derive_seeds([(master_seed, TAG_SPLITS)]
                                       + [(master_seed, TAG_MODEL, i) for i in range(n_models)])

@@ -201,7 +201,8 @@ def _train_group(
     step on the (G, P) parameters. Each model draws its init, batch order
     and DP noise from its own seed's substreams; the streams of every epoch
     are derived up front in one batch, and each epoch's generators are built
-    when it starts.
+    when it starts. The first epoch that leaves a parameter non-finite raises
+    ValueError, without numpy's overflow warnings.
     """
     masks, seeds = masks[group.start:group.stop], seeds[group.start:group.stop]
     X, y = dataset.take(np.stack([np.flatnonzero(mask) for mask in masks]))
@@ -219,23 +220,24 @@ def _train_group(
     states = stream_states([(seed, tag, epoch) for epoch in range(config.epochs)
                             for tag in tags for seed in seeds])
     states = states.reshape(config.epochs, len(tags), len(seeds), -1)
-    for epoch in range(config.epochs):
-        order = np.stack([rng.permutation(n) for rng in generators(states[epoch, 0])])
-        noise_rngs = generators(states[epoch, 1]) if dp is not None else None
-        for start in range(0, n, config.batch_size):
-            batch = order[:, start:start + config.batch_size]
-            Xb, yb = X[rows, batch], y[rows, batch]
-            if dp is not None:
-                dp_step(arch, params, Xb, yb, dp, noise_rngs, grad)
-            else:
-                param_gradient(arch, params, Xb, yb, out=grads)
-            if adam is not None:
-                adam_step(adam, theta, grad, config.lr)
-            else:
-                grad *= config.lr
-                theta -= grad
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("training diverged: non-finite parameters")
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is one error, below
+        for epoch in range(config.epochs):
+            order = np.stack([rng.permutation(n) for rng in generators(states[epoch, 0])])
+            noise_rngs = generators(states[epoch, 1]) if dp is not None else None
+            for start in range(0, n, config.batch_size):
+                batch = order[:, start:start + config.batch_size]
+                Xb, yb = X[rows, batch], y[rows, batch]
+                if dp is not None:
+                    dp_step(arch, params, Xb, yb, dp, noise_rngs, grad)
+                else:
+                    param_gradient(arch, params, Xb, yb, out=grads)
+                if adam is not None:
+                    adam_step(adam, theta, grad, config.lr)
+                else:
+                    grad *= config.lr
+                    theta -= grad
+            if not np.all(np.isfinite(theta)):
+                raise ValueError(f"training diverged: non-finite parameters in epoch {epoch + 1}")
     return theta
 
 

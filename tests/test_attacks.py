@@ -330,6 +330,16 @@ class TestRunAttack:
         with pytest.raises(FingerprintMismatchError):
             run_attack(other, oracle, rest, targets, "lira", "online", cfg, seed=36)
 
+    def test_farm_that_does_not_fit_is_refused_before_any_query(self, toy_farm, forge):
+        ds, farm = toy_farm
+        oracle, rest = hold_out_target(forge(farm), 1)
+        assert rest.fingerprint == oracle.fingerprint == ds.fingerprint()
+        targets = _targets_for(farm, 1, 4, np.random.default_rng(24))
+        cfg = CanaryConfig(epsilon=0.1, num_queries=1)
+        with pytest.raises(FingerprintMismatchError, match="does not fit dataset"):
+            run_attack(ds, oracle, rest, targets, "lira", "online", cfg, seed=36)
+        assert oracle.query_count == 0
+
     def test_oracle_queried_once_per_query_point(self, toy_farm):
         ds, farm = toy_farm
         targets = _targets_for(farm, 3, 6, np.random.default_rng(25))

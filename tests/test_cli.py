@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import mialab.training as training
 from mialab.cli import main
 from mialab.attacks import ScoreTable
-from mialab.farm import CHECKSUM_BYTES
+from mialab.farm import CHECKSUM_BYTES, load_farm, save_farm
 from mialab.metrics import read_report_csv
 
 
@@ -58,6 +59,13 @@ class TestTrainShadows:
         _, cfg_path, out = trained
         assert main(["train-shadows", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "error:OutputExistsError" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_is_refused_before_training(self, trained, tmp_path, capsys):
+        _, cfg_path, _ = trained
+        (tmp_path / "o").write_text("")
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:OutputExistsError: ") and err.count("\n") == 1
 
     def test_rerun_with_force_is_byte_identical(self, trained, tmp_path):
         _, cfg_path, out = trained
@@ -155,6 +163,9 @@ class TestTrainShadows:
         pytest.param("dataset", "input_dim", 0, id="synthetic-input_dim_zero"),
         pytest.param("dataset", "n_points", 1, id="synthetic-n_points_one"),
         pytest.param(None, "seeds", [0, 0], id="duplicate-seeds"),
+        pytest.param(None, "master_seed", 2**64, id="master_seed-beyond_u64"),
+        pytest.param("dataset", "seed", -1, id="dataset-seed_negative"),
+        pytest.param("targets", "seed", -1, id="targets-seed_negative"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, block, key, value):
         cfg = base_config()
@@ -165,6 +176,17 @@ class TestTrainShadows:
         assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_diverging_training_leaves_no_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(base_config(train={"epochs": 3, "lr": 1e300})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings would end in a traceback
+            rc = main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error:ValueError: training diverged: non-finite parameters in epoch 1")
         assert not (tmp_path / "o").exists()
 
     def test_integers_read_as_floats_and_round_trip(self, tmp_path):
@@ -266,6 +288,35 @@ class TestAttack:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error:FingerprintMismatchError" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_farm_that_does_not_fit_leaves_no_output(self, trained, tmp_path, capsys, forge):
+        _, cfg_path, out = trained
+        farm = tmp_path / "farm.bin"
+        save_farm(forge(load_farm(out / "farm.bin")), farm)
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(farm),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:FingerprintMismatchError: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("attack,targets", [
+        pytest.param({}, {"count": 500}, id="targets_beyond_split"),
+        pytest.param({"method": "canary", "mode": "offline",
+                      "canary": {"epsilon": 0.1, "shadow_batch": 20}}, {}, id="too_few_shadows"),
+    ])
+    def test_refused_run_leaves_no_output(self, trained, tmp_path, capsys, attack, targets):
+        _, _, out = trained
+        cfg = base_config()
+        cfg["attack"].update(attack)
+        cfg["targets"].update(targets)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:ConfigError: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("damage,error", [
@@ -457,6 +508,17 @@ class TestEvalCompare:
         assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:FormatError: ") and err.count("\n") == 1
+
+    def test_one_class_table_leaves_no_output(self, tmp_path, capsys):
+        # the first table is fine: its ROC file used to be written before the second failed
+        header = "target_index,is_member,query_id,score,aggregated_score\n"
+        good, one_class = tmp_path / "a_seed0.csv", tmp_path / "a_seed1.csv"
+        good.write_text(header + "0,1,0,0.9,0.9\n1,0,0,0.1,0.1\n")
+        one_class.write_text(header + "0,1,0,0.9,0.9\n1,1,0,0.1,0.1\n")
+        assert main(["eval", str(good), str(one_class), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:ValueError: ") and err.count("\n") == 1
+        assert not (tmp_path / "ev").exists()
 
     def test_infinite_scores_still_evaluate(self, tmp_path):
         scores = tmp_path / "inf_seed0.csv"

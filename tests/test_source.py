@@ -1,11 +1,22 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mialab").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mialab").glob("*.py"))
+
+
+def _traced_bindings() -> set[tuple[str, str]]:
+    """(module, name) of every binding perfbench/tracing.py's BINDINGS wraps,
+    loaded as tests/test_bench_bindings.py loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(module, attr.split(".")[0]) for _, module, attr in tracing.BINDINGS}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -25,3 +36,19 @@ def test_streams_come_from_rng_only(path):
              or (isinstance(node, ast.Attribute) and node.attr in names)
              or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names)]
     assert not found, f"stream constructors outside rng.py at {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    # a name imported and never read is dead, unless the benchmark's tracer wraps it there
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced = {name for module, name in _traced_bindings() if module == f"mialab.{path.stem}"}
+    unused = sorted(imported - used - traced)
+    assert not unused, f"{path.name} imports {unused} and never uses them"
