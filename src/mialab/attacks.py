@@ -31,6 +31,7 @@ from .nn import (
     input_backward,
     input_forward,
     input_gradient,  # noqa: F401  stays bound here for perfbench's tracer
+    math_elementwise,
     objective_grad_logits,
     scale_confidence,
 )
@@ -58,22 +59,20 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GaussianStats:
-    mu: float
-    sigma: float
+    """One Gaussian fit, or arrays of fits; the score functions below take a
+    float conf_t or an array, and score each element alone in math-module bits."""
+
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if np.any(np.less_equal(self.sigma, 0)):
             raise ValueError("sigma must be positive")
 
 
 def scale_confidence_batch(f: np.ndarray) -> np.ndarray:
-    """Vectorized scaled log score log(f'/(1-f')) with f clamped to
-    [CONF_CLAMP, 1-CONF_CLAMP].
-
-    The scalar nn.scale_confidence stays for the target's conf_t: np.log
-    and math.log differ in the last bit on some inputs, and conf_t keeps
-    math.log so that scores stay byte-identical.
-    """
+    """nn.scale_confidence in np.log's bits, for the shadows' confidences; the
+    target's conf_t keeps math.log's, which differ on some inputs."""
     f = np.clip(np.asarray(f, dtype=np.float64), CONF_CLAMP, 1.0 - CONF_CLAMP)
     return np.log(f / (1.0 - f))
 
@@ -91,47 +90,44 @@ def fit_gaussians(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.mean(rows, axis=-1), np.maximum(np.std(rows, axis=-1), SIGMA_FLOOR)
 
 
-def _grouped_fits(phi: np.ndarray, side: np.ndarray, n_queries: int) -> list:
-    """fits[t][q] = [mu, sigma] of phi[side[t], t, q], phi being (models, k, S)
-    with S = n_queries, or S = 1 for one fit that serves all n_queries.
+def _grouped_fits(phi: np.ndarray, side: np.ndarray) -> GaussianStats:
+    """(k, S) fits of phi[side[t], t, s], phi being (models, k, S) with S the
+    queries, or S = 1 for one fit that broadcasts over a LiRA target's queries.
 
     Targets with the same model count share one fit_gaussians call over their
     contiguous (targets * S, count) rows, each row bitwise the target's own.
     """
     counts = side.sum(axis=1)
-    fits = np.empty((*phi.shape[1:], 2))
+    mu, sigma = np.empty(phi.shape[1:]), np.empty(phi.shape[1:])
     for c in np.flatnonzero(np.bincount(counts)):  # np.unique would add 0.6 MB peak RSS
         t = np.flatnonzero(counts == c)
         models = np.nonzero(side[t])[1].reshape(t.size, c)  # ascending per target
         rows = phi[models, t[:, None]].transpose(0, 2, 1)  # (targets, S, count)
-        fits[t, :, 0], fits[t, :, 1] = fit_gaussians(rows)
-    return np.broadcast_to(fits, (len(fits), n_queries, 2)).tolist()
+        mu[t], sigma[t] = fit_gaussians(rows)
+    return GaussianStats(mu, sigma)
 
 
-def _log_pdf(x: float, stats: GaussianStats) -> float:
+def _log_pdf(x, stats: GaussianStats):
     z = (x - stats.mu) / stats.sigma
-    return -0.5 * z * z - math.log(stats.sigma) - _LOG_SQRT_2PI
+    return -0.5 * z * z - math_elementwise(math.log, stats.sigma) - _LOG_SQRT_2PI
 
 
-def lira_online_log_ratio(conf_t: float, in_stats: GaussianStats, out_stats: GaussianStats) -> float:
+def lira_online_log_ratio(conf_t, in_stats: GaussianStats, out_stats: GaussianStats):
     return _log_pdf(conf_t, in_stats) - _log_pdf(conf_t, out_stats)
 
 
-def lira_online_score(conf_t: float, in_stats: GaussianStats, out_stats: GaussianStats) -> float:
+def lira_online_score(conf_t, in_stats: GaussianStats, out_stats: GaussianStats):
     """Likelihood ratio pdf_in(conf) / pdf_out(conf), via log space.
 
     Ratios beyond float range saturate to inf/0; use the log ratio when
     thresholding, the ranking is identical.
     """
     log_ratio = lira_online_log_ratio(conf_t, in_stats, out_stats)
-    if log_ratio > 709.0:
-        return math.inf
-    if log_ratio < -745.0:
-        return 0.0
-    return math.exp(log_ratio)
+    saturated = np.select([log_ratio > 709.0, log_ratio < -745.0], [math.inf, -math.inf], log_ratio)
+    return math_elementwise(math.exp, saturated)
 
 
-def lira_offline_score(conf_t: float, out_stats: GaussianStats, density: bool = False) -> float:
+def lira_offline_score(conf_t, out_stats: GaussianStats, density: bool = False):
     """One-sided score against the OUT distribution.
 
     Default is the Gaussian tail form 1 - Pr[Z > conf], i.e. the normal
@@ -141,9 +137,9 @@ def lira_offline_score(conf_t: float, out_stats: GaussianStats, density: bool = 
     1 - pdf(conf).
     """
     if density:
-        return 1.0 - math.exp(_log_pdf(conf_t, out_stats))
+        return 1.0 - math_elementwise(math.exp, _log_pdf(conf_t, out_stats))
     z = (conf_t - out_stats.mu) / out_stats.sigma
-    return 0.5 * math.erfc(-z / _SQRT2)
+    return 0.5 * math_elementwise(math.erfc, -z / _SQRT2)
 
 
 def ensemble_scores(scores) -> np.ndarray:
@@ -430,17 +426,17 @@ def _score_block(
     oracle: TargetOracle,
     cfg: CanaryConfig,
     online: bool,
-) -> tuple[list[list[float]], int]:
-    """Query scores of a block of targets, and the IN evaluations made.
+) -> tuple[np.ndarray, int]:
+    """(targets, Q) query scores of a block of targets, and the IN evaluations made.
 
     The oracle answers the (targets, Q, d) queries; each shadow model scores
     the (targets, S, d) shadow_queries (the queries, or the one point a LiRA
     target's queries repeat) of the targets it may see: all online, those it
     is OUT for offline. Every row is evaluated alone. Gaussian fits reduce
-    over contiguous (targets * S, models) rows grouped by model count; each
-    (target, query) score uses that query's own oracle answer, in scalar math.
+    over contiguous (targets * S, models) rows grouped by model count; one
+    elementwise score call per side scores each query against its own answer.
     """
-    (k, n_shadow), n_queries = shadow_queries.shape[:2], queries.shape[1]
+    k, n_shadow = shadow_queries.shape[:2]
     phi = np.full((len(records), k, n_shadow), np.nan)
     in_evaluations = 0
     for m, rec in enumerate(records):
@@ -449,18 +445,11 @@ def _score_block(
             in_evaluations += int(member[sel, m].sum())
             phi[m, sel] = model_confidence_batch(rec, shadow_queries[sel], y[sel])
     phi = scale_confidence_batch(phi)
-    conf = oracle.confidences(queries, y)
-    out_fits = _grouped_fits(phi, ~member, n_queries)
-    in_fits = _grouped_fits(phi, member, n_queries) if online else None
-
-    def score(t: int, q: int) -> float:
-        conf_t = scale_confidence(float(conf[t, q]))
-        out_stats = GaussianStats(*out_fits[t][q])
-        if online:
-            return lira_online_score(conf_t, GaussianStats(*in_fits[t][q]), out_stats)
-        return lira_offline_score(conf_t, out_stats, density=cfg.offline_density)
-
-    return [[score(t, q) for q in range(n_queries)] for t in range(k)], in_evaluations
+    conf_t = scale_confidence(oracle.confidences(queries, y))
+    out_fits = _grouped_fits(phi, ~member)
+    if online:
+        return lira_online_score(conf_t, _grouped_fits(phi, member), out_fits), in_evaluations
+    return lira_offline_score(conf_t, out_fits, density=cfg.offline_density), in_evaluations
 
 
 def _check_eligible(index: np.ndarray, member: np.ndarray, need: int, online: bool) -> None:
@@ -496,7 +485,8 @@ def run_attack(
     shadow models. Targets are then processed in fixed-size blocks: all
     (target, query) rows of a block are optimised together, and each shadow
     model scores one row per query (per target for LiRA, whose queries
-    repeat the target point). Every row is computed exactly as it would be
+    repeat the target point); one elementwise pass scores the block's
+    (targets, Q) array. Every row is computed exactly as it would be
     alone, so a query's score depends on neither the block size, nor
     num_queries, nor the other targets, and a LiRA target's scores are
     equal. Offline mode never evaluates an IN shadow model; the evaluated
@@ -552,6 +542,7 @@ def run_attack(
                 f"offline attack evaluated IN shadow models ({in_evaluations} (row, model) pairs)"
             )
         aggregated = ensemble_scores(scores).tolist()
-        for (t, is_member), row, agg in zip(targets[start:start + block], scores, aggregated):
+        for (t, is_member), row, agg in zip(targets[start:start + block], scores.tolist(),
+                                            aggregated):
             rows.append(ScoreRow(t, is_member, row, agg))
     return ScoreTable(rows, in_model_accesses=None if online else in_evaluations)

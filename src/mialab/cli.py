@@ -20,7 +20,7 @@ import numpy as np
 
 from .attacks import ScoreTable, run_attack
 from .config import ExperimentConfig, load_config, write_manifest
-from .errors import ConfigError, MialabError, OutputExistsError
+from .errors import ConfigError, FormatError, MialabError, OutputExistsError
 from .farm import build_farm, check_farm_fits, hold_out_target, load_farm, save_farm
 from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
 from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, derive_seed, substream
@@ -83,6 +83,11 @@ def cmd_train_shadows(args) -> None:
     print(f"trained {farm.n_models} models -> {farm_path}")
 
 
+def _target_counts(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Member and non-member targets each run samples."""
+    return (cfg.targets.count + 1) // 2, cfg.targets.count // 2
+
+
 def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     """One attack run: pick a target model, sample balanced targets, score."""
     target_model = int(substream(cfg.master_seed, TAG_TARGET_CHOICE, run_seed).integers(farm.n_models))
@@ -90,17 +95,9 @@ def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     oracle, shadows = hold_out_target(farm, target_model)
 
     rng = substream(cfg.master_seed, TAG_TARGET_SAMPLE, run_seed, cfg.targets.seed)
-    members = np.flatnonzero(truth)
-    nonmembers = np.flatnonzero(~truth)
-    n_member = (cfg.targets.count + 1) // 2
-    n_nonmember = cfg.targets.count // 2
-    if n_member > members.size or n_nonmember > nonmembers.size:
-        raise ConfigError(
-            f"cannot sample {n_member}/{n_nonmember} member/non-member targets from "
-            f"{members.size}/{nonmembers.size} available"
-        )
-    picked_members = np.sort(rng.choice(members, n_member, replace=False))
-    picked_non = np.sort(rng.choice(nonmembers, n_nonmember, replace=False))
+    n_member, n_nonmember = _target_counts(cfg)
+    picked_members = np.sort(rng.choice(np.flatnonzero(truth), n_member, replace=False))
+    picked_non = np.sort(rng.choice(np.flatnonzero(~truth), n_nonmember, replace=False))
     targets = [(int(i), True) for i in picked_members] + [(int(i), False) for i in picked_non]
 
     table = run_attack(
@@ -126,12 +123,18 @@ def _load_farm(path):
 
 def cmd_attack(args) -> None:
     """Materialise the dataset, load the farm and check that it fits the dataset
-    once, before any run; then run every seed on them."""
+    and that every split row can supply the targets once, before any run; then
+    run every seed on them."""
     start = time.perf_counter()
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
     farm, farm_sha256 = _load_farm(args.farm)
     check_farm_fits(farm, dataset)
+    n_member, n_nonmember = _target_counts(cfg)
+    least = farm.splits.sum(axis=1).min(), (~farm.splits).sum(axis=1).min()
+    if n_member > least[0] or n_nonmember > least[1]:
+        raise ConfigError(f"cannot sample {n_member}/{n_nonmember} member/non-member targets "
+                          f"from as few as {least[0]}/{least[1]} in a split row")
     score_names = [f"scores_seed{s}.csv" for s in cfg.seeds]
     out = _ensure_out(args.out, score_names + ["attack_manifest.json"], args.force)
     runs = map_jobs(partial(_run_attack_seed, cfg, dataset, farm), cfg.seeds, args.jobs)
@@ -169,7 +172,10 @@ def cmd_eval(args) -> None:
         seed = _seed_of(path)
         if seed in tables:
             raise ConfigError(f"duplicate run seed {seed} among score tables")
-        tables[seed] = (path, ScoreTable.read_csv(path))
+        table = ScoreTable.read_csv(path)
+        if len(set(table.labels().tolist())) < 2:
+            raise FormatError(f"{path}: score table needs both member and non-member targets")
+        tables[seed] = (path, table)
     roc_names = [f"roc_seed{s}.csv" for s in tables]
     out = _ensure_out(args.out, ["report.csv", "eval_manifest.json"] + roc_names, args.force)
     summaries = {seed: summarize(table.scores(), table.labels(), (FPR_TARGET,))

@@ -198,10 +198,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def scale_confidence(f: float) -> float:
-    """Scaled log score log(f'/(1-f')) with f clamped to [CONF_CLAMP, 1-CONF_CLAMP]."""
-    f = min(max(float(f), CONF_CLAMP), 1.0 - CONF_CLAMP)
-    return math.log(f / (1.0 - f))
+def math_elementwise(f, x):
+    """Math-module f element by element, in its bits (np.log and np.exp differ from
+    math.log and math.exp in the last bit on some inputs): float to float, array to array."""
+    y = np.frompyfunc(f, 1, 1)(x)
+    return y if isinstance(y, float) else y.astype(np.float64)
+
+
+def scale_confidence(f):
+    """Scaled log score log(f'/(1-f')) with f clamped to [CONF_CLAMP, 1-CONF_CLAMP],
+    in math.log's bits: a float gives a float, an array of confidences an array."""
+    f = np.clip(f, CONF_CLAMP, 1.0 - CONF_CLAMP)
+    return math_elementwise(math.log, f / (1.0 - f))
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,19 @@ def _ref_log_pdf(x, mu, sigma):
     return -0.5 * z * z - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
 
 
+def ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o):
+    """Saturating likelihood ratio of one query, in plain math."""
+    log_ratio = _ref_log_pdf(conf_t, mu_i, sd_i) - _ref_log_pdf(conf_t, mu_o, sd_o)
+    return math.inf if log_ratio > 709.0 else 0.0 if log_ratio < -745.0 else math.exp(log_ratio)
+
+
+def ref_offline_score(conf_t, mu_o, sd_o, density):
+    """Offline score of one query, in plain math: the erfc tail or 1 - pdf."""
+    if density:
+        return 1.0 - math.exp(_ref_log_pdf(conf_t, mu_o, sd_o))
+    return 0.5 * math.erfc(-((conf_t - mu_o) / sd_o) / math.sqrt(2.0))
+
+
 def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, seed):
     """Per-target scores as (target, is_member, query scores, aggregate) tuples."""
     from mialab.rng import TAG_ALT_LABEL
@@ -315,15 +328,10 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
             conf_t = _ref_phi(_ref_confidence(target_record, batch[q:q + 1].copy(), y)[0], clamp)
             mu_o, sd_o = _ref_fit(out_phi[:, q], SIGMA_FLOOR)
             if offline:
-                if cfg.offline_density:
-                    scores.append(1.0 - math.exp(_ref_log_pdf(conf_t, mu_o, sd_o)))
-                else:
-                    scores.append(0.5 * math.erfc(-((conf_t - mu_o) / sd_o) / math.sqrt(2.0)))
+                scores.append(ref_offline_score(conf_t, mu_o, sd_o, cfg.offline_density))
             else:
                 mu_i, sd_i = _ref_fit(in_phi[:, q], SIGMA_FLOOR)
-                log_ratio = _ref_log_pdf(conf_t, mu_i, sd_i) - _ref_log_pdf(conf_t, mu_o, sd_o)
-                scores.append(math.inf if log_ratio > 709.0 else
-                              0.0 if log_ratio < -745.0 else math.exp(log_ratio))
+                scores.append(ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o))
         out.append((t, is_member, scores, float(np.mean(scores))))
     return out
 

@@ -1,11 +1,13 @@
 """Attack scoring math, the canary optimizer contracts, and run_attack."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mialab.attacks import (
+    SIGMA_FLOOR,
     CanaryConfig,
     GaussianStats,
     ScoreTable,
@@ -27,7 +29,7 @@ from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
 from mialab.rng import substream, substreams
 from mialab.training import TrainConfig
 
-from oracles import reference_attack
+from oracles import _ref_log_pdf, _ref_phi, ref_offline_score, ref_online_score, reference_attack
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +66,12 @@ class TestGaussianFit:
         member[:, 0], member[:, 1] = True, False  # every target has both sides
         assert len(np.unique(member.sum(axis=1))) > 3  # mixed counts on both sides
         for side in (member, ~member):
-            fits = attacks._grouped_fits(phi, side, n_queries)
+            fits = attacks._grouped_fits(phi, side)
+            assert fits.mu.shape == fits.sigma.shape == (k, n_queries)
             for t in range(k):
                 ref_mu, ref_sigma = fit_gaussians(phi[side[t], t].T)
-                assert fits[t] == [[m, s] for m, s in zip(ref_mu.tolist(), ref_sigma.tolist())]
+                assert (fits.mu[t].tolist(), fits.sigma[t].tolist()) == (ref_mu.tolist(),
+                                                                         ref_sigma.tolist())
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -134,6 +138,108 @@ class TestOfflineScore:
         center = lira_offline_score(0.0, stats, density=True)
         far = lira_offline_score(6.0, stats, density=True)
         assert far > center
+
+
+# np.log rounds these apart from math.log in the last bit
+_LOG_ROUNDS_APART = [0.7372569546021128, 0.8476811963434164, 2.344837549636431,
+                     6.026449400250284, 0.9862786443356566, 2.238406528390617]
+# and these give f / (1 - f) that it rounds apart
+_PHI_ROUNDS_APART = [0.48826044533597246, 0.47524947280546326, 0.5019269762292697,
+                     0.5041845493050985, 0.2724943917517305, 0.49253432141119324]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
+class TestElementwiseScores:
+    """One call on arrays of fits scores every element as the plain-math
+    reference formulas score it alone, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(41)
+        shape = (40, 25)
+        conf = rng.normal(0.0, 12.0, shape)
+        mu_in, mu_out = rng.normal(0.0, 4.0, (2, *shape))
+        sd_in, sd_out = np.abs(rng.normal(0.0, 3.0, (2, *shape))) + SIGMA_FLOOR
+        sd_in[::4], sd_out[1::4] = SIGMA_FLOOR, SIGMA_FLOOR
+        sd_in[3, :6] = sd_out[3, :6] = _LOG_ROUNDS_APART
+        z = np.linspace(-38.0, -37.0, shape[1])  # offline left tail, still resolvable
+        conf[2] = mu_out[2] + z * sd_out[2]
+        return conf, GaussianStats(mu_in, sd_in), GaussianStats(mu_out, sd_out)
+
+    def test_online_score_and_log_ratio(self, grid):
+        conf, in_stats, out_stats = grid
+        scores = lira_online_score(conf, in_stats, out_stats)
+        ref = [ref_online_score(*args) for args in zip(conf.ravel().tolist(),
+               in_stats.mu.ravel().tolist(), in_stats.sigma.ravel().tolist(),
+               out_stats.mu.ravel().tolist(), out_stats.sigma.ravel().tolist())]
+        assert scores.shape == conf.shape and _bits(scores) == _bits(ref)
+        assert np.isinf(scores).any() and (scores == 0.0).any()  # both saturation ends
+        assert ((scores > 0.0) & np.isfinite(scores)).any()
+        log_ratio = lira_online_log_ratio(conf, in_stats, out_stats)
+        ref_log_ratio = [_ref_log_pdf(c, mi, si) - _ref_log_pdf(c, mo, so)
+                         for c, mi, si, mo, so in zip(conf.ravel(), in_stats.mu.ravel(),
+                                                      in_stats.sigma.ravel(), out_stats.mu.ravel(),
+                                                      out_stats.sigma.ravel())]
+        assert _bits(log_ratio) == _bits(ref_log_ratio)
+
+    def test_saturation_thresholds(self):
+        # conf 0 against N(0, 1) and N(mu, 1) has log ratio +-mu^2 / 2
+        mu = np.sqrt(2.0 * np.array([708.9, 709.2, 744.9, 745.2]))
+        upper = np.array([True, True, False, False])
+        in_stats = GaussianStats(np.where(upper, 0.0, mu), 1.0)
+        out_stats = GaussianStats(np.where(upper, mu, 0.0), 1.0)
+        scores = lira_online_score(0.0, in_stats, out_stats)
+        ref = [ref_online_score(0.0, mi, 1.0, mo, 1.0)
+               for mi, mo in zip(in_stats.mu.tolist(), out_stats.mu.tolist())]
+        assert _bits(scores) == _bits(ref)
+        assert scores[0] > 1e307 and scores[1] == math.inf and scores[2] > 0.0 == scores[3]
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_offline_score(self, grid, density):
+        conf, _, out_stats = grid
+        scores = lira_offline_score(conf, out_stats, density=density)
+        ref = [ref_offline_score(c, m, s, density) for c, m, s in
+               zip(conf.ravel().tolist(), out_stats.mu.ravel().tolist(),
+                   out_stats.sigma.ravel().tolist())]
+        assert scores.shape == conf.shape and _bits(scores) == _bits(ref)
+        if not density:
+            assert (0.0 < scores[2]).all() and (scores[2] < 1e-299).all()  # z near -38
+
+    def test_fits_broadcast_over_queries(self, grid):
+        # a (k, 1) fit serves all of a LiRA target's queries
+        conf, in_stats, out_stats = grid
+        column = GaussianStats(out_stats.mu[:, :1], out_stats.sigma[:, :1])
+        spread = GaussianStats(np.repeat(column.mu, conf.shape[1], axis=1),
+                               np.repeat(column.sigma, conf.shape[1], axis=1))
+        assert _bits(lira_offline_score(conf, column)) == _bits(lira_offline_score(conf, spread))
+
+    def test_scalar_call_is_the_one_element_case(self, grid):
+        conf, in_stats, out_stats = grid
+        online = lira_online_score(conf, in_stats, out_stats)
+        offline = lira_offline_score(conf, out_stats)
+        for i in [(0, 0), (1, 3), (2, 7), (5, 11)]:
+            one_in = GaussianStats(float(in_stats.mu[i]), float(in_stats.sigma[i]))
+            one_out = GaussianStats(float(out_stats.mu[i]), float(out_stats.sigma[i]))
+            score = lira_online_score(float(conf[i]), one_in, one_out)
+            assert type(score) is float and _bits(score) == _bits(online[i])
+            score = lira_offline_score(float(conf[i]), one_out)
+            assert type(score) is float and _bits(score) == _bits(offline[i])
+
+    def test_scale_confidence_matches_math_log(self):
+        rng = np.random.default_rng(42)
+        f = np.concatenate([rng.random(2994), _PHI_ROUNDS_APART,
+                            [0.0, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0]])
+        phi = scale_confidence(f.reshape(3, -1))
+        assert phi.shape == (3, 1002)
+        assert _bits(phi) == _bits([_ref_phi(v, 1e-6) for v in f.tolist()])
+        assert type(scale_confidence(0.25)) is float
+
+    def test_sigma_checked_for_every_fit(self):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianStats(np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
 class TestEnsemble:
@@ -337,6 +443,17 @@ class TestRunAttack:
         targets = _targets_for(farm, 1, 4, np.random.default_rng(24))
         cfg = CanaryConfig(epsilon=0.1, num_queries=1)
         with pytest.raises(FingerprintMismatchError, match="does not fit dataset"):
+            run_attack(ds, oracle, rest, targets, "lira", "online", cfg, seed=36)
+        assert oracle.query_count == 0
+
+    def test_oracle_from_another_farm_is_refused_before_any_query(self, toy_farm):
+        # the shadows fit the dataset; only the oracle carries another fingerprint
+        ds, farm = toy_farm
+        oracle, _ = hold_out_target(dataclasses.replace(farm, fingerprint=farm.fingerprint ^ 1), 1)
+        _, rest = hold_out_target(farm, 1)
+        targets = _targets_for(farm, 1, 4, np.random.default_rng(24))
+        cfg = CanaryConfig(epsilon=0.1, num_queries=1)
+        with pytest.raises(FingerprintMismatchError, match="oracle fingerprint"):
             run_attack(ds, oracle, rest, targets, "lira", "online", cfg, seed=36)
         assert oracle.query_count == 0
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mialab.cli as cli
 import mialab.training as training
 from mialab.cli import main
 from mialab.attacks import ScoreTable
@@ -301,20 +302,27 @@ class TestAttack:
         assert err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("attack,targets", [
-        pytest.param({}, {"count": 500}, id="targets_beyond_split"),
+    @pytest.mark.parametrize("attack,targets,jobs", [
+        pytest.param({}, {"count": 500}, 2, id="targets_beyond_split"),
         pytest.param({"method": "canary", "mode": "offline",
-                      "canary": {"epsilon": 0.1, "shadow_batch": 20}}, {}, id="too_few_shadows"),
+                      "canary": {"epsilon": 0.1, "shadow_batch": 20}}, {}, 1, id="too_few_shadows"),
     ])
-    def test_refused_run_leaves_no_output(self, trained, tmp_path, capsys, attack, targets):
+    def test_refused_run_leaves_no_output(self, trained, tmp_path, capsys, monkeypatch, attack,
+                                          targets, jobs):
         _, _, out = trained
         cfg = base_config()
         cfg["attack"].update(attack)
         cfg["targets"].update(targets)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))
+        if jobs > 1:  # refused once, before map_jobs could start a worker
+
+            def no_runs(*args):
+                raise AssertionError("map_jobs called for a refused target count")
+
+            monkeypatch.setattr(cli, "map_jobs", no_runs)
         rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
-                   "--out", str(tmp_path / "x")])
+                   "--out", str(tmp_path / "x"), "--jobs", str(jobs)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:ConfigError: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
@@ -517,7 +525,7 @@ class TestEvalCompare:
         one_class.write_text(header + "0,1,0,0.9,0.9\n1,1,0,0.1,0.1\n")
         assert main(["eval", str(good), str(one_class), "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:ValueError: ") and err.count("\n") == 1
+        assert err.startswith(f"error:FormatError: {one_class}: ") and err.count("\n") == 1
         assert not (tmp_path / "ev").exists()
 
     def test_infinite_scores_still_evaluate(self, tmp_path):
