@@ -37,6 +37,7 @@ from .nn import (
 )
 from .rng import (  # noqa: F401  substream stays bound here for perfbench's tracer
     TAG_ALT_LABEL,
+    shuffle_heads,
     substream,
     substreams,
 )
@@ -180,8 +181,10 @@ class CanaryConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        for name in ("epsilon", "init_noise_scale"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.steps < 0 or self.shadow_batch < 1 or self.num_queries < 1:
             raise ValueError("steps, shadow_batch and num_queries must be positive")
         if self.objective not in OBJECTIVE_KINDS:
@@ -212,6 +215,51 @@ def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float):
     return delta, x
 
 
+def _step_gradient(x, rows, picks, records, params, kinds, labels, b: int) -> np.ndarray:
+    """One canary step's (n, dim) gradient: the mean over each side's b picks
+    of their input gradients, OUT side first. Entry e, ordered (row, side,
+    slot), is row rows[e] of x under model picks[e]; side s takes objective
+    kinds[s] with its (n * b) entries' labels.
+
+    Entries are sorted by model, rows ascending, so each picked model runs
+    one forward and one backward over a contiguous run of them; one
+    objective pass covers each side's logits.
+    """
+    n_entries, n_sides, n_classes = len(picks), len(kinds), records[0].arch.num_classes
+    order = np.argsort(picks, kind="stable")
+    x_sorted = x[rows[order]]
+    logits = np.empty((n_entries, n_classes))
+    passes, lo = [], 0
+    for m, hi in enumerate(np.cumsum(np.bincount(picks, minlength=len(records))).tolist()):
+        if hi > lo:
+            logits[lo:hi], act_grads = input_forward(records[m].arch, params[m], x_sorted[lo:hi])
+            passes.append((params[m], lo, hi, act_grads))
+        lo = hi
+    del x_sorted
+    by_entry = np.empty_like(logits)
+    by_entry[order] = logits
+    by_entry = by_entry.reshape(-1, n_sides, b, n_classes)
+    for side, kind in enumerate(kinds):  # logits become their gradients
+        by_entry[:, side] = objective_grad_logits(
+            by_entry[:, side].reshape(-1, n_classes), labels, kind).reshape(-1, b, n_classes)
+    dlogits = by_entry.reshape(n_entries, n_classes)[order]
+    del by_entry, logits
+    per_pick = np.empty((n_entries, x.shape[1]))
+    for model, lo, hi, act_grads in passes:
+        per_pick[lo:hi] = input_backward(model, act_grads, dlogits[lo:hi])
+    sorted_at = np.empty(n_entries, dtype=np.intp)  # each entry's place in model order
+    sorted_at[order] = np.arange(n_entries)
+    sorted_at = sorted_at.reshape(-1, n_sides, b)
+    total = per_pick[sorted_at[:, :, 0]]
+    total += 0.0  # from +0.0, then in pick order, as one row at a time sums
+    for j in range(1, b):
+        total += per_pick[sorted_at[:, :, j]]
+    grad = total[:, 0] / b
+    for side in range(1, n_sides):
+        grad += total[:, side] / b
+    return grad
+
+
 def _optimize_rows(
     x_star: np.ndarray,
     y: np.ndarray,
@@ -226,15 +274,15 @@ def _optimize_rows(
 
     Row r starts at x_star[r] with label y[r]; member[r, m] says whether
     records[m] is an IN model for the row's target. Each row draws from its
-    own rng in a fixed order (the init noise, then per step the OUT and, when
-    online, the IN permutation; offline, one permuted call draws the same),
-    so its canary does not depend on the other rows of the block. Online
-    permutations are shuffles of a refilled arange buffer, which draw exactly
-    what rng.permutation draws. Per step and side, each picked model runs one
-    stacked forward and one backward over its rows around one objective pass
-    over all picks; Adam and the projection run once on the block. A model's
-    params are read when it is first picked, so offline never reads a model
-    IN for all rows.
+    own rng: its init noise, then per step a shuffle of its OUT models and,
+    when online, one of its IN models, of which the first shadow_batch are
+    picked. rng.shuffle_heads draws every row's shuffles in one pass over
+    their raw words, exactly as rng.permutation would, so a row's canary
+    does not depend on the other rows of the block. Per step, each picked
+    model runs one stacked forward and one backward over the rows that
+    picked it on either side, around one objective pass per side; Adam and
+    the projection run once on the block. Only picked models' params are
+    read, so offline never reads a model IN for all rows.
 
     Returns the canaries and the number of evaluated (row, model) pairs whose
     model is IN for the row, counted from the ids actually evaluated.
@@ -242,62 +290,34 @@ def _optimize_rows(
     n, dim = x_star.shape
     b, steps = config.shadow_batch, config.steps
     delta = np.zeros_like(x_star)
-    noisy = config.init == "target_plus_noise" and config.noise_scale > 0
-    out_picks = np.empty((steps, n, b), dtype=np.intp)
-    in_picks = np.empty((steps, n, b), dtype=np.intp)
-    orders, buffers = {}, {}  # per model count: offline tiled order; online arange and buffer
-    for r, rng in enumerate(rngs):
-        if noisy:
+    if config.init == "target_plus_noise" and config.noise_scale > 0:
+        for r, rng in enumerate(rngs):
             delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
-        out_ids, in_ids = np.flatnonzero(~member[r]), np.flatnonzero(member[r])
-        if not online:
-            if out_ids.size not in orders:
-                orders[out_ids.size] = np.tile(np.arange(out_ids.size), (steps, 1))
-            out_picks[:, r] = out_ids[rng.permuted(orders[out_ids.size], axis=1)[:, :b]]
-            continue
-        for size in (out_ids.size, in_ids.size):
-            if size not in buffers:
-                buffers[size] = np.arange(size), np.empty(size, dtype=np.intp)
-        (out_range, out_buf), (in_range, in_buf) = buffers[out_ids.size], buffers[in_ids.size]
-        for s in range(steps):  # positions first, mapped to model ids once per row
-            out_buf[:] = out_range
-            rng.shuffle(out_buf)
-            out_picks[s, r] = out_buf[:b]
-            in_buf[:] = in_range
-            rng.shuffle(in_buf)
-            in_picks[s, r] = in_buf[:b]
-        out_picks[:, r], in_picks[:, r] = out_ids[out_picks[:, r]], in_ids[in_picks[:, r]]
+    # a row's OUT model ids ascending, then its IN ones; side s of a step
+    # picks positions into the row's ids from first[r, s] on
+    id_type = np.min_scalar_type(len(records))
+    ids = np.argsort(member.view(np.uint8), axis=1, kind="stable").astype(id_type)
+    n_out = len(records) - member.sum(axis=1)
+    sides = 2 if online else 1
+    first = np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None].astype(id_type)
+    sizes = np.column_stack([n_out, len(records) - n_out])[:, :sides].astype(id_type)
+    rows = np.arange(n)[:, None, None, None]
+    picks = ids[rows, shuffle_heads(rngs, np.tile(sizes, steps), b).reshape(n, steps, sides, b)
+                + first[:, None]]  # (n, steps, sides, b) model ids
+    del rngs  # spent on the picks; the block's streams go before the steps
+    in_evaluations = int(member[rows, picks].sum())
+    params = {m: check_params(records[m].arch, records[m].params)
+              for m in np.flatnonzero(np.bincount(picks.ravel(), minlength=len(records))).tolist()}
 
+    entry_row = np.arange(n).repeat(sides * b)  # row of each (row, side, slot) entry
     labels, alt_labels = y.repeat(b), None if alt is None else alt.repeat(b)
-    params, in_evaluations = {}, 0
-
-    def mean_gradient(x: np.ndarray, picks: np.ndarray, side: str) -> np.ndarray:
-        nonlocal in_evaluations
-        in_evaluations += int(member[np.arange(n)[:, None], picks].sum())
-        logits = np.empty((n, b, records[0].arch.num_classes))
-        passes = []
-        for m in np.flatnonzero(np.bincount(picks.ravel())).tolist():
-            if m not in params:  # read and checked once per block
-                params[m] = check_params(records[m].arch, records[m].params)
-            rows, slots = np.nonzero(picks == m)
-            logits[rows, slots], act_grads = input_forward(records[m].arch, params[m], x[rows])
-            passes.append((params[m], rows, slots, act_grads))
-        kind = ObjectiveKind(config.objective, side, alt_labels)
-        dlogits = objective_grad_logits(logits.reshape(n * b, -1), labels, kind).reshape(n, b, -1)
-        per_pick = np.empty((n, b, dim))
-        for model, rows, slots, act_grads in passes:
-            per_pick[rows, slots] = input_backward(model, act_grads, dlogits[rows, slots])
-        total = np.zeros((n, dim))
-        for j in range(b):  # summed in pick order, as one row at a time would
-            total += per_pick[:, j]
-        return total / b
+    kinds = [ObjectiveKind(config.objective, side, alt_labels)
+             for side in (OUT_MAXIMIZE, IN_MINIMIZE)[:sides]]
 
     delta, x = _project(x_star, delta, config.epsilon)
     adam = init_adam(x_star.shape)
     for s in range(steps):
-        grad = mean_gradient(x, out_picks[s], OUT_MAXIMIZE)
-        if online:
-            grad += mean_gradient(x, in_picks[s], IN_MINIMIZE)
+        grad = _step_gradient(x, entry_row, picks[:, s].ravel(), records, params, kinds, labels, b)
         adam_step(adam, delta, grad, config.lr)
         delta, x = _project(x_star, delta, config.epsilon)
     return x, in_evaluations
@@ -321,7 +341,8 @@ def optimize_canary(
     epsilon ball intersected with the input domain. The optimisation is
     offline exactly when s_in is None: it then never sees an IN model.
     This is one row of the block optimiser that run_attack drives over
-    many targets at once.
+    many targets at once. rng is spent after the call: the picks read
+    more raw words from it than they use.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     online = s_in is not None
@@ -522,16 +543,16 @@ def run_attack(
         # one row per (target, query), target-major; LiRA rows draw no stream
         x_rows = x_star.repeat(n_queries, axis=0)
         if method != "lira":
-            rngs = substreams([(seed, t, q) for t in idx.tolist() for q in range(n_queries)])
+            keys = [(seed, t, q) for t in idx.tolist() for q in range(n_queries)]
         if method == "random_noise":
-            x_rows = random_noise_query(x_rows, config.epsilon, rngs)
+            x_rows = random_noise_query(x_rows, config.epsilon, substreams(keys))
         elif method == "canary":
             alt = None
             if config.objective.endswith("random_label"):
                 alt = _draw_alt_labels(seed, idx, y, num_classes).repeat(n_queries)
             x_rows, hits = _optimize_rows(
                 x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
-                farm.records, config, online, rngs, alt)
+                farm.records, config, online, substreams(keys), alt)
             in_evaluations += hits
         queries = x_rows.reshape(len(idx), n_queries, -1)
         scores, hits = _score_block(queries, x_star[:, None] if method == "lira" else queries,

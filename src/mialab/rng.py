@@ -6,6 +6,14 @@ query) can rebuild its own stream independently of execution order.
 stream_states runs that mixing for a whole batch of key tuples in one
 vectorised pass; the Generator of each row is bitwise numpy's
 default_rng(SeedSequence(keys)), and substream is the one-row case.
+
+shuffle_heads draws a block's sequential shuffles of aranges from the rows'
+raw PCG64 words in one pass. It reproduces numpy's Generator.shuffle
+(_shuffle_raw in numpy/random/_generator.pyx): a Fisher-Yates pass from the
+top index down, each swap index drawn by random_interval's masked rejection
+over 32-bit halves of the raw words, low half first.
+tests/test_properties.py::test_shuffle_heads_draw_like_numpy pins it
+against shuffle, permutation and permuted.
 """
 
 from __future__ import annotations
@@ -167,3 +175,124 @@ def derive_seeds(keys) -> list[int]:
 def derive_seed(*keys: int) -> int:
     """Collapse a key tuple into a single 63-bit seed integer."""
     return derive_seeds([keys])[0]
+
+
+def _bit_mask(bound: np.ndarray) -> np.ndarray:
+    """Smallest all-ones mask covering each bound, as random_interval takes."""
+    mask = np.array(bound, dtype=np.int64)
+    for shift in (1, 2, 4, 8, 16, 32):
+        mask |= mask >> shift
+    return mask
+
+
+def _masked_halves(rngs, n_words: int, mask: int) -> np.ndarray:
+    """(2 * n_words, len(rngs)) next 32-bit halves of each stream, low half
+    of each raw word first, and-ed with mask; the words are read a few rows
+    at a time, so the raw words of the whole block are never held at once."""
+    chunk = 16
+    halves = np.empty((2 * n_words, len(rngs)), dtype=np.min_scalar_type(mask))
+    raw = np.empty((min(chunk, len(rngs)), n_words), dtype="<u8")
+    for start in range(0, len(rngs), chunk):
+        rows = raw[:len(rngs[start:start + chunk])]
+        for row, rng in zip(rows, rngs[start:start + chunk]):
+            row[:] = rng.bit_generator.random_raw(n_words)
+        np.bitwise_and(rows.view("<u4").T, mask, out=halves[:, start:start + len(rows)])
+    return halves
+
+
+def _accepted_entries(rngs, draws: np.ndarray, table: np.ndarray, words: int | None):
+    """Walk every row's halves in lock step through random_interval's masked
+    rejection, one numpy pass per half.
+
+    Row r makes draws[r, j] draws for its shuffle j, at bounds from the
+    shuffle's top index down to 1. The draw's table entry is its bound *
+    table.shape[1] + its masked half; table[bound, half] is the swap index
+    the half gives. Returns, with row r's draw d at r * width + d, the entry
+    each draw accepted, and width.
+    """
+    n, stride = len(draws), table.shape[1]
+    total = draws.sum(axis=1, dtype=np.intp)
+    width = int(total.max(initial=0)) + 1
+    index_type = np.min_scalar_type(-width * stride)
+    # each draw's entry less its half: its shuffle's end - d, or 0, never
+    # accepted, at the row's end
+    ends = np.column_stack([np.cumsum(draws, axis=1, dtype=index_type), total.astype(index_type)])
+    codes = np.repeat(ends * stride, np.column_stack([draws, width - total]).ravel())
+    codes.reshape(n, width)[:] -= np.arange(width, dtype=index_type) * stride
+    bound = np.arange(len(table))[:, None]
+    advance = ((table <= bound) & (bound > 0)).astype(np.intp).ravel()
+    if words is None:  # the neediest row's expected halves plus six deviations
+        cost = (_bit_mask(np.arange(1, len(table))) + 1) / np.arange(2, len(table) + 1)
+        cost_sum = np.concatenate([[0.0], np.cumsum(cost)])  # halves of a shuffle's draws
+        var_sum = np.concatenate([[0.0], np.cumsum(cost * (cost - 1))])
+        mean, var = np.zeros(n), np.zeros(n)
+        for column in draws.T:
+            mean += cost_sum[column]
+            var += var_sum[column]
+        words = int(np.ceil(np.max(mean + 6.0 * np.sqrt(var), initial=0.0) / 2)) + 4
+    accepted = np.zeros(n * width, dtype=np.min_scalar_type(table.size))
+    state = np.arange(n) * width
+    done = state + total
+    pending = np.flatnonzero(state != done)
+    while pending.size:  # a row that runs out of words reads as many again
+        at, end, entry = state[pending], done[pending], np.empty(pending.size, dtype=np.intp)
+        for p, column in enumerate(_masked_halves([rngs[r] for r in pending], words, stride - 1)):
+            np.add(codes[at], column, out=entry)
+            accepted[at] = entry  # a rejected half's entry is overwritten by the next
+            at += advance[entry]
+            if p % 32 == 31 and np.array_equal(at, end):
+                break
+        state[pending] = at
+        pending = pending[at != end]
+    return accepted, width
+
+
+def shuffle_heads(rngs, sizes, count: int, words: int | None = None) -> np.ndarray:
+    """(n, k, count) first entries of the k shuffles that row r of the (n, k)
+    sizes asks of rngs[r]: entry [r, j] is rngs[r].permutation(sizes[r, j])[:count]
+    with the row's earlier shuffles drawn first, as rng.shuffle of a fresh
+    arange or one row of rng.permuted would give.
+
+    Each stream must hold no buffered 32-bit half (it is fresh or has drawn
+    only 64-bit values, such as normal). Every row reads `words` raw words,
+    by default the neediest row's expected halves plus six standard
+    deviations, and as many again each time it runs out; its stream is
+    spent after the call.
+    """
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 2 or len(sizes) != len(rngs):
+        raise ValueError(f"expected one row of shuffle sizes per stream, got {sizes.shape}")
+    n, k = sizes.shape
+    if count < 0 or count > sizes.min(initial=count):
+        raise ValueError(f"cannot take {count} entries of shuffles as short as "
+                         f"{sizes.min(initial=count)}")
+    top = int(sizes.max(initial=1))
+    bound = np.arange(top)[:, None]
+    table = np.arange(_bit_mask(max(top - 1, 1)) + 1) & _bit_mask(bound)  # swap index per half
+    draws = np.maximum(sizes, 1) - 1
+    accepted, width = _accepted_entries(rngs, draws, table, words)
+
+    # Fisher-Yates swaps position i with its draw's swap index, i from the top
+    # down. The entry that ends at position x < count is traced back through
+    # the swaps, i from the bottom up: it moves to the swap index at i = x,
+    # then to i whenever it holds the swap index at i. Each pass over i
+    # covers the shuffles that reach it, largest first.
+    size = sizes.ravel()
+    order = np.argsort(size.astype(np.min_scalar_type(top)), kind="stable")[::-1]
+    reaching = size.size - np.cumsum(np.bincount(size, minlength=top))  # shuffles longer than i
+    draw_at = np.cumsum(draws, axis=1, dtype=np.intp)  # a shuffle's end; position i is i before
+    draw_at += (np.arange(n) * width)[:, None]
+    draw_at = draw_at.ravel()[order]
+    swap_index = table.ravel().astype(np.min_scalar_type(top))
+    traced = np.repeat(np.arange(count, dtype=swap_index.dtype), n * k).reshape(count, n * k)
+    for i in range(1, top):
+        m = reaching[i]
+        draw_at[:m] -= 1
+        swap = swap_index[accepted[draw_at[:m]]]
+        for held in traced[:min(i, count), :m]:
+            np.copyto(held, i, where=held == swap)
+        if i < count:
+            traced[i, :m] = swap
+    heads = np.empty((n * k, count), dtype=traced.dtype)
+    heads[order] = traced.T
+    return heads.reshape(n, k, count)

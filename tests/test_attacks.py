@@ -566,6 +566,25 @@ class TestEngineMatchesReference:
             got, ref, _, _ = _engine_and_reference(ds, farm, 1, "canary", mode, cfg, seed=52)
             assert got == ref
 
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("edge", ["one_pick", "smaller_side", "no_steps"])
+    def test_pick_edges_on_desk_net(self, desk_net_farm, edge, mode):
+        # picks of one model, picks that take a target's whole smaller side
+        # (a shuffle's every entry), and no step at all, over ten queries
+        ds, farm = desk_net_farm
+        held, n_each = 5, 4
+        targets = _targets_for(farm, held, n_each, np.random.default_rng(held))
+        _, rest = hold_out_target(farm, held)
+        member = rest.splits[:, [t for t, _ in targets]]
+        sides = [(~member).sum(axis=0)] + ([member.sum(axis=0)] if mode == "online" else [])
+        smaller = int(np.min(sides))
+        batch, steps = {"one_pick": (1, 3), "smaller_side": (smaller, 2), "no_steps": (2, 0)}[edge]
+        cfg = CanaryConfig(epsilon=0.05, steps=steps, shadow_batch=batch, num_queries=10)
+        got, ref, oracle, _ = _engine_and_reference(ds, farm, held, "canary", mode, cfg, seed=58,
+                                                    n_each=n_each)
+        assert got == ref
+        assert oracle.query_count == 2 * n_each * 10
+
     def test_offline_density_variant(self, deep_tanh_farm):
         ds, farm = deep_tanh_farm
         cfg = CanaryConfig(epsilon=0.1, steps=3, num_queries=2, offline_density=True,

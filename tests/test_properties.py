@@ -7,11 +7,11 @@ Through the CLI every such failure is one ``error:<Class>: ...`` line on
 stderr and exit code 1. A config with values changed and keys dropped
 either raises ConfigError or loads to a config whose manifest reloads
 equal; only the loader runs, so no mutated size starts any work.
-One row of ``numpy``'s ``Generator.permuted`` over a tiled ``arange``
-draws what a loop of ``permutation`` calls draws, which offline canary
-picks rely on, and a shuffle of a refilled buffer draws what
-``permutation`` draws, which online picks rely on (a numpy change that
-breaks either would change scores). A batch of streams derived together
+``rng.shuffle_heads``, which draws every canary pick of a block from the
+rows' raw words, gives what ``Generator.shuffle`` of a fresh ``arange``,
+``permutation`` and one row of ``permuted`` give after a ``normal`` draw,
+for any mix of sizes and however often a row runs out of words (a numpy
+change to any of them would change scores). A batch of streams derived together
 is numpy's own ``SeedSequence`` stream of each key tuple, state for state.
 Example counts are bounded and derandomized so the suite stays fast and
 repeatable.
@@ -34,7 +34,8 @@ from mialab.cli import main
 from mialab.config import ExperimentConfig, load_config, write_manifest
 from mialab.errors import ConfigError, FormatError, MialabError
 from mialab.farm import farms_equal, load_farm
-from mialab.rng import substream, substreams
+from mialab import rng as rng_module
+from mialab.rng import shuffle_heads, substream, substreams
 
 ERROR_LINE = re.compile(r"error:[A-Za-z]+: [^\n]*\n")
 
@@ -217,28 +218,85 @@ def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 34), steps=st.integers(0, 40),
        noise_dim=st.integers(0, 3))
 def test_permuted_rows_draw_like_sequential_permutations(seed, k, steps, noise_dim):
-    one, loop = substream(seed, 1), substream(seed, 1)
-    for rng in (one, loop):  # a row's stream draws its init noise first
+    one, loop, raw = substream(seed, 1), substream(seed, 1), substream(seed, 1)
+    for rng in (one, loop, raw):  # a row's stream draws its init noise first
         rng.normal(0.0, 1.0, size=noise_dim)
     picks = one.permuted(np.tile(np.arange(k), (steps, 1)), axis=1)
     expected = np.array([loop.permutation(k) for _ in range(steps)], dtype=picks.dtype)
     assert np.array_equal(picks, expected.reshape(steps, k))
     assert one.bit_generator.state == loop.bit_generator.state
+    heads = shuffle_heads([raw], np.full((1, steps), k), k)
+    assert heads.shape == (1, steps, k) and np.array_equal(heads[0], picks)
 
 
 @bounded(300)
 @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 34), min_size=1, max_size=6),
        steps=st.integers(1, 12))
 def test_shuffled_buffer_draws_like_permutation(seed, sizes, steps):
-    one, loop = substream(seed, 3), substream(seed, 3)
+    one, loop, raw = substream(seed, 3), substream(seed, 3), substream(seed, 3)
     buffers = {k: (np.arange(k), np.empty(k, dtype=np.intp)) for k in sizes}
+    count = min(sizes)
+    shuffled = []
     for _ in range(steps):
         for k in sizes:  # one buffer per size, refilled before every shuffle
             arange, buf = buffers[k]
             buf[:] = arange
             one.shuffle(buf)
             assert np.array_equal(buf, loop.permutation(k))
+            shuffled.append(buf[:count].copy())
     assert one.bit_generator.state == loop.bit_generator.state
+    heads = shuffle_heads([raw], np.tile(sizes, (1, steps)), count)
+    assert np.array_equal(heads[0], np.array(shuffled))
+
+
+SHUFFLE_ROWS = st.lists(st.tuples(st.integers(1, 34), st.integers(1, 34)), min_size=1, max_size=5)
+
+
+@bounded(300)
+@given(seed=st.integers(0, 2**32 - 1), rows=SHUFFLE_ROWS, steps=st.integers(0, 12),
+       online=st.booleans(), count=st.integers(0, 34), noise_dim=st.integers(0, 3),
+       words=st.one_of(st.none(), st.integers(1, 6)))
+def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_dim, words):
+    """Rows of [out, in] x steps or [out] x steps sizes, as online and offline
+    canary picks draw them; a few words at a time make rows refill."""
+    sizes = np.tile([list(r) if online else [r[0]] for r in rows], (1, steps))
+    count = min(count, sizes.min(initial=count))
+    keys = [(seed, row) for row in range(len(rows))]
+    streams = {way: substreams(keys) for way in ("raw", "shuffle", "permutation", "permuted")}
+    for rngs in streams.values():
+        for rng in rngs:
+            rng.normal(0.0, 1.0, size=noise_dim)
+    heads = shuffle_heads(streams["raw"], sizes, count, words=words)
+    assert heads.shape == (len(rows), sizes.shape[1], count)
+    for r, row in enumerate(sizes.tolist()):
+        for j, k in enumerate(row):
+            buf = np.arange(k)
+            streams["shuffle"][r].shuffle(buf)
+            assert np.array_equal(heads[r, j], buf[:count])
+            assert np.array_equal(heads[r, j], streams["permutation"][r].permutation(k)[:count])
+        if len(set(row)) == 1:  # one size: the row's shuffles are one permuted call
+            picks = streams["permuted"][r].permuted(np.tile(np.arange(row[0]), (len(row), 1)), axis=1)
+            assert np.array_equal(heads[r], picks[:, :count])
+
+
+@pytest.mark.parametrize("words", [1, 2, None])
+def test_shuffle_heads_refill_rows_that_run_out(monkeypatch, words):
+    # one word holds two halves: with one or two words a read, every row
+    # refills many times over; by default one read serves the block
+    sizes = np.array([[34, 2] * 6, [17, 1] * 6, [33, 33] * 6])
+    rngs, loops = substreams([(5, r) for r in range(3)]), substreams([(5, r) for r in range(3)])
+    reads = []
+    read = rng_module._masked_halves
+    monkeypatch.setattr(rng_module, "_masked_halves", lambda *a: reads.append(a) or read(*a))
+    heads = shuffle_heads(rngs, sizes, 1, words=words)
+    assert len(reads) > 100 if words else len(reads) == 1
+    expected = [[loop.permutation(k)[:1] for k in row] for loop, row in zip(loops, sizes.tolist())]
+    assert np.array_equal(heads, np.array(expected))
+
+
+def test_shuffle_heads_refuses_heads_longer_than_a_shuffle():
+    with pytest.raises(ValueError, match="cannot take 3 entries of shuffles as short as 2"):
+        shuffle_heads(substreams([(1,), (2,)]), np.array([[4, 2], [3, 5]]), 3)
 
 
 KEY = st.one_of(
