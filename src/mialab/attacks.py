@@ -293,18 +293,20 @@ def _optimize_rows(
     if config.init == "target_plus_noise" and config.noise_scale > 0:
         for r, rng in enumerate(rngs):
             delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
-    # a row's OUT model ids ascending, then its IN ones; side s of a step
-    # picks positions into the row's ids from first[r, s] on
-    id_type = np.min_scalar_type(len(records))
-    ids = np.argsort(member.view(np.uint8), axis=1, kind="stable").astype(id_type)
+    # each side's picks are positions among the row's models of that side
     n_out = len(records) - member.sum(axis=1)
     sides = 2 if online else 1
-    first = np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None].astype(id_type)
-    sizes = np.column_stack([n_out, len(records) - n_out])[:, :sides].astype(id_type)
-    rows = np.arange(n)[:, None, None, None]
-    picks = ids[rows, shuffle_heads(rngs, np.tile(sizes, steps), b).reshape(n, steps, sides, b)
-                + first[:, None]]  # (n, steps, sides, b) model ids
+    sizes = np.column_stack([n_out, len(records) - n_out])[:, :sides]
+    at = shuffle_heads(rngs, np.tile(sizes, steps), b).reshape(n, steps, sides, b)
     del rngs  # spent on the picks; the block's streams go before the steps
+    # a row's ids are its OUT model ids ascending, then its IN ones, so its
+    # IN positions start at its OUT count
+    at += np.column_stack([np.zeros_like(n_out), n_out])[:, None, :sides, None]
+    sides_of = np.nonzero(np.hstack([~member, member]))[1]  # OUT slot m, IN slot M + m
+    ids = (sides_of % len(records)).reshape(n, len(records))
+    rows = np.arange(n)[:, None, None, None]
+    picks = ids[rows, at]  # (n, steps, sides, b) model ids
+    del at
     in_evaluations = int(member[rows, picks].sum())
     params = {m: check_params(records[m].arch, records[m].params)
               for m in np.flatnonzero(np.bincount(picks.ravel(), minlength=len(records))).tolist()}

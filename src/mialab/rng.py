@@ -8,10 +8,11 @@ vectorised pass; the Generator of each row is bitwise numpy's
 default_rng(SeedSequence(keys)), and substream is the one-row case.
 
 shuffle_heads draws a block's sequential shuffles of aranges from the rows'
-raw PCG64 words in one pass. It reproduces numpy's Generator.shuffle
-(_shuffle_raw in numpy/random/_generator.pyx): a Fisher-Yates pass from the
-top index down, each swap index drawn by random_interval's masked rejection
-over 32-bit halves of the raw words, low half first.
+raw PCG64 words, one pass per chunk of rows. It reproduces numpy's
+Generator.shuffle (_shuffle_raw in numpy/random/_generator.pyx): a
+Fisher-Yates pass from the top index down, each swap index drawn by
+random_interval's masked rejection over 32-bit halves of the raw words,
+low half first.
 tests/test_properties.py::test_shuffle_heads_draw_like_numpy pins it
 against shuffle, permutation and permuted.
 """
@@ -177,66 +178,68 @@ def derive_seed(*keys: int) -> int:
     return derive_seeds([keys])[0]
 
 
-def _bit_mask(bound: np.ndarray) -> np.ndarray:
-    """Smallest all-ones mask covering each bound, as random_interval takes."""
-    mask = np.array(bound, dtype=np.int64)
-    for shift in (1, 2, 4, 8, 16, 32):
-        mask |= mask >> shift
-    return mask
+# A block's shuffles are drawn a few rows at a time: at most this many draw
+# entries (rows x the largest row sum of shuffle sizes, or the halves of one
+# read if more) are walked at once, so the walk's arrays stay under about 25 MB
+# however many models and steps a row draws for. Each chunk costs a walk of
+# numpy calls as long as its neediest row, so a smaller budget costs time.
+_DRAW_ENTRIES = 1 << 21
+# Raw words a row reads at a time; a row that is not done reads again.
+_WORDS_PER_READ = 64
 
 
-def _masked_halves(rngs, n_words: int, mask: int) -> np.ndarray:
-    """(2 * n_words, len(rngs)) next 32-bit halves of each stream, low half
-    of each raw word first, and-ed with mask; the words are read a few rows
-    at a time, so the raw words of the whole block are never held at once."""
+def _swap_table(top: int) -> np.ndarray:
+    """(top, stride) swap index each 32-bit half gives at each bound below
+    top: random_interval ands the half with the smallest all-ones mask
+    covering the bound (the half modulo the next power of two) and rejects
+    what lands above the bound."""
+    powers = [1 << bound.bit_length() for bound in range(max(top, 2))]
+    return np.arange(powers[-1]) % np.array(powers[:top])[:, None]
+
+
+def _masked_halves(rngs, mask: int) -> np.ndarray:
+    """(2 * _WORDS_PER_READ, len(rngs)) uint32 next halves of each stream,
+    low half of each raw word first, and-ed with mask; the words are read a
+    few rows at a time."""
     chunk = 16
-    halves = np.empty((2 * n_words, len(rngs)), dtype=np.min_scalar_type(mask))
-    raw = np.empty((min(chunk, len(rngs)), n_words), dtype="<u8")
+    halves = np.empty((2 * _WORDS_PER_READ, len(rngs)), dtype=np.uint32)
+    raw = np.empty((min(chunk, len(rngs)), _WORDS_PER_READ), dtype="<u8")
     for start in range(0, len(rngs), chunk):
         rows = raw[:len(rngs[start:start + chunk])]
         for row, rng in zip(rows, rngs[start:start + chunk]):
-            row[:] = rng.bit_generator.random_raw(n_words)
+            row[:] = rng.bit_generator.random_raw(_WORDS_PER_READ)
         np.bitwise_and(rows.view("<u4").T, mask, out=halves[:, start:start + len(rows)])
     return halves
 
 
-def _accepted_entries(rngs, draws: np.ndarray, table: np.ndarray, words: int | None):
+def _accepted_entries(rngs, draws: np.ndarray, table: np.ndarray):
     """Walk every row's halves in lock step through random_interval's masked
     rejection, one numpy pass per half.
 
     Row r makes draws[r, j] draws for its shuffle j, at bounds from the
     shuffle's top index down to 1. The draw's table entry is its bound *
     table.shape[1] + its masked half; table[bound, half] is the swap index
-    the half gives. Returns, with row r's draw d at r * width + d, the entry
-    each draw accepted, and width.
+    the half gives. Returns, with row r's draw d at r * width + d, the
+    uint32 entry each draw accepted, and width.
     """
     n, stride = len(draws), table.shape[1]
-    total = draws.sum(axis=1, dtype=np.intp)
+    total = draws.sum(axis=1)
     width = int(total.max(initial=0)) + 1
-    index_type = np.min_scalar_type(-width * stride)
-    # each draw's entry less its half: its shuffle's end - d, or 0, never
-    # accepted, at the row's end
-    ends = np.column_stack([np.cumsum(draws, axis=1, dtype=index_type), total.astype(index_type)])
-    codes = np.repeat(ends * stride, np.column_stack([draws, width - total]).ravel())
-    codes.reshape(n, width)[:] -= np.arange(width, dtype=index_type) * stride
+    # each draw's entry less its half, (its shuffle's end - d) * stride; 0,
+    # never accepted, at the row's end; past it, never read. The uint32
+    # sums wrap, but every entry read is below table.size.
+    ends = (np.column_stack([np.cumsum(draws, axis=1), total]) * stride).astype(np.uint32)
+    codes = np.repeat(ends, np.column_stack([draws, width - total]).ravel())
+    codes.reshape(n, width)[:] -= (np.arange(width) * stride).astype(np.uint32)
     bound = np.arange(len(table))[:, None]
     advance = ((table <= bound) & (bound > 0)).astype(np.intp).ravel()
-    if words is None:  # the neediest row's expected halves plus six deviations
-        cost = (_bit_mask(np.arange(1, len(table))) + 1) / np.arange(2, len(table) + 1)
-        cost_sum = np.concatenate([[0.0], np.cumsum(cost)])  # halves of a shuffle's draws
-        var_sum = np.concatenate([[0.0], np.cumsum(cost * (cost - 1))])
-        mean, var = np.zeros(n), np.zeros(n)
-        for column in draws.T:
-            mean += cost_sum[column]
-            var += var_sum[column]
-        words = int(np.ceil(np.max(mean + 6.0 * np.sqrt(var), initial=0.0) / 2)) + 4
-    accepted = np.zeros(n * width, dtype=np.min_scalar_type(table.size))
+    accepted = np.zeros(n * width, dtype=np.uint32)
     state = np.arange(n) * width
     done = state + total
     pending = np.flatnonzero(state != done)
-    while pending.size:  # a row that runs out of words reads as many again
-        at, end, entry = state[pending], done[pending], np.empty(pending.size, dtype=np.intp)
-        for p, column in enumerate(_masked_halves([rngs[r] for r in pending], words, stride - 1)):
+    while pending.size:  # each pass reads the rows not yet done more words
+        at, end, entry = state[pending], done[pending], np.empty(pending.size, dtype=np.uint32)
+        for p, column in enumerate(_masked_halves([rngs[r] for r in pending], stride - 1)):
             np.add(codes[at], column, out=entry)
             accepted[at] = entry  # a rejected half's entry is overwritten by the next
             at += advance[entry]
@@ -247,16 +250,47 @@ def _accepted_entries(rngs, draws: np.ndarray, table: np.ndarray, words: int | N
     return accepted, width
 
 
-def shuffle_heads(rngs, sizes, count: int, words: int | None = None) -> np.ndarray:
+def _traced_heads(accepted, width: int, draws: np.ndarray, swap_index: np.ndarray,
+                  count: int) -> np.ndarray:
+    """(n, k, count) first entries of the shuffles whose draws accepted the
+    table entries of _accepted_entries; swap_index is the table, flat.
+
+    Fisher-Yates swaps position i with its draw's swap index, i from the top
+    down. The entry that ends at position x < count is traced back through
+    the swaps, i from the bottom up: it moves to the swap index at i = x,
+    then to i whenever it holds the swap index at i. Each pass over i
+    covers the shuffles that reach it, those with the most draws first.
+    """
+    n, k = draws.shape
+    left = draws.ravel()
+    order = np.argsort(left, kind="stable")[::-1]
+    reaching = left.size - np.cumsum(np.bincount(left))  # [j]: shuffles with more than j draws
+    at = np.cumsum(draws, axis=1)  # a shuffle's end; position i is i before
+    at += (np.arange(n) * width)[:, None]
+    at = at.ravel()[order]
+    traced = np.repeat(np.arange(count), n * k).reshape(count, n * k)
+    for i in range(1, len(reaching)):
+        m = reaching[i - 1]
+        at[:m] -= 1
+        swap = swap_index[accepted[at[:m]]]
+        for held in traced[:min(i, count), :m]:
+            held[held == swap] = i
+        if i < count:
+            traced[i, :m] = swap
+    heads = np.empty((n * k, count), dtype=np.intp)
+    heads[order] = traced.T
+    return heads.reshape(n, k, count)
+
+
+def shuffle_heads(rngs, sizes, count: int) -> np.ndarray:
     """(n, k, count) first entries of the k shuffles that row r of the (n, k)
     sizes asks of rngs[r]: entry [r, j] is rngs[r].permutation(sizes[r, j])[:count]
     with the row's earlier shuffles drawn first, as rng.shuffle of a fresh
     arange or one row of rng.permuted would give.
 
     Each stream must hold no buffered 32-bit half (it is fresh or has drawn
-    only 64-bit values, such as normal). Every row reads `words` raw words,
-    by default the neediest row's expected halves plus six standard
-    deviations, and as many again each time it runs out; its stream is
+    only 64-bit values, such as normal). Rows read raw words
+    _WORDS_PER_READ at a time until their draws are done, so a stream is
     spent after the call.
     """
     sizes = np.asarray(sizes)
@@ -266,33 +300,14 @@ def shuffle_heads(rngs, sizes, count: int, words: int | None = None) -> np.ndarr
     if count < 0 or count > sizes.min(initial=count):
         raise ValueError(f"cannot take {count} entries of shuffles as short as "
                          f"{sizes.min(initial=count)}")
-    top = int(sizes.max(initial=1))
-    bound = np.arange(top)[:, None]
-    table = np.arange(_bit_mask(max(top - 1, 1)) + 1) & _bit_mask(bound)  # swap index per half
-    draws = np.maximum(sizes, 1) - 1
-    accepted, width = _accepted_entries(rngs, draws, table, words)
-
-    # Fisher-Yates swaps position i with its draw's swap index, i from the top
-    # down. The entry that ends at position x < count is traced back through
-    # the swaps, i from the bottom up: it moves to the swap index at i = x,
-    # then to i whenever it holds the swap index at i. Each pass over i
-    # covers the shuffles that reach it, largest first.
-    size = sizes.ravel()
-    order = np.argsort(size.astype(np.min_scalar_type(top)), kind="stable")[::-1]
-    reaching = size.size - np.cumsum(np.bincount(size, minlength=top))  # shuffles longer than i
-    draw_at = np.cumsum(draws, axis=1, dtype=np.intp)  # a shuffle's end; position i is i before
-    draw_at += (np.arange(n) * width)[:, None]
-    draw_at = draw_at.ravel()[order]
-    swap_index = table.ravel().astype(np.min_scalar_type(top))
-    traced = np.repeat(np.arange(count, dtype=swap_index.dtype), n * k).reshape(count, n * k)
-    for i in range(1, top):
-        m = reaching[i]
-        draw_at[:m] -= 1
-        swap = swap_index[accepted[draw_at[:m]]]
-        for held in traced[:min(i, count), :m]:
-            np.copyto(held, i, where=held == swap)
-        if i < count:
-            traced[i, :m] = swap
-    heads = np.empty((n * k, count), dtype=traced.dtype)
-    heads[order] = traced.T
-    return heads.reshape(n, k, count)
+    table = _swap_table(int(sizes.max(initial=1)))
+    swap_index = table.ravel()
+    heads = np.empty((n, k, count), dtype=np.intp)
+    most = int(sizes.sum(axis=1).max(initial=0))  # no fewer than a row's draws
+    rows = max(1, _DRAW_ENTRIES // max(most + 1, 2 * _WORDS_PER_READ))
+    for start in range(0, n, rows):  # rows draw alone, so a few at a time
+        part = slice(start, start + rows)
+        draws = np.maximum(sizes[part], 1).astype(np.intp) - 1
+        accepted, width = _accepted_entries(rngs[part], draws, table)
+        heads[part] = _traced_heads(accepted, width, draws, swap_index, count)
+    return heads

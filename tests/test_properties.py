@@ -23,6 +23,7 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,10 +256,13 @@ SHUFFLE_ROWS = st.lists(st.tuples(st.integers(1, 34), st.integers(1, 34)), min_s
 @bounded(300)
 @given(seed=st.integers(0, 2**32 - 1), rows=SHUFFLE_ROWS, steps=st.integers(0, 12),
        online=st.booleans(), count=st.integers(0, 34), noise_dim=st.integers(0, 3),
-       words=st.one_of(st.none(), st.integers(1, 6)))
-def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_dim, words):
+       words=st.one_of(st.none(), st.integers(1, 6)),
+       entries=st.sampled_from([1, 300, rng_module._DRAW_ENTRIES]))
+def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_dim, words,
+                                       entries):
     """Rows of [out, in] x steps or [out] x steps sizes, as online and offline
-    canary picks draw them; a few words at a time make rows refill."""
+    canary picks draw them; a few words at a time make rows refill, and a
+    small entry budget draws the rows one or a few at a time."""
     sizes = np.tile([list(r) if online else [r[0]] for r in rows], (1, steps))
     count = min(count, sizes.min(initial=count))
     keys = [(seed, row) for row in range(len(rows))]
@@ -266,7 +270,9 @@ def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_d
     for rngs in streams.values():
         for rng in rngs:
             rng.normal(0.0, 1.0, size=noise_dim)
-    heads = shuffle_heads(streams["raw"], sizes, count, words=words)
+    with mock.patch.object(rng_module, "_WORDS_PER_READ", words or rng_module._WORDS_PER_READ), \
+            mock.patch.object(rng_module, "_DRAW_ENTRIES", entries):
+        heads = shuffle_heads(streams["raw"], sizes, count)
     assert heads.shape == (len(rows), sizes.shape[1], count)
     for r, row in enumerate(sizes.tolist()):
         for j, k in enumerate(row):
@@ -282,16 +288,33 @@ def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_d
 @pytest.mark.parametrize("words", [1, 2, None])
 def test_shuffle_heads_refill_rows_that_run_out(monkeypatch, words):
     # one word holds two halves: with one or two words a read, every row
-    # refills many times over; by default one read serves the block
+    # reads many times over; by default a few reads serve the block
     sizes = np.array([[34, 2] * 6, [17, 1] * 6, [33, 33] * 6])
     rngs, loops = substreams([(5, r) for r in range(3)]), substreams([(5, r) for r in range(3)])
     reads = []
     read = rng_module._masked_halves
     monkeypatch.setattr(rng_module, "_masked_halves", lambda *a: reads.append(a) or read(*a))
-    heads = shuffle_heads(rngs, sizes, 1, words=words)
-    assert len(reads) > 100 if words else len(reads) == 1
+    monkeypatch.setattr(rng_module, "_WORDS_PER_READ", words or rng_module._WORDS_PER_READ)
+    heads = shuffle_heads(rngs, sizes, 1)
+    rows_read = [len(streams) for streams, _ in reads]
+    assert rows_read == sorted(rows_read, reverse=True)  # a row that is done reads no more
+    assert len(reads) > 100 if words else len(reads) < 10
     expected = [[loop.permutation(k)[:1] for k in row] for loop, row in zip(loops, sizes.tolist())]
     assert np.array_equal(heads, np.array(expected))
+
+
+def test_shuffle_heads_walk_rows_within_the_entry_budget(monkeypatch):
+    # a walk holds at most _DRAW_ENTRIES (row, draw) entries, so a block's
+    # pick arrays stay bounded however many models and steps its rows draw for
+    sizes = np.full((10, 8), 30)
+    walked, walk = [], rng_module._accepted_entries
+    monkeypatch.setattr(rng_module, "_DRAW_ENTRIES", 1000)
+    monkeypatch.setattr(rng_module, "_accepted_entries",
+                        lambda rngs, draws, table: walked.append(draws.shape) or walk(rngs, draws, table))
+    heads = shuffle_heads(substreams([(6, r) for r in range(10)]), sizes, 2)
+    assert walked == [(4, 8), (4, 8), (2, 8)]  # 1000 // (8 * 30 + 1) rows a walk
+    loops = substreams([(6, r) for r in range(10)])
+    assert np.array_equal(heads, [[loop.permutation(30)[:2] for _ in range(8)] for loop in loops])
 
 
 def test_shuffle_heads_refuses_heads_longer_than_a_shuffle():
