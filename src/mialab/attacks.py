@@ -37,7 +37,6 @@ from .nn import (
 )
 from .rng import (  # noqa: F401  substream stays bound here for perfbench's tracer
     TAG_ALT_LABEL,
-    shuffle_heads,
     substream,
     substreams,
 )
@@ -177,14 +176,14 @@ class CanaryConfig:
     offline_density: bool = False
 
     def __post_init__(self):
-        for name in ("epsilon", "lr", "init_noise_scale"):
+        for name in ("epsilon", "init_noise_scale"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("epsilon", "init_noise_scale"):
-            value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not (math.isfinite(self.lr) and self.lr > 0):  # else the canary climbs its own loss
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.steps < 0 or self.shadow_batch < 1 or self.num_queries < 1:
             raise ValueError("steps, shadow_batch and num_queries must be positive")
         if self.objective not in OBJECTIVE_KINDS:
@@ -274,42 +273,40 @@ def _optimize_rows(
 
     Row r starts at x_star[r] with label y[r]; member[r, m] says whether
     records[m] is an IN model for the row's target. Each row draws from its
-    own rng: its init noise, then per step a shuffle of its OUT models and,
-    when online, one of its IN models, of which the first shadow_batch are
-    picked. rng.shuffle_heads draws every row's shuffles in one pass over
-    their raw words, exactly as rng.permutation would, so a row's canary
-    does not depend on the other rows of the block. Per step, each picked
-    model runs one stacked forward and one backward over the rows that
-    picked it on either side, around one objective pass per side; Adam and
-    the projection run once on the block. Only picked models' params are
-    read, so offline never reads a model IN for all rows.
+    own rng: its init noise, then one uniform key per (step, model). A
+    step's picks on a side are the shadow_batch models of that side with
+    the smallest keys (the lower id on a tie): a uniform subset, drawn
+    afresh each step, that does not depend on the other rows of the block.
+    Per step, each picked model runs one stacked forward and one backward
+    over the rows that picked it on either side, around one objective pass
+    per side; Adam and the projection run once on the block. Only picked
+    models' params are read, so offline never reads a model IN for all rows.
 
     Returns the canaries and the number of evaluated (row, model) pairs whose
     model is IN for the row, counted from the ids actually evaluated.
     """
     n, dim = x_star.shape
-    b, steps = config.shadow_batch, config.steps
-    delta = np.zeros_like(x_star)
-    if config.init == "target_plus_noise" and config.noise_scale > 0:
-        for r, rng in enumerate(rngs):
-            delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
-    # each side's picks are positions among the row's models of that side
-    n_out = len(records) - member.sum(axis=1)
+    b, steps, n_models = config.shadow_batch, config.steps, len(records)
     sides = 2 if online else 1
-    sizes = np.column_stack([n_out, len(records) - n_out])[:, :sides]
-    at = shuffle_heads(rngs, np.tile(sizes, steps), b).reshape(n, steps, sides, b)
-    del rngs  # spent on the picks; the block's streams go before the steps
-    # a row's ids are its OUT model ids ascending, then its IN ones, so its
-    # IN positions start at its OUT count
-    at += np.column_stack([np.zeros_like(n_out), n_out])[:, None, :sides, None]
-    sides_of = np.nonzero(np.hstack([~member, member]))[1]  # OUT slot m, IN slot M + m
-    ids = (sides_of % len(records)).reshape(n, len(records))
-    rows = np.arange(n)[:, None, None, None]
-    picks = ids[rows, at]  # (n, steps, sides, b) model ids
-    del at
-    in_evaluations = int(member[rows, picks].sum())
+    # OUT keys less 1.0, which is exact: ranked by key, a row's OUT models
+    # come first and its IN ones from its OUT count, each side in key order
+    out_offset = (~member).astype(np.float64)
+    n_out = n_models - member.sum(axis=1)
+    columns = (np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None]
+               + np.arange(b)).reshape(n, sides * b)
+    noise = config.init == "target_plus_noise" and config.noise_scale > 0
+    delta = np.zeros_like(x_star)
+    picks = np.empty((n, steps, sides * b), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        if noise:
+            delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
+        keys = rng.random((steps, n_models))
+        keys -= out_offset[r]
+        picks[r] = keys.argsort(axis=1, kind="stable")[:, columns[r]]
+    picks = picks.reshape(n, steps, sides, b)
+    in_evaluations = int(member[np.arange(n)[:, None, None, None], picks].sum())
     params = {m: check_params(records[m].arch, records[m].params)
-              for m in np.flatnonzero(np.bincount(picks.ravel(), minlength=len(records))).tolist()}
+              for m in np.flatnonzero(np.bincount(picks.ravel(), minlength=n_models)).tolist()}
 
     entry_row = np.arange(n).repeat(sides * b)  # row of each (row, side, slot) entry
     labels, alt_labels = y.repeat(b), None if alt is None else alt.repeat(b)
@@ -336,15 +333,14 @@ def optimize_canary(
 ) -> np.ndarray:
     """Adversarial query near x_star separating IN from OUT shadow models.
 
-    Each iteration reshuffles the model order, averages the input
-    gradient of the out-side objective over shadow_batch OUT models (plus
-    the in-side objective over shadow_batch IN models when online), takes
+    Each iteration draws a fresh uniform batch of shadow_batch OUT models
+    (and of shadow_batch IN models when online), averages the input
+    gradient of each side's objective over its batch, takes
     one Adam step on the perturbation, and projects back onto the
     epsilon ball intersected with the input domain. The optimisation is
     offline exactly when s_in is None: it then never sees an IN model.
     This is one row of the block optimiser that run_attack drives over
-    many targets at once. rng is spent after the call: the picks read
-    more raw words from it than they use.
+    many targets at once.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     online = s_in is not None

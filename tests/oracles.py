@@ -222,7 +222,11 @@ def _ref_project(x_star, delta, epsilon):
     return x - x_star, x
 
 
-def _ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline):
+def _ref_canary(x_star, y, models, column, cfg, rng, alt, offline):
+    """One canary; column[i] says whether models[i] is IN for the target.
+
+    Each step draws one uniform key per model, and a side's picks are its
+    shadow_batch models with the smallest (key, id)."""
     b = cfg.shadow_batch
     delta = np.zeros_like(x_star)
     if cfg.init == "target_plus_noise" and cfg.noise_scale > 0:
@@ -230,12 +234,15 @@ def _ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline):
     delta, x = _ref_project(x_star, delta, cfg.epsilon)
     m = np.zeros_like(x_star)
     v = np.zeros_like(x_star)
+    ids_out = [i for i, flag in enumerate(column) if not flag]
+    ids_in = [i for i, flag in enumerate(column) if flag]
     for t in range(1, cfg.steps + 1):
-        sides = [(s_out, "out_maximize")] + ([] if offline else [(s_in, "in_minimize")])
+        keys = rng.random(len(models)).tolist()
+        sides = [(ids_out, "out_maximize")] + ([] if offline else [(ids_in, "in_minimize")])
         grad = None
-        for models, direction in sides:
+        for ids, direction in sides:
             g = np.zeros_like(x_star)
-            for i in rng.permutation(len(models))[:b]:
+            for i in sorted(ids, key=lambda i: (keys[i], i))[:b]:
                 rec = models[i]
                 g += _ref_input_gradient(rec._params, rec.arch.activation, x, y,
                                          cfg.objective, direction, alt, CONF_CLAMP)
@@ -311,7 +318,8 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
                 noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x_star.shape) if cfg.epsilon > 0 else 0.0
                 queries.append(np.clip(x_star + noise, 0.0, 1.0))
             else:
-                queries.append(_ref_canary(x_star, y, s_in, s_out, cfg, rng, alt, offline))
+                queries.append(_ref_canary(x_star, y, farm.records, column, cfg, rng, alt,
+                                           offline))
         batch = np.stack(queries)
         clamp = CONF_CLAMP
 

@@ -298,6 +298,43 @@ class TestCanaryOptimizer:
         with pytest.raises(ValueError, match="shadow batch"):
             optimize_canary(x, y, s_in, s_out, cfg, substream(13, 0))
 
+    @pytest.mark.parametrize("key,value,problem", [
+        pytest.param("lr", -0.05, "lr must be finite and positive", id="lr-negative"),
+        pytest.param("lr", 0.0, "lr must be finite and positive", id="lr-zero"),
+        pytest.param("lr", math.inf, "lr must be finite and positive", id="lr-inf"),
+        pytest.param("lr", math.nan, "lr must be finite and positive", id="lr-nan"),
+        pytest.param("epsilon", math.nan, "epsilon must be finite", id="epsilon-nan"),
+        pytest.param("epsilon", -0.1, "epsilon must be non-negative", id="epsilon-negative"),
+        pytest.param("init_noise_scale", math.inf, "init_noise_scale must be finite",
+                     id="init_noise_scale-inf"),
+    ])
+    def test_config_refuses_bad_scales(self, key, value, problem):
+        # a non-positive lr would climb the canary's own loss
+        with pytest.raises(ValueError, match=problem):
+            CanaryConfig(**{"epsilon": 0.1, key: value})
+
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "offline"])
+    def test_block_rows_are_the_rows_alone(self, toy_farm, online):
+        # a row's picks come from its own stream only, so its canary is the
+        # one it gets in a block of its own
+        ds, farm = toy_farm
+        targets = [1, 4, 6, 9, 13]
+        x = np.stack([ds.point(t)[0] for t in targets])
+        y = np.array([ds.point(t)[1] for t in targets])
+        member = farm.splits[:, targets].T
+        cfg = CanaryConfig(epsilon=0.2, steps=6, shadow_batch=2, num_queries=1)
+        keys = [(24, t) for t in targets]
+        block, in_block = attacks._optimize_rows(x, y, member, farm.records, cfg, online,
+                                                 substreams(keys), None)
+        in_alone = 0
+        for r, key in enumerate(keys):
+            alone, count = attacks._optimize_rows(x[r:r + 1], y[r:r + 1], member[r:r + 1],
+                                                  farm.records, cfg, online, [substream(*key)],
+                                                  None)
+            assert np.array_equal(block[r], alone[0])
+            in_alone += count
+        assert in_block == in_alone == (len(targets) * cfg.steps * 2 if online else 0)
+
     def test_offline_never_touches_in_models(self, toy_farm):
         ds, farm = toy_farm
         x, y = ds.point(7)
@@ -570,7 +607,7 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("edge", ["one_pick", "smaller_side", "no_steps"])
     def test_pick_edges_on_desk_net(self, desk_net_farm, edge, mode):
         # picks of one model, picks that take a target's whole smaller side
-        # (a shuffle's every entry), and no step at all, over ten queries
+        # (every model of it, each step), and no step at all, over ten queries
         ds, farm = desk_net_farm
         held, n_each = 5, 4
         targets = _targets_for(farm, held, n_each, np.random.default_rng(held))

@@ -327,20 +327,26 @@ class TestAttack:
         assert rc == 1 and err.startswith("error:ConfigError: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key", ["epsilon", "init_noise_scale"])
-    def test_negative_canary_scale_refused(self, trained, tmp_path, capsys, key):
-        # a negative init_noise_scale once ran the canary without init noise
+    @pytest.mark.parametrize("key,value,problem", [
+        pytest.param("epsilon", -0.5, "must be non-negative", id="epsilon"),
+        pytest.param("init_noise_scale", -0.5, "must be non-negative", id="init_noise_scale"),
+        pytest.param("lr", -0.05, "must be finite and positive, got -0.05", id="lr-negative"),
+        pytest.param("lr", 0.0, "must be finite and positive, got 0.0", id="lr-zero"),
+    ])
+    def test_negative_canary_scale_refused(self, trained, tmp_path, capsys, key, value, problem):
+        # a negative init_noise_scale once ran the canary without init noise,
+        # and a negative lr climbed the canary's own loss
         _, _, out = trained
         cfg = base_config()
         cfg["attack"].update(method="canary", mode="online")
-        cfg["attack"]["canary"].update({"steps": 2, key: -0.5})
+        cfg["attack"]["canary"].update({"steps": 2, key: value})
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
                    "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err == f"error:ConfigError: invalid config: {key} must be non-negative\n"
+        assert err == f"error:ConfigError: invalid config: {key} {problem}\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("damage,error", [

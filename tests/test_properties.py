@@ -7,12 +7,10 @@ Through the CLI every such failure is one ``error:<Class>: ...`` line on
 stderr and exit code 1. A config with values changed and keys dropped
 either raises ConfigError or loads to a config whose manifest reloads
 equal; only the loader runs, so no mutated size starts any work.
-``rng.shuffle_heads``, which draws every canary pick of a block from the
-rows' raw words, gives what ``Generator.shuffle`` of a fresh ``arange``,
-``permutation`` and one row of ``permuted`` give after a ``normal`` draw,
-for any mix of sizes and however often a row runs out of words (a numpy
-change to any of them would change scores). A batch of streams derived together
-is numpy's own ``SeedSequence`` stream of each key tuple, state for state.
+The canary optimiser's picks on a side are that side's models only, a
+fresh subset each step, with every model picked about equally often. A
+batch of streams derived together is numpy's own ``SeedSequence`` stream
+of each key tuple, state for state.
 Example counts are bounded and derandomized so the suite stays fast and
 repeatable.
 """
@@ -23,20 +21,19 @@ import io
 import json
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mialab.attacks import ScoreTable
+from mialab import attacks
+from mialab.attacks import CanaryConfig, ScoreTable, _optimize_rows
 from mialab.cli import main
 from mialab.config import ExperimentConfig, load_config, write_manifest
 from mialab.errors import ConfigError, FormatError, MialabError
 from mialab.farm import farms_equal, load_farm
-from mialab import rng as rng_module
-from mialab.rng import shuffle_heads, substream, substreams
+from mialab.rng import substream, substreams
 
 ERROR_LINE = re.compile(r"error:[A-Za-z]+: [^\n]*\n")
 
@@ -215,111 +212,58 @@ def test_mutated_config_is_refused_or_round_trips(tmp_path_factory, edits):
     assert reloaded == cfg
 
 
-@bounded(300)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 34), steps=st.integers(0, 40),
-       noise_dim=st.integers(0, 3))
-def test_permuted_rows_draw_like_sequential_permutations(seed, k, steps, noise_dim):
-    one, loop, raw = substream(seed, 1), substream(seed, 1), substream(seed, 1)
-    for rng in (one, loop, raw):  # a row's stream draws its init noise first
-        rng.normal(0.0, 1.0, size=noise_dim)
-    picks = one.permuted(np.tile(np.arange(k), (steps, 1)), axis=1)
-    expected = np.array([loop.permutation(k) for _ in range(steps)], dtype=picks.dtype)
-    assert np.array_equal(picks, expected.reshape(steps, k))
-    assert one.bit_generator.state == loop.bit_generator.state
-    heads = shuffle_heads([raw], np.full((1, steps), k), k)
-    assert heads.shape == (1, steps, k) and np.array_equal(heads[0], picks)
+@st.composite
+def canary_blocks(draw):
+    """(member, b, steps, online) of a block whose every row has b models on
+    each side it picks from."""
+    b, online = draw(st.integers(1, 3)), draw(st.booleans())
+    n_models = draw(st.integers(2 * b if online else b, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_in = draw(st.integers(b if online else 0, n_models - b))
+        order = draw(st.permutations(range(n_models)))
+        rows.append(np.isin(np.arange(n_models), order[:n_in]))
+    return np.array(rows), b, draw(st.integers(0, 6)), online
 
 
-@bounded(300)
-@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 34), min_size=1, max_size=6),
-       steps=st.integers(1, 12))
-def test_shuffled_buffer_draws_like_permutation(seed, sizes, steps):
-    one, loop, raw = substream(seed, 3), substream(seed, 3), substream(seed, 3)
-    buffers = {k: (np.arange(k), np.empty(k, dtype=np.intp)) for k in sizes}
-    count = min(sizes)
-    shuffled = []
-    for _ in range(steps):
-        for k in sizes:  # one buffer per size, refilled before every shuffle
-            arange, buf = buffers[k]
-            buf[:] = arange
-            one.shuffle(buf)
-            assert np.array_equal(buf, loop.permutation(k))
-            shuffled.append(buf[:count].copy())
-    assert one.bit_generator.state == loop.bit_generator.state
-    heads = shuffle_heads([raw], np.tile(sizes, (1, steps)), count)
-    assert np.array_equal(heads[0], np.array(shuffled))
+@bounded(200)
+@given(block=canary_blocks(), seed=st.integers(0, 2**32 - 1))
+def test_canary_picks_stay_on_their_side(stored, block, seed):
+    """Offline picks no IN model; online, exactly the IN half of the picks
+    is IN, so OUT picks are OUT and IN picks are IN."""
+    member, b, steps, online = block
+    n, n_models = member.shape
+    records = stored[1].records[:n_models]
+    config = CanaryConfig(epsilon=0.1, steps=steps, shadow_batch=b, num_queries=1)
+    x_star = np.full((n, records[0].arch.input_dim), 0.5)
+    _, in_evaluations = _optimize_rows(x_star, np.zeros(n, dtype=np.int64), member, records,
+                                       config, online, substreams([(seed, r) for r in range(n)]),
+                                       None)
+    assert in_evaluations == (n * steps * b if online else 0)
 
 
-SHUFFLE_ROWS = st.lists(st.tuples(st.integers(1, 34), st.integers(1, 34)), min_size=1, max_size=5)
+def test_canary_picks_are_uniform_on_each_side(stored, monkeypatch):
+    # every model of a side is picked at about the same rate, never twice in one step
+    member = np.array([[0, 1, 0, 0, 1, 0, 1, 0], [1, 1, 1, 0, 1, 1, 1, 0]], dtype=bool)
+    b, steps = 2, 3000
+    picked = []
 
+    def step_gradient(x, rows, picks, *rest):
+        picked.append(picks.reshape(len(member), 2, b))
+        return np.zeros_like(x)
 
-@bounded(300)
-@given(seed=st.integers(0, 2**32 - 1), rows=SHUFFLE_ROWS, steps=st.integers(0, 12),
-       online=st.booleans(), count=st.integers(0, 34), noise_dim=st.integers(0, 3),
-       words=st.one_of(st.none(), st.integers(1, 6)),
-       entries=st.sampled_from([1, 300, rng_module._DRAW_ENTRIES]))
-def test_shuffle_heads_draw_like_numpy(seed, rows, steps, online, count, noise_dim, words,
-                                       entries):
-    """Rows of [out, in] x steps or [out] x steps sizes, as online and offline
-    canary picks draw them; a few words at a time make rows refill, and a
-    small entry budget draws the rows one or a few at a time."""
-    sizes = np.tile([list(r) if online else [r[0]] for r in rows], (1, steps))
-    count = min(count, sizes.min(initial=count))
-    keys = [(seed, row) for row in range(len(rows))]
-    streams = {way: substreams(keys) for way in ("raw", "shuffle", "permutation", "permuted")}
-    for rngs in streams.values():
-        for rng in rngs:
-            rng.normal(0.0, 1.0, size=noise_dim)
-    with mock.patch.object(rng_module, "_WORDS_PER_READ", words or rng_module._WORDS_PER_READ), \
-            mock.patch.object(rng_module, "_DRAW_ENTRIES", entries):
-        heads = shuffle_heads(streams["raw"], sizes, count)
-    assert heads.shape == (len(rows), sizes.shape[1], count)
-    for r, row in enumerate(sizes.tolist()):
-        for j, k in enumerate(row):
-            buf = np.arange(k)
-            streams["shuffle"][r].shuffle(buf)
-            assert np.array_equal(heads[r, j], buf[:count])
-            assert np.array_equal(heads[r, j], streams["permutation"][r].permutation(k)[:count])
-        if len(set(row)) == 1:  # one size: the row's shuffles are one permuted call
-            picks = streams["permuted"][r].permuted(np.tile(np.arange(row[0]), (len(row), 1)), axis=1)
-            assert np.array_equal(heads[r], picks[:, :count])
-
-
-@pytest.mark.parametrize("words", [1, 2, None])
-def test_shuffle_heads_refill_rows_that_run_out(monkeypatch, words):
-    # one word holds two halves: with one or two words a read, every row
-    # reads many times over; by default a few reads serve the block
-    sizes = np.array([[34, 2] * 6, [17, 1] * 6, [33, 33] * 6])
-    rngs, loops = substreams([(5, r) for r in range(3)]), substreams([(5, r) for r in range(3)])
-    reads = []
-    read = rng_module._masked_halves
-    monkeypatch.setattr(rng_module, "_masked_halves", lambda *a: reads.append(a) or read(*a))
-    monkeypatch.setattr(rng_module, "_WORDS_PER_READ", words or rng_module._WORDS_PER_READ)
-    heads = shuffle_heads(rngs, sizes, 1)
-    rows_read = [len(streams) for streams, _ in reads]
-    assert rows_read == sorted(rows_read, reverse=True)  # a row that is done reads no more
-    assert len(reads) > 100 if words else len(reads) < 10
-    expected = [[loop.permutation(k)[:1] for k in row] for loop, row in zip(loops, sizes.tolist())]
-    assert np.array_equal(heads, np.array(expected))
-
-
-def test_shuffle_heads_walk_rows_within_the_entry_budget(monkeypatch):
-    # a walk holds at most _DRAW_ENTRIES (row, draw) entries, so a block's
-    # pick arrays stay bounded however many models and steps its rows draw for
-    sizes = np.full((10, 8), 30)
-    walked, walk = [], rng_module._accepted_entries
-    monkeypatch.setattr(rng_module, "_DRAW_ENTRIES", 1000)
-    monkeypatch.setattr(rng_module, "_accepted_entries",
-                        lambda rngs, draws, table: walked.append(draws.shape) or walk(rngs, draws, table))
-    heads = shuffle_heads(substreams([(6, r) for r in range(10)]), sizes, 2)
-    assert walked == [(4, 8), (4, 8), (2, 8)]  # 1000 // (8 * 30 + 1) rows a walk
-    loops = substreams([(6, r) for r in range(10)])
-    assert np.array_equal(heads, [[loop.permutation(30)[:2] for _ in range(8)] for loop in loops])
-
-
-def test_shuffle_heads_refuses_heads_longer_than_a_shuffle():
-    with pytest.raises(ValueError, match="cannot take 3 entries of shuffles as short as 2"):
-        shuffle_heads(substreams([(1,), (2,)]), np.array([[4, 2], [3, 5]]), 3)
+    monkeypatch.setattr(attacks, "_step_gradient", step_gradient)
+    config = CanaryConfig(epsilon=0.1, steps=steps, shadow_batch=b, num_queries=1)
+    _optimize_rows(np.full((2, 3), 0.5), np.zeros(2, dtype=np.int64), member, stored[1].records,
+                   config, True, substreams([(3, 0), (3, 1)]), None)
+    picks = np.stack(picked, axis=1)  # (rows, steps, sides, b)
+    for r, row in enumerate(member):
+        for side, models in enumerate((np.flatnonzero(~row), np.flatnonzero(row))):
+            side_picks = np.sort(picks[r, :, side], axis=1)
+            assert np.all(np.isin(side_picks, models)) and np.all(np.diff(side_picks, axis=1) > 0)
+            counts = np.bincount(side_picks.ravel(), minlength=len(row))[models]
+            expected = steps * b / len(models)
+            assert np.all(np.abs(counts - expected) < 0.1 * expected), counts
 
 
 KEY = st.one_of(
