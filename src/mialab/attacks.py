@@ -9,9 +9,10 @@ attack runner that produces a ScoreTable.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .rng import (  # noqa: F401  substream stays bound here for perfbench's tra
 
 # Gaussian fits floor the standard deviation here, which keeps scores finite.
 SIGMA_FLOOR = 1e-4
-# run_attack processes targets in blocks of at most this many (target, query)
-# rows x widest layer elements, which bounds the activations one pass over a
-# block holds; LiRA keeps these blocks, as wider ones cost peak memory.
+# run_attack processes targets in blocks of at most this many evaluated rows x
+# widest layer elements, which bounds the activations one pass over a block
+# holds: Q rows per target, one for LiRA, whose Q queries repeat one point.
 # Scores do not depend on it.
 BLOCK_ELEMENTS = 1 << 16
 
@@ -393,15 +394,21 @@ class ScoreTable:
     def labels(self) -> np.ndarray:
         return np.array([r.is_member for r in self.rows], dtype=bool)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SCORE_HEADER)
-            for row in self.rows:
-                for q, s in enumerate(row.query_scores):
-                    writer.writerow(
-                        [row.target_index, int(row.is_member), q, repr(s), repr(row.aggregated)]
-                    )
+    def write_csv(self, path) -> str:
+        """One line per (target, query), ended by \\r\\n as csv.writer ends it (no field
+        needs quoting); a score's repr is made once per distinct value, an
+        aggregate's once per target. Returns the sha256 of the bytes written."""
+        reprs, lines = {}, [",".join(SCORE_HEADER)]
+        for row in self.rows:
+            head, agg = f"{row.target_index},{int(row.is_member)},", repr(row.aggregated)
+            for q, s in enumerate(row.query_scores):
+                text = reprs.get(s) if s else None  # 0.0 == -0.0, but their reprs differ
+                if text is None:
+                    text = reprs[s] = repr(s)
+                lines.append(f"{head}{q},{text},{agg}")
+        data = ("\r\n".join(lines) + "\r\n").encode()
+        Path(path).write_bytes(data)
+        return hashlib.sha256(data).hexdigest()
 
     @staticmethod
     def read_csv(path) -> "ScoreTable":
@@ -448,12 +455,13 @@ def _score_block(
 ) -> tuple[np.ndarray, int]:
     """(targets, Q) query scores of a block of targets, and the IN evaluations made.
 
-    The oracle answers the (targets, Q, d) queries; each shadow model scores
-    the (targets, S, d) shadow_queries (the queries, or the one point a LiRA
-    target's queries repeat) of the targets it may see: all online, those it
-    is OUT for offline. Every row is evaluated alone. Gaussian fits reduce
-    over contiguous (targets * S, models) rows grouped by model count; one
-    elementwise score call per side scores each query against its own answer.
+    The oracle answers the (targets, Q, d) queries, once per target on a
+    stride-0 query axis; each shadow model scores the (targets, S, d)
+    shadow_queries (the queries, or LiRA's one point per target) of the
+    targets it may see: all online, those it is OUT for offline. Every row is
+    evaluated alone. Gaussian fits reduce over contiguous (targets * S,
+    models) rows grouped by model count; one elementwise score call per side
+    scores each query against its own answer.
     """
     k, n_shadow = shadow_queries.shape[:2]
     phi = np.full((len(records), k, n_shadow), np.nan)
@@ -501,15 +509,16 @@ def run_attack(
     membership bits come from the held-out target model's own split mask.
     Before any work, the farm must fit the dataset (check_farm_fits), the
     oracle carry its fingerprint, and every target have enough IN/OUT
-    shadow models. Targets are then processed in fixed-size blocks: all
-    (target, query) rows of a block are optimised together, and each shadow
-    model scores one row per query (per target for LiRA, whose queries
-    repeat the target point); one elementwise pass scores the block's
-    (targets, Q) array. Every row is computed exactly as it would be
-    alone, so a query's score depends on neither the block size, nor
-    num_queries, nor the other targets, and a LiRA target's scores are
-    equal. Offline mode never evaluates an IN shadow model; the evaluated
-    ids are counted and any IN evaluation raises IsolationError.
+    shadow models. Targets are then processed in blocks sized by
+    BLOCK_ELEMENTS: all (target, query) rows of a block are optimised
+    together, and the oracle and each shadow model evaluate one row per query,
+    or per target for LiRA, whose Q queries are stride-0 copies of the target
+    point; one elementwise pass scores the block's (targets, Q) array. Every
+    row is computed exactly as it would be alone, so a query's score depends
+    on neither the block size, nor num_queries, nor the other targets, and a
+    LiRA target's scores are equal. Offline mode never evaluates an IN
+    shadow model; the evaluated ids are counted and any IN evaluation
+    raises IsolationError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -530,30 +539,31 @@ def run_attack(
     member = farm.splits[:, index].T  # (targets, models): model is IN for the target
     _check_eligible(index, member, config.shadow_batch if method == "canary" else 1, online)
 
-    num_classes = farm.arch.num_classes
     n_queries = config.num_queries
-    block = max(1, BLOCK_ELEMENTS // (n_queries * max(farm.arch.dims)))
+    lira = method == "lira"
+    block = max(1, BLOCK_ELEMENTS // ((1 if lira else n_queries) * max(farm.arch.dims)))
     rows, in_evaluations = [], 0
     for start in range(0, len(targets), block):
         idx = index[start:start + block]
         blk_member = member[start:start + block]
         x_star, y = dataset.take(idx)
-        # one row per (target, query), target-major; LiRA rows draw no stream
-        x_rows = x_star.repeat(n_queries, axis=0)
-        if method != "lira":
-            keys = [(seed, t, q) for t in idx.tolist() for q in range(n_queries)]
-        if method == "random_noise":
-            x_rows = random_noise_query(x_rows, config.epsilon, substreams(keys))
-        elif method == "canary":
-            alt = None
-            if config.objective.endswith("random_label"):
-                alt = _draw_alt_labels(seed, idx, y, num_classes).repeat(n_queries)
-            x_rows, hits = _optimize_rows(
-                x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
-                farm.records, config, online, substreams(keys), alt)
-            in_evaluations += hits
-        queries = x_rows.reshape(len(idx), n_queries, -1)
-        scores, hits = _score_block(queries, x_star[:, None] if method == "lira" else queries,
+        if lira:
+            queries = np.broadcast_to(x_star[:, None], (len(idx), n_queries, x_star.shape[1]))
+        else:  # one row per (target, query), target-major, each with its own stream
+            x_rows = x_star.repeat(n_queries, axis=0)
+            rngs = substreams([(seed, t, q) for t in idx.tolist() for q in range(n_queries)])
+            if method == "random_noise":
+                x_rows = random_noise_query(x_rows, config.epsilon, rngs)
+            else:
+                alt = None
+                if config.objective.endswith("random_label"):
+                    alt = _draw_alt_labels(seed, idx, y, farm.arch.num_classes).repeat(n_queries)
+                x_rows, hits = _optimize_rows(
+                    x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
+                    farm.records, config, online, rngs, alt)
+                in_evaluations += hits
+            queries = x_rows.reshape(len(idx), n_queries, -1)
+        scores, hits = _score_block(queries, x_star[:, None] if lira else queries,
                                     y, blk_member, farm.records, oracle, config, online)
         in_evaluations += hits
         if not online and in_evaluations:

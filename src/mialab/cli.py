@@ -23,7 +23,8 @@ from .config import ExperimentConfig, load_config, write_manifest
 from .errors import ConfigError, FormatError, MialabError, OutputExistsError
 from .farm import build_farm, check_farm_fits, hold_out_target, load_farm, save_farm
 from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
-from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, derive_seed, substream
+from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, generators, state_seeds, stream_states
+from .rng import substream  # noqa: F401  stays bound here for perfbench's tracer
 from .training import map_jobs, record_accuracy
 
 FPR_TARGET = 0.01
@@ -88,22 +89,29 @@ def _target_counts(cfg: ExperimentConfig) -> tuple[int, int]:
     return (cfg.targets.count + 1) // 2, cfg.targets.count // 2
 
 
-def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
-    """One attack run: pick a target model, sample balanced targets, score."""
-    target_model = int(substream(cfg.master_seed, TAG_TARGET_CHOICE, run_seed).integers(farm.n_models))
+def _run_streams(cfg: ExperimentConfig) -> list[tuple]:
+    """(run seed, its target-choice, target-sample and attack stream states) per run seed, in one pass."""
+    ms = cfg.master_seed
+    states = stream_states([key for s in cfg.seeds for key in (
+        (ms, TAG_TARGET_CHOICE, s), (ms, TAG_TARGET_SAMPLE, s, cfg.targets.seed), (ms, TAG_ATTACK, s))])
+    return list(zip(cfg.seeds, states.reshape(len(cfg.seeds), 3, -1)))
+
+
+def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, streams: tuple):
+    """One attack run on an item of _run_streams: pick a target model, sample balanced targets, score."""
+    run_seed, states = streams
+    (choice, rng), (attack_seed,) = generators(states[:2]), state_seeds(states[2:])
+    target_model = int(choice.integers(farm.n_models))
     truth = farm.splits[target_model]
     oracle, shadows = hold_out_target(farm, target_model)
 
-    rng = substream(cfg.master_seed, TAG_TARGET_SAMPLE, run_seed, cfg.targets.seed)
     n_member, n_nonmember = _target_counts(cfg)
     picked_members = np.sort(rng.choice(np.flatnonzero(truth), n_member, replace=False))
     picked_non = np.sort(rng.choice(np.flatnonzero(~truth), n_nonmember, replace=False))
     targets = [(int(i), True) for i in picked_members] + [(int(i), False) for i in picked_non]
 
-    table = run_attack(
-        dataset, oracle, shadows, targets, cfg.attack.method, cfg.attack.mode, cfg.attack.canary,
-        derive_seed(cfg.master_seed, TAG_ATTACK, run_seed),
-    )
+    table = run_attack(dataset, oracle, shadows, targets, cfg.attack.method, cfg.attack.mode,
+                       cfg.attack.canary, attack_seed)
     info = {
         "seed": run_seed,
         "target_model_index": target_model,
@@ -115,12 +123,6 @@ def _run_attack_seed(cfg: ExperimentConfig, dataset, farm, run_seed: int):
     return table, info
 
 
-def _load_farm(path):
-    """The farm store at path and the sha256 of its bytes, read once."""
-    data = Path(path).read_bytes()
-    return load_farm(path, data), hashlib.sha256(data).hexdigest()
-
-
 def cmd_attack(args) -> None:
     """Materialise the dataset, load the farm and check that it fits the dataset
     and that every split row can supply the targets once, before any run; then
@@ -128,7 +130,9 @@ def cmd_attack(args) -> None:
     start = time.perf_counter()
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
-    farm, farm_sha256 = _load_farm(args.farm)
+    data = Path(args.farm).read_bytes()  # read once, for the farm and its sha256
+    farm, farm_sha256 = load_farm(args.farm, data), hashlib.sha256(data).hexdigest()
+    del data  # the farm holds its own copy of the rows; the runs need no second one
     check_farm_fits(farm, dataset)
     n_member, n_nonmember = _target_counts(cfg)
     least = farm.splits.sum(axis=1).min(), (~farm.splits).sum(axis=1).min()
@@ -137,12 +141,11 @@ def cmd_attack(args) -> None:
                           f"from as few as {least[0]}/{least[1]} in a split row")
     score_names = [f"scores_seed{s}.csv" for s in cfg.seeds]
     out = _ensure_out(args.out, score_names + ["attack_manifest.json"], args.force)
-    runs = map_jobs(partial(_run_attack_seed, cfg, dataset, farm), cfg.seeds, args.jobs)
+    runs = map_jobs(partial(_run_attack_seed, cfg, dataset, farm), _run_streams(cfg), args.jobs)
     outputs, infos = {}, []
     out.mkdir(parents=True, exist_ok=True)
     for (table, info), name in zip(runs, score_names):
-        table.write_csv(out / name)
-        outputs[name] = _sha256(out / name)
+        outputs[name] = table.write_csv(out / name)
         infos.append(info)
     write_manifest(
         out / "attack_manifest.json",

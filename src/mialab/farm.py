@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .errors import FingerprintMismatchError, FormatError, ShapeError, UnsupportedVersionError
 from .nn import ArchDescriptor, Params, forward_batch, softmax
-from .rng import TAG_MODEL, TAG_SPLITS, derive_seeds
+from .rng import TAG_MODEL, TAG_SPLITS, state_seeds, stream_states
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
     TrainConfig,
@@ -84,7 +84,7 @@ class TargetOracle:
     def confidences(self, X: np.ndarray, y) -> np.ndarray:
         """Confidences of a (B, d) batch with one label, or of (T, Q, d) query
         blocks with one label per block (see row_confidences). Each answered
-        row counts one query; a refused call counts none."""
+        row counts one query, a stride-0 axis's copies too; a refused call none."""
         conf = row_confidences(self._record.arch, self._record._params, X, y)
         self.query_count += conf.size
         return conf
@@ -99,13 +99,17 @@ def row_confidences(arch: ArchDescriptor, params: Params, X: np.ndarray, y) -> n
     """Softmax confidence on the label of each row: (B,) for a (B, d) batch with
     one label, (T, Q) for (T, Q, d) query blocks with one label per block.
     Each row is its own (1, d) matmul slice, so its confidence is bitwise
-    that of the row evaluated alone, whatever the batch."""
+    that of the row evaluated alone, whatever the batch. A stride-0 query axis
+    (np.broadcast_to of one point per block) is evaluated once per block, and
+    its answers are broadcast read-only."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (2, 3) or X.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected queries of shape (..., {arch.input_dim}), got {X.shape}")
     y = np.asarray(y, dtype=np.intp)
     if y.shape != X.shape[:-2] or np.any((y < 0) | (y >= arch.num_classes)):
         raise IndexError(f"class labels {y} do not fit queries {X.shape} of {arch.num_classes} classes")
+    if X.ndim == 3 and X.shape[1] > 1 and X.strides[1] == 0:
+        return np.broadcast_to(row_confidences(arch, params, X[:, :1], y), X.shape[:-1])
     labels = np.broadcast_to(y[..., None], X.shape[:-1]).ravel()
     p = softmax(forward_batch(arch, params, X.reshape(-1, 1, arch.input_dim))[:, 0])
     return p[np.arange(labels.size), labels].reshape(X.shape[:-1])
@@ -151,8 +155,8 @@ def build_farm(
         raise ValueError("a farm needs at least 2 models")
     if not _arch_fits(arch, dataset):
         raise ValueError("architecture does not fit the dataset")
-    split_seed, *seeds = derive_seeds([(master_seed, TAG_SPLITS)]
-                                      + [(master_seed, TAG_MODEL, i) for i in range(n_models)])
+    split_seed, *seeds = state_seeds(stream_states(
+        [(master_seed, TAG_SPLITS)] + [(master_seed, TAG_MODEL, i) for i in range(n_models)]))
     splits = make_even_splits(dataset.n, n_models, split_seed)
     records = train_models(dataset, splits, arch, train_config, seeds, jobs=jobs)
     return ShadowFarm(dataset.fingerprint(), arch, splits, records, int(master_seed))

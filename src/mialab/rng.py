@@ -5,7 +5,8 @@ numpy's SeedSequence mixing, so any unit of work (a model, a target, a
 query) can rebuild its own stream independently of execution order.
 stream_states runs that mixing for a whole batch of key tuples in one
 vectorised pass; the Generator of each row is bitwise numpy's
-default_rng(SeedSequence(keys)), and substream is the one-row case.
+default_rng(SeedSequence(keys)), and substream is the one-row case;
+state_seeds turns rows into seed integers instead.
 """
 
 from __future__ import annotations
@@ -149,6 +150,11 @@ def generators(states: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(fixed(s))) for s in states]
 
 
+def state_seeds(states: np.ndarray) -> list[int]:
+    """One 63-bit seed integer per row of stream_states."""
+    return [int(s) >> 1 for s in states[:, 0]]
+
+
 def substreams(keys) -> list[np.random.Generator]:
     """One Generator per key tuple of non-negative integers."""
     return generators(stream_states(keys))
@@ -157,14 +163,3 @@ def substreams(keys) -> list[np.random.Generator]:
 def substream(*keys: int) -> np.random.Generator:
     """Return a Generator keyed by the given non-negative integers."""
     return substreams([keys])[0]
-
-
-def derive_seeds(keys) -> list[int]:
-    """One 63-bit seed integer per key tuple."""
-    return [int(s) >> 1 for s in stream_states(keys)[:, 0]]
-
-
-def derive_seed(*keys: int) -> int:
-    """Collapse a key tuple into a single 63-bit seed integer."""
-    return derive_seeds([keys])[0]
-

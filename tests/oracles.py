@@ -3,11 +3,14 @@
 These deliberately avoid the library's own code paths: finite
 differences of scalar objective values for gradients, explicit pairwise
 counting for AUC, a
-hand-rolled recurrence for Adam, and the one-target attack and one-model
+hand-rolled recurrence for Adam, the one-target attack and one-model
 training loops the batched library code must reproduce bit for bit, with
-streams built by numpy's SeedSequence directly.
+streams built by numpy's SeedSequence directly, and a csv.writer encoder
+of score tables.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -109,6 +112,18 @@ def fd_param_gradient_coords(arch, params, X, y, coords, h=1e-4):
 def _ref_stream(*keys):
     """numpy's own stream of a key tuple, built without mialab.rng."""
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
+def score_csv_bytes(rows) -> bytes:
+    """A score table's CSV as csv.writer writes it, one row per (target, query)
+    with repr'd scores: the bytes ScoreTable.write_csv must produce."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["target_index", "is_member", "query_id", "score", "aggregated_score"])
+    for row in rows:
+        for q, s in enumerate(row.query_scores):
+            writer.writerow([row.target_index, int(row.is_member), q, repr(s), repr(row.aggregated)])
+    return buf.getvalue().encode()
 
 
 def pairwise_auc(scores, labels):

@@ -42,7 +42,7 @@ from mialab.nn import (
     input_gradient,
     param_gradient,
 )
-from mialab.rng import substream, derive_seed
+from mialab.rng import state_seeds, stream_states, substream
 from mialab.training import DpConfig, TrainConfig
 
 from oracles import fd_input_gradient, fd_param_gradient_coords, pairwise_auc
@@ -222,7 +222,7 @@ def desk_experiment():
         farm = build_farm(ds, N_MODELS, arch, tc, master_seed=ms)
         target_model, targets = _targets_for_seed(farm, ms)
         oracle, shadows = hold_out_target(farm, target_model)
-        aseed = derive_seed(ms, 15, 0)
+        aseed = state_seeds(stream_states([(ms, 15, 0)]))[0]
 
         def auc_of(method, mode, cfg):
             table = run_attack(ds, oracle, shadows, targets, method, mode, cfg, seed=aseed)
@@ -333,7 +333,7 @@ def _dp_pair_auc(ds, arch, master_seed, dp):
     oracle, shadows = hold_out_target(farm, target_model)
     table = run_attack(ds, oracle, shadows, targets, "lira", "online",
                        CanaryConfig(epsilon=CANARY_EPSILON, num_queries=10),
-                       seed=derive_seed(master_seed, 15, 0))
+                       seed=state_seeds(stream_states([(master_seed, 15, 0)]))[0])
     return roc_auc(table.scores(), table.labels())
 
 

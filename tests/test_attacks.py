@@ -1,6 +1,7 @@
 """Attack scoring math, the canary optimizer contracts, and run_attack."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mialab.attacks import (
     SIGMA_FLOOR,
     CanaryConfig,
     GaussianStats,
+    ScoreRow,
     ScoreTable,
     ensemble_scores,
     fit_gaussians,
@@ -29,7 +31,14 @@ from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
 from mialab.rng import substream, substreams
 from mialab.training import TrainConfig
 
-from oracles import _ref_log_pdf, _ref_phi, ref_offline_score, ref_online_score, reference_attack
+from oracles import (
+    _ref_log_pdf,
+    _ref_phi,
+    ref_offline_score,
+    ref_online_score,
+    reference_attack,
+    score_csv_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -530,12 +539,27 @@ class TestScoreTableCsv:
         table = run_attack(ds, oracle, rest, targets, "lira", "offline", cfg, seed=40)
         path = tmp_path / "scores_seed0.csv"
         table.write_csv(path)
+        assert path.read_bytes() == score_csv_bytes(table.rows)
         loaded = ScoreTable.read_csv(path)
         assert loaded.rows == table.rows
 
-    def test_round_trip_with_infinite_scores(self, tmp_path):
-        from mialab.attacks import ScoreRow
+    def test_bytes_are_the_csv_writers(self, tmp_path):
+        inf, tiny, third = math.inf, 5e-324, 0.1 + 0.2
+        rows = [
+            ScoreRow(0, True, [0.0, -0.0, 0.0], -0.0),  # signed zeros, as scores and aggregate
+            ScoreRow(1, False, [-0.0], 0.0),  # one query per target
+            ScoreRow(2, True, [inf, -inf, tiny], inf),
+            ScoreRow(3, False, [1e16, 1e-05, third], third),  # aggregate equal to one of its scores
+            ScoreRow(4, True, [1e16, 1e16, 1e-05], 1e16),  # repeated within and across targets
+            ScoreRow(5, False, [third, 0.3, tiny, 0.0], -0.0),
+        ]
+        path = tmp_path / "scores_seed3.csv"
+        digest = ScoreTable(rows).write_csv(path)
+        assert path.read_bytes() == score_csv_bytes(rows)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert repr(ScoreTable.read_csv(path).rows) == repr(rows)  # repr tells -0.0 from 0.0
 
+    def test_round_trip_with_infinite_scores(self, tmp_path):
         table = ScoreTable([ScoreRow(3, True, [float("inf"), 2.0], float("inf")),
                             ScoreRow(5, False, [0.25, 0.5], 0.375)])
         path = tmp_path / "scores_seed1.csv"
@@ -632,7 +656,8 @@ class TestEngineMatchesReference:
 
 class TestBatchComposition:
     @pytest.mark.parametrize("method,mode", [("canary", "online"), ("canary", "offline"),
-                                             ("random_noise", "online"), ("lira", "offline")])
+                                             ("random_noise", "online"), ("lira", "online"),
+                                             ("lira", "offline")])
     def test_permuted_subset_gives_same_rows(self, toy_farm, monkeypatch, method, mode):
         ds, farm = toy_farm
         targets = _targets_for(farm, 3, 8, np.random.default_rng(54))
@@ -642,11 +667,31 @@ class TestBatchComposition:
         full = {r.target_index: r for r in
                 run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=55).rows}
         subset = [targets[i] for i in np.random.default_rng(56).permutation(len(targets))[:7]]
-        # blocks of 2 targets: 3 queries x widest layer 12 x 2 = 72 elements
+        # blocks of 2 targets (3 evaluated rows x widest layer 12 x 2 = 72
+        # elements), or of 6 for LiRA, which evaluates one row per target
         monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
         part = run_attack(ds, oracle, rest, subset, method, mode, cfg, seed=55)
         assert [r.target_index for r in part.rows] == [t for t, _ in subset]
         assert all(repr(r) == repr(full[r.target_index]) for r in part.rows)
+
+
+class TestBlockPlan:
+    @pytest.mark.parametrize("method,rows_per_target", [("lira", 1), ("random_noise", 10)])
+    def test_shadow_calls_per_block(self, toy_farm, monkeypatch, method, rows_per_target):
+        ds, farm = toy_farm
+        targets = _targets_for(farm, 3, 8, np.random.default_rng(54))
+        oracle, rest = hold_out_target(farm, 3)
+        shapes, real = [], attacks.model_confidence_batch
+        monkeypatch.setattr(attacks, "model_confidence_batch",
+                            lambda rec, X, y: shapes.append(X.shape) or real(rec, X, y))
+        monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
+        cfg = CanaryConfig(epsilon=0.1, num_queries=10)
+        run_attack(ds, oracle, rest, targets, method, "online", cfg, seed=55)
+        per_block = max(1, attacks.BLOCK_ELEMENTS // (rows_per_target * max(farm.arch.dims)))
+        assert per_block == (6 if method == "lira" else 1)
+        assert len(shapes) == rest.n_models * math.ceil(len(targets) / per_block)
+        assert {shape[1] for shape in shapes} == {rows_per_target}
+        assert oracle.query_count == len(targets) * 10
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,12 @@ import mialab.cli as cli
 import mialab.training as training
 from mialab.cli import main
 from mialab.attacks import ScoreTable
+from mialab.config import ExperimentConfig
 from mialab.farm import CHECKSUM_BYTES, load_farm, save_farm
 from mialab.metrics import read_report_csv
+from mialab.rng import generators, state_seeds
+
+from oracles import _ref_stream
 
 
 def sha(path):
@@ -226,8 +230,23 @@ class TestAttack:
         manifest = json.loads((att / "attack_manifest.json").read_text())
         assert {r["seed"] for r in manifest["runs"]} == {0, 1}
         assert manifest["farm"]["sha256"] == sha(out / "farm.bin")
+        for s in (0, 1):
+            assert manifest["outputs"][f"scores_seed{s}.csv"] == sha(att / f"scores_seed{s}.csv")
         for run in manifest["runs"]:
             assert run["target_param_reads"] == 0
+
+    def test_run_streams_are_numpys_one_row_streams(self):
+        # every run seed's target-choice and target-sample streams and attack
+        # seed come from one pass, bitwise those of their own key tuples
+        cfg = ExperimentConfig.from_dict(base_config(seeds=[0, 7, 123456789012]))
+        items = cli._run_streams(cfg)
+        assert [seed for seed, _ in items] == list(cfg.seeds)
+        for seed, states in items:
+            choice, sample = generators(states[:2])
+            assert choice.bit_generator.state == _ref_stream(42, 13, seed).bit_generator.state
+            assert sample.bit_generator.state == _ref_stream(42, 14, seed, 5).bit_generator.state
+            attack = np.random.SeedSequence([42, 15, seed]).generate_state(4, np.uint64)
+            assert state_seeds(states[2:]) == [int(attack[0]) >> 1]
 
     def test_rerun_identical_csv(self, trained):
         root, cfg_path, out = trained

@@ -222,6 +222,25 @@ class TestOracle:
             oracle.confidences(ds.features[:4, :2], 0)
         assert oracle.query_count == 2
 
+    def test_stride_zero_block_is_evaluated_once_per_point(self, toy, monkeypatch):
+        ds, _, _, farm = toy
+        oracle, _ = hold_out_target(farm, 3)
+        evaluated, real = [], mialab.farm.forward_batch
+        monkeypatch.setattr(mialab.farm, "forward_batch",
+                            lambda arch, params, X: evaluated.append(len(X)) or real(arch, params, X))
+        X, y = ds.features[:5], np.array([0, 2, 1, 2, 0])
+        spread = np.broadcast_to(X[:, None], (5, 4, ds.input_dim))
+        conf = oracle.confidences(spread, y)
+        assert conf.shape == (5, 4) and evaluated == [5] and oracle.query_count == 20
+        dense = oracle.confidences(np.ascontiguousarray(spread), y)  # every row evaluated
+        assert evaluated == [5, 20] and oracle.query_count == 40
+        assert np.ascontiguousarray(conf).tobytes() == dense.tobytes()
+        assert oracle.confidences(X[:, None], y).tobytes() == dense[:, :1].tobytes()
+        assert evaluated == [5, 20, 5] and oracle.query_count == 45
+        with pytest.raises(IndexError):
+            oracle.confidences(spread, np.array([0, 2, 1, 3, 0]))
+        assert oracle.query_count == 45
+
     def test_remaining_farm_excludes_target(self, toy):
         _, _, _, farm = toy
         _, rest = hold_out_target(farm, 3)
