@@ -13,7 +13,7 @@ import hashlib
 import re
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +251,9 @@ def cmd_compare(args) -> None:
     print(f"wrote compare.csv -> {out}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mialab",
         description="Shadow-model membership-inference laboratory",
@@ -289,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")

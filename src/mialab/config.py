@@ -10,6 +10,7 @@ import json
 import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 from .attacks import METHODS, MODES, CanaryConfig
@@ -25,6 +26,7 @@ DATASET_KEYS = {
     "idx-pair": ("path", "labels_path"),
 }
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_type_hints = cache(typing.get_type_hints)  # a config class's field types, resolved once
 
 
 def _typed(value, kind: type, where: str):
@@ -71,7 +73,7 @@ def _read(cls, d: dict, where: str):
         unread = set(d) - {"kind", *DATASET_KEYS[kind]}
         if unread:
             raise ConfigError(f"{where} kind {kind!r} does not read keys {sorted(unread)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {}
     for f in fields(cls):
         key = f"{where}.{f.name}"

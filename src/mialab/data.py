@@ -84,12 +84,12 @@ class Dataset:
         return self.features[indices], self.labels[indices]
 
     def point(self, index: int) -> tuple[np.ndarray, int]:
+        """A copy of one row's features and its label, recording the access."""
         index = int(index)
         if not 0 <= index < self.n:
             raise IndexError(f"dataset index {index} out of range")
-        if self.access_counts is not None:
-            self.access_counts[index] += 1
-        return self.features[index].copy(), int(self.labels[index])
+        x, y = self.take(index)  # a 0-d index array: an advanced index, so x is a copy
+        return x, int(y)
 
     def canonical_bytes(self) -> bytes:
         header = struct.pack("<QQQ", self.n, self.input_dim, self.num_classes)

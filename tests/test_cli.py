@@ -496,7 +496,9 @@ class TestEvalCompare:
             assert 0.0 <= vals["tpr_at_fpr_0.01"] <= 1.0
         expected_mean = np.mean([per_seed[s]["auc"] for s in (0, 1)])
         assert aggregates["auc"]["mean"] == pytest.approx(expected_mean, abs=1e-12)
-        assert (ev / "roc_seed0.csv").exists() and (ev / "roc_seed1.csv").exists()
+        names = ["report.csv", "roc_seed0.csv", "roc_seed1.csv"]
+        manifest = json.loads((ev / "eval_manifest.json").read_text())
+        assert manifest["outputs"] == {name: sha(ev / name) for name in names}
 
     def test_eval_rerun_identical(self, evaluated, trained):
         root, ev = evaluated
@@ -607,6 +609,8 @@ class TestEvalCompare:
             cells = line.split(",")
             assert float(cells[4]) == 0.0
             assert float(cells[5]) == 0.0
+        manifest = json.loads((out / "compare_manifest.json").read_text())
+        assert manifest["outputs"] == {"compare.csv": sha(out / "compare.csv")}
 
     def test_compare_delta_is_subtraction(self, tmp_path):
         from mialab.metrics import write_report_csv

@@ -150,6 +150,15 @@ class TestSynthetic:
         assert ds.access_counts[1] == 2
         assert ds.access_counts[3] == 1
         assert ds.access_counts[0] == 0
+        x, y = ds.point(np.int64(3))
+        assert ds.access_counts[3] == 2
+        assert type(y) is int and y == ds.labels[3]
+        x[0] = -1.0  # a copy: the dataset's row is untouched
+        assert ds.features[3, 0] != -1.0 and np.array_equal(x[1:], ds.features[3, 1:])
+        for bad in (-1, ds.n):
+            with pytest.raises(IndexError, match="out of range"):
+                ds.point(bad)
+        assert ds.access_counts.sum() == 4
 
     def test_features_immutable(self):
         ds = synthetic_mixture(10, 3, 2, seed=6)

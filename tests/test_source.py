@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,11 @@ def test_imported_names_are_used(path):
     traced = {name for module, name in _traced_bindings() if module == f"mialab.{path.stem}"}
     unused = sorted(imported - used - traced)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_importing_a_module_loads_only_its_imports():
+    # the package root re-exports nothing, so importing one module does not load the others
+    script = "import sys, mialab.rng; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mialab'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.split() == ["mialab", "mialab.rng"]
