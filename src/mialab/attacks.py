@@ -9,17 +9,15 @@ attack runner that produces a ScoreTable.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import DOMAIN_HIGH, DOMAIN_LOW, Dataset
 from .errors import ConfigError, FingerprintMismatchError, FormatError, IsolationError
 from .farm import ShadowFarm, TargetOracle, check_farm_fits, model_confidence_batch
-from .metrics import read_csv_rows
+from .metrics import read_csv_rows, write_lines
 from .nn import (
     CONF_CLAMP,
     IN_MINIMIZE,
@@ -161,8 +159,9 @@ class CanaryConfig:
     """Hyperparameters of the adversarial query optimizer.
 
     epsilon is the L-infinity perturbation bound in input-domain units
-    (the domain is the unit hypercube). init_noise_scale defaults to
-    epsilon/4 when the target_plus_noise init is selected. Online or
+    (the domain is the unit hypercube). Each canary starts at its target
+    plus Gaussian noise of scale init_noise_scale, epsilon/4 when unset;
+    0 starts it at the target. Online or
     offline is the attack's mode, given to run_attack, not a setting here.
     """
 
@@ -171,7 +170,6 @@ class CanaryConfig:
     shadow_batch: int = 2
     lr: float = 0.05
     objective: str = "raw_logit"
-    init: str = "target_plus_noise"
     init_noise_scale: float | None = None
     num_queries: int = 10
     offline_density: bool = False
@@ -189,8 +187,6 @@ class CanaryConfig:
             raise ValueError("steps, shadow_batch and num_queries must be positive")
         if self.objective not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.init not in ("target", "target_plus_noise"):
-            raise ValueError(f"unknown init {self.init!r}")
 
     @property
     def noise_scale(self) -> float:
@@ -295,7 +291,7 @@ def _optimize_rows(
     n_out = n_models - member.sum(axis=1)
     columns = (np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None]
                + np.arange(b)).reshape(n, sides * b)
-    noise = config.init == "target_plus_noise" and config.noise_scale > 0
+    noise = config.noise_scale > 0
     delta = np.zeros_like(x_star)
     picks = np.empty((n, steps, sides * b), dtype=np.intp)
     for r, rng in enumerate(rngs):
@@ -395,9 +391,9 @@ class ScoreTable:
         return np.array([r.is_member for r in self.rows], dtype=bool)
 
     def write_csv(self, path) -> str:
-        """One line per (target, query), ended by \\r\\n as csv.writer ends it (no field
-        needs quoting); a score's repr is made once per distinct value, an
-        aggregate's once per target. Returns the sha256 of the bytes written."""
+        """One line per (target, query), written by metrics.write_lines; a
+        score's repr is made once per distinct value, an aggregate's once per
+        target. Returns the sha256 of the bytes written."""
         reprs, lines = {}, [",".join(SCORE_HEADER)]
         for row in self.rows:
             head, agg = f"{row.target_index},{int(row.is_member)},", repr(row.aggregated)
@@ -406,9 +402,7 @@ class ScoreTable:
                 if text is None:
                     text = reprs[s] = repr(s)
                 lines.append(f"{head}{q},{text},{agg}")
-        data = ("\r\n".join(lines) + "\r\n").encode()
-        Path(path).write_bytes(data)
-        return hashlib.sha256(data).hexdigest()
+        return write_lines(path, lines)
 
     @staticmethod
     def read_csv(path) -> "ScoreTable":

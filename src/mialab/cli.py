@@ -22,7 +22,7 @@ from .attacks import ScoreTable, run_attack
 from .config import ExperimentConfig, load_config, write_manifest
 from .errors import ConfigError, FormatError, MialabError, OutputExistsError
 from .farm import build_farm, check_farm_fits, hold_out_target, load_farm, save_farm
-from .metrics import read_report_csv, summarize, write_report_csv, write_roc_csv
+from .metrics import read_report_csv, summarize, write_lines, write_report_csv, write_roc_csv
 from .rng import TAG_ATTACK, TAG_TARGET_CHOICE, TAG_TARGET_SAMPLE, generators, state_seeds, stream_states
 from .rng import substream  # noqa: F401  stays bound here for perfbench's tracer
 from .training import map_jobs, record_accuracy
@@ -33,6 +33,7 @@ METRIC_TPR = "tpr_at_fpr_0.01"
 
 
 def _sha256(path) -> str:
+    """A command input's digest; outputs take theirs from the writer."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -185,14 +186,10 @@ def cmd_eval(args) -> None:
                  for seed, (_, table) in sorted(tables.items())}
     per_seed = {seed: {METRIC_AUC: summary.auc, METRIC_TPR: summary.tpr_at[FPR_TARGET]}
                 for seed, summary in summaries.items()}
-    outputs = {}
     out.mkdir(parents=True, exist_ok=True)
-    for seed, summary in summaries.items():
-        roc_name = f"roc_seed{seed}.csv"
-        write_roc_csv(out / roc_name, summary.fpr, summary.tpr)
-        outputs[roc_name] = _sha256(out / roc_name)
-    write_report_csv(out / "report.csv", per_seed)
-    outputs["report.csv"] = _sha256(out / "report.csv")
+    outputs = {f"roc_seed{seed}.csv": write_roc_csv(out / f"roc_seed{seed}.csv", s.fpr, s.tpr)
+               for seed, s in summaries.items()}
+    outputs["report.csv"] = write_report_csv(out / "report.csv", per_seed)
     write_manifest(
         out / "eval_manifest.json",
         {
@@ -230,22 +227,21 @@ def cmd_compare(args) -> None:
     out = _ensure_out(args.out, ["compare.csv", "compare_manifest.json"], args.force)
     means = {name: {m: float(np.mean([per_seed[s][m] for s in sorted(base_seeds)]))
                     for m in metrics} for name, per_seed in loaded.items()}
-    compare_path = out / "compare.csv"
+    lines = ["metric,lira,canary,noise,canary_minus_lira,noise_minus_lira"]
+    for metric in metrics:
+        lira, canary = means["lira"][metric], means["canary"][metric]
+        noise = means.get("noise", {}).get(metric)
+        cells = [metric, repr(lira), repr(canary), "" if noise is None else repr(noise),
+                 repr(canary - lira), "" if noise is None else repr(noise - lira)]
+        lines.append(",".join(cells))
     out.mkdir(parents=True, exist_ok=True)
-    with open(compare_path, "w", newline="") as fh:
-        fh.write("metric,lira,canary,noise,canary_minus_lira,noise_minus_lira\n")
-        for metric in metrics:
-            lira, canary = means["lira"][metric], means["canary"][metric]
-            noise = means.get("noise", {}).get(metric)
-            cells = [metric, repr(lira), repr(canary), "" if noise is None else repr(noise),
-                     repr(canary - lira), "" if noise is None else repr(noise - lira)]
-            fh.write(",".join(cells) + "\n")
+    compare_sha256 = write_lines(out / "compare.csv", lines)
     write_manifest(
         out / "compare_manifest.json",
         {
             "command": "compare",
             "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in zip(names, paths)},
-            "outputs": {"compare.csv": _sha256(compare_path)},
+            "outputs": {"compare.csv": compare_sha256},
         },
     )
     print(f"wrote compare.csv -> {out}")

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .metrics import read_csv_rows
 from .rng import substream
 
 DOMAIN_LOW = 0.0
@@ -115,30 +116,17 @@ def _rescale_unit(columns: np.ndarray) -> np.ndarray:
 
 
 def load_csv(path) -> Dataset:
-    """CSV with a header row, a 'label' column, numeric feature columns."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    """CSV with a header row, a 'label' column, numeric feature columns,
+    read by the package's CSV reader (metrics.read_csv_rows)."""
+    rows = read_csv_rows(path, None, "dataset")
+    lineno, header = next(rows)
     if "label" not in header:
-        raise FormatError(f"{path}: line 1: no 'label' column in header {header}")
+        raise FormatError(f"{path}: line {lineno}: no 'label' column in header {header}")
     label_col = header.index("label")
-    n_cols = len(header)
     feats, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != n_cols:
-            raise FormatError(f"{path}: line {lineno}: expected {n_cols} fields, got {len(fields)}")
+    for lineno, fields in rows:
         row = []
         for col, raw in enumerate(fields):
-            name = header[col]
             if col == label_col:
                 try:
                     val = float(raw)
@@ -155,7 +143,7 @@ def load_csv(path) -> Dataset:
                     row.append(float(raw))
                 except ValueError:
                     raise FormatError(
-                        f"{path}: line {lineno}, column {name!r}: non-numeric value {raw.strip()!r}"
+                        f"{path}: line {lineno}, column {header[col]!r}: non-numeric value {raw.strip()!r}"
                     )
         feats.append(row)
     if not feats:

@@ -291,6 +291,9 @@ def load_farm(path, data: bytes | None = None) -> ShadowFarm:
     seeds = reader.unpack(f"<{n_models}Q")
     packed = np.frombuffer(reader.read((n_bits + 7) // 8), dtype=np.uint8)
     splits = np.unpackbits(packed, count=n_bits).astype(bool).reshape(n_models, n_points)
+    # Copied, not viewed: the block starts at byte 49 + 4h + 8M + ceil(MN/8)
+    # (8567 for the desk farm), rarely a multiple of 8, and BLAS kernels on
+    # unaligned rows round differently, so scores would not be bitwise.
     thetas = np.frombuffer(reader.read(8 * pcount * n_models), dtype="<f8").astype(np.float64)
     records = [ModelRecord(arch, seed, row)
                for seed, row in zip(seeds, thetas.reshape(n_models, pcount))]

@@ -5,18 +5,23 @@ Ties are grouped (all equal scores cross a threshold together), which
 makes the trapezoidal AUC equal the pairwise-counting probability with
 half credit for ties. TPR@FPR is conservative: it reports the best TPR
 among realized thresholds with FPR at or below the target, with no
-interpolation.
+interpolation. It also holds the package's one CSV codec: read_csv_rows
+reads every table mialab takes in, write_lines writes every one it gives out.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
+
+REPORT_HEADER = ["metric", "seed", "value"]
 
 
 def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -99,47 +104,56 @@ def summarize(scores, labels, fpr_targets=(0.01,)) -> RocSummary:
     )
 
 
-def write_roc_csv(path, fpr, tpr) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for f, t in zip(fpr, tpr):
-            writer.writerow([repr(float(f)), repr(float(t))])
+def write_lines(path, lines) -> str:
+    """Write lines, each ended by \\r\\n as csv.writer ends a row (the
+    callers' fields are numbers and plain names, which need no quoting);
+    returns the sha256 of the bytes written."""
+    data = ("\r\n".join(lines) + "\r\n").encode()
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_report_csv(path, per_seed: dict[int, dict[str, float]]) -> None:
-    """Rows of (metric, seed, value) plus mean/std aggregate rows."""
-    metrics = sorted({m for vals in per_seed.values() for m in vals})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "seed", "value"])
-        for metric in metrics:
-            for seed in sorted(per_seed):
-                writer.writerow([metric, seed, repr(float(per_seed[seed][metric]))])
-        for metric in metrics:
-            mean, std, _ = aggregate_runs([per_seed[s][metric] for s in sorted(per_seed)])
-            writer.writerow([metric, "mean", repr(mean)])
-            writer.writerow([metric, "std", repr(std)])
-
-
-def read_csv_rows(path, header: list[str], what: str):
-    """Yield (line number, fields) of each row of a CSV file whose first
-    row is header and whose rows are header's width; anything else, and
-    bytes that do not decode, raise FormatError naming the file as a what."""
-    with open(path, newline="") as fh:
+def read_csv_rows(path, header: list[str] | None, what: str):
+    """Yield (line number, fields) of each non-blank row of a CSV file. The first,
+    its names stripped, is the header: it must equal header, or is yielded when
+    header is None. Later rows have its width. Anything else, and bytes that are
+    not UTF-8, raise FormatError naming the file as a what."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            found = next(reader, None)
-            if found != header:
+            rows = filter(None, reader)  # a blank line reads as []
+            found = [name.strip() for name in next(rows, [])]
+            if header is None and found:
+                header = found
+                yield reader.line_num, found
+            elif found != header:
                 raise FormatError(f"{path}: unexpected {what} header {found}")
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in rows:
                 if len(rec) != len(header):
                     raise FormatError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(rec)}"
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(rec)}"
                     )
-                yield lineno, rec
+                yield reader.line_num, rec
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: not a readable {what}: {exc}") from exc
+
+
+def write_roc_csv(path, fpr, tpr) -> str:
+    """fpr, tpr rows of a curve; returns the sha256 of the file."""
+    return write_lines(path, ["fpr,tpr", *(f"{float(f)!r},{float(t)!r}" for f, t in zip(fpr, tpr))])
+
+
+def write_report_csv(path, per_seed: dict[int, dict[str, float]]) -> str:
+    """Rows of (metric, seed, value) plus mean/std aggregate rows; returns
+    the sha256 of the file."""
+    metrics = sorted({m for vals in per_seed.values() for m in vals})
+    lines = [",".join(REPORT_HEADER)]
+    lines += [f"{metric},{seed},{float(per_seed[seed][metric])!r}"
+              for metric in metrics for seed in sorted(per_seed)]
+    for metric in metrics:
+        mean, std, _ = aggregate_runs([per_seed[s][metric] for s in sorted(per_seed)])
+        lines += [f"{metric},mean,{mean!r}", f"{metric},std,{std!r}"]
+    return write_lines(path, lines)
 
 
 def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[str, float]]]:
@@ -147,7 +161,7 @@ def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[s
     value is a finite number."""
     per_seed: dict[int, dict[str, float]] = {}
     aggregates: dict[str, dict[str, float]] = {}
-    for lineno, (metric, seed, value) in read_csv_rows(path, ["metric", "seed", "value"], "report"):
+    for lineno, (metric, seed, value) in read_csv_rows(path, REPORT_HEADER, "report"):
         try:
             val = float(value)
         except ValueError:

@@ -114,15 +114,12 @@ def _ref_stream(*keys):
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
-def score_csv_bytes(rows) -> bytes:
-    """A score table's CSV as csv.writer writes it, one row per (target, query)
-    with repr'd scores: the bytes ScoreTable.write_csv must produce."""
+def csv_writer_bytes(rows) -> bytes:
+    """rows as csv.writer writes them: the bytes every table mialab writes
+    (score tables, ROC curves, reports, compare deltas) must equal, given
+    its rows with each float as its repr."""
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["target_index", "is_member", "query_id", "score", "aggregated_score"])
-    for row in rows:
-        for q, s in enumerate(row.query_scores):
-            writer.writerow([row.target_index, int(row.is_member), q, repr(s), repr(row.aggregated)])
+    csv.writer(buf).writerows(rows)
     return buf.getvalue().encode()
 
 
@@ -244,7 +241,7 @@ def _ref_canary(x_star, y, models, column, cfg, rng, alt, offline):
     shadow_batch models with the smallest (key, id)."""
     b = cfg.shadow_batch
     delta = np.zeros_like(x_star)
-    if cfg.init == "target_plus_noise" and cfg.noise_scale > 0:
+    if cfg.noise_scale > 0:
         delta = rng.normal(0.0, cfg.noise_scale, size=x_star.shape)
     delta, x = _ref_project(x_star, delta, cfg.epsilon)
     m = np.zeros_like(x_star)

@@ -36,9 +36,18 @@ from oracles import (
     _ref_phi,
     ref_offline_score,
     ref_online_score,
+    csv_writer_bytes,
     reference_attack,
-    score_csv_bytes,
 )
+
+
+def score_csv_bytes(rows) -> bytes:
+    """A score table's CSV as csv.writer writes it: one row per (target, query),
+    each score and aggregate its repr."""
+    return csv_writer_bytes(
+        [["target_index", "is_member", "query_id", "score", "aggregated_score"]]
+        + [[row.target_index, int(row.is_member), q, repr(s), repr(row.aggregated)]
+           for row in rows for q, s in enumerate(row.query_scores)])
 
 
 @pytest.fixture(scope="module")
@@ -649,7 +658,7 @@ class TestEngineMatchesReference:
     def test_offline_density_variant(self, deep_tanh_farm):
         ds, farm = deep_tanh_farm
         cfg = CanaryConfig(epsilon=0.1, steps=3, num_queries=2, offline_density=True,
-                           init="target")
+                           init_noise_scale=0.0)
         got, ref, _, _ = _engine_and_reference(ds, farm, 0, "canary", "offline", cfg, seed=53)
         assert got == ref
 

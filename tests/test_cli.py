@@ -16,7 +16,7 @@ from mialab.farm import CHECKSUM_BYTES, load_farm, save_farm
 from mialab.metrics import read_report_csv
 from mialab.rng import generators, state_seeds
 
-from oracles import _ref_stream
+from oracles import _ref_stream, csv_writer_bytes
 
 
 def sha(path):
@@ -102,13 +102,25 @@ class TestTrainShadows:
         assert len(digests) == 1
 
     def test_missing_dataset_path_fails_before_training(self, tmp_path, capsys):
+        # as a missing score table does (TestEvalCompare::test_missing_score_table_is_one_error_line)
         cfg = base_config(dataset={"kind": "csv", "path": str(tmp_path / "nope.csv")})
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:FileNotFoundError: ") and err.count("\n") == 1
         assert not (tmp_path / "o" / "farm.bin").exists()
+
+    @pytest.mark.parametrize("as_manifest", [False, True], ids=["config", "manifest"])
+    def test_retired_canary_init_is_refused(self, tmp_path, capsys, as_manifest):
+        # init_noise_scale alone sets a canary's start: 0 is the retired init "target"
+        cfg = base_config()
+        cfg["attack"]["canary"]["init"] = "target_plus_noise"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"resolved_config": cfg} if as_manifest else cfg))
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error:ConfigError: unknown config.attack.canary keys: ['init']\n"
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = base_config()
@@ -609,6 +621,33 @@ class TestEvalCompare:
             cells = line.split(",")
             assert float(cells[4]) == 0.0
             assert float(cells[5]) == 0.0
+        manifest = json.loads((out / "compare_manifest.json").read_text())
+        assert manifest["outputs"] == {"compare.csv": sha(out / "compare.csv")}
+
+    def test_missing_score_table_is_one_error_line(self, tmp_path, capsys):
+        assert main(["eval", str(tmp_path / "gone_seed0.csv"), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:FileNotFoundError: ") and err.count("\n") == 1
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("n_reports", [2, 3])
+    def test_compare_bytes_are_the_csv_writers(self, tmp_path, n_reports):
+        # compare.csv ends its lines with \r\n, as csv.writer and every other table do
+        from mialab.metrics import write_report_csv
+
+        values = [[1e-05, -0.0], [5e-324, 0.1 + 0.2], [0.3, 1e-05]][:n_reports]
+        paths = [tmp_path / f"r{i}.csv" for i in range(n_reports)]
+        for path, (auc_value, tpr_value) in zip(paths, values):
+            write_report_csv(path, {7: {"auc": auc_value, "tpr_at_fpr_0.01": tpr_value}})
+        out = tmp_path / "cmp"
+        assert main(["compare", *map(str, paths), "--out", str(out)]) == 0
+        expected = [["metric", "lira", "canary", "noise", "canary_minus_lira", "noise_minus_lira"]]
+        for col, metric in enumerate(["auc", "tpr_at_fpr_0.01"]):
+            means = [float(np.mean([v[col]])) for v in values]  # one seed per report
+            lira, canary = means[:2]
+            noise, noise_delta = (repr(means[2]), repr(means[2] - lira)) if n_reports == 3 else ("", "")
+            expected.append([metric, repr(lira), repr(canary), noise, repr(canary - lira), noise_delta])
+        assert (out / "compare.csv").read_bytes() == csv_writer_bytes(expected)
         manifest = json.loads((out / "compare_manifest.json").read_text())
         assert manifest["outputs"] == {"compare.csv": sha(out / "compare.csv")}
 

@@ -68,6 +68,36 @@ class TestCsv:
         with pytest.raises(FormatError, match="out of range"):
             load_csv(p)
 
+    def test_quoted_field_is_parsed_as_csv(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('f0,label\n"0.25",0\n0.75,"1"\n')
+        ds = load_csv(p)
+        assert ds.features.ravel().tolist() == [0.0, 1.0] and ds.labels.tolist() == [0, 1]
+        p.write_text('f0,label\n"0,25",0\n')  # a quoted comma is inside one field
+        with pytest.raises(FormatError, match="line 2, column 'f0': non-numeric value '0,25'"):
+            load_csv(p)
+
+    def test_blank_lines_skipped_and_header_names_stripped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n f0 , label \n0.1,1\n\n\n0.9,0\n\n")
+        ds = load_csv(p)
+        assert ds.n == 2 and ds.labels.tolist() == [1, 0]
+        p.write_text("\nf0,label\n\n0.1,x\n")  # line numbers count the skipped lines
+        with pytest.raises(FormatError, match="line 4: label 'x' is not numeric"):
+            load_csv(p)
+
+    def test_line_of_spaces_is_a_short_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,label\n0.1,1\n   \n0.9,0\n")
+        with pytest.raises(FormatError, match="line 3: expected 2 fields, got 1"):
+            load_csv(p)
+
+    def test_undecodable_bytes_are_a_format_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"f0,label\n0.\xff,1\n")
+        with pytest.raises(FormatError, match="not a readable dataset"):
+            load_csv(p)
+
 
 class TestIdx:
     def test_header_10x4x4(self, tmp_path):

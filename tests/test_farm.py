@@ -302,6 +302,31 @@ class TestStore:
                 assert not any(a.flags.writeable for a in rec._params.weights + rec._params.biases)
                 assert rec.access_count == 0
 
+    @pytest.mark.parametrize("dims,n_models,n_points", [
+        ((4, 6, 3), 8, 32),  # the toy farm's shape: block at byte 149
+        ((4, 3, 3), 2, 8),  # byte 71
+        ((4, 5, 2, 3, 3), 4, 8),  # byte 97
+        ((20, 128, 10), 33, 2000),  # the desk farm's shape: byte 8567
+    ])
+    def test_loaded_rows_are_aligned_when_the_block_is_not(self, tmp_path, dims, n_models, n_points):
+        # load_farm copies the block: rows viewing it in place would be unaligned
+        # float64, which BLAS kernels round differently, so scores would not be bitwise
+        arch = ArchDescriptor(dims[0], dims[1:-1], dims[-1])
+        rows = np.random.default_rng(0).normal(size=(n_models, arch.param_count()))
+        splits = np.arange(n_models * n_points).reshape(n_models, n_points) % 3 == 0
+        farm = ShadowFarm(5, arch, splits, [ModelRecord(arch, i, row) for i, row in enumerate(rows)], 9)
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        data = path.read_bytes()
+        offset = len(data) - CHECKSUM_BYTES - rows.nbytes
+        assert offset == 49 + 4 * (len(dims) - 2) + 8 * n_models + -(-n_models * n_points // 8)
+        assert offset % 2 == 1  # so no view of the block in the file's bytes is 8-aligned
+        for loaded in (load_farm(path), load_farm(path, data)):
+            assert farms_equal(loaded, farm)
+            for rec in loaded.records:
+                assert rec._theta.flags.aligned
+                assert all(a.flags.aligned for a in rec._params.weights + rec._params.biases)
+
     def test_truncated_file(self, toy, tmp_path):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"

@@ -1,12 +1,17 @@
-"""ROC evaluation against the brute-force pairwise oracle."""
+"""ROC evaluation against the brute-force pairwise oracle, and the CSV codec."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from mialab.errors import FormatError
 from mialab.metrics import (
+    REPORT_HEADER,
     aggregate_runs,
     auc,
+    read_csv_rows,
     read_report_csv,
     roc_auc,
     roc_curve,
@@ -16,7 +21,15 @@ from mialab.metrics import (
     write_roc_csv,
 )
 
-from oracles import pairwise_auc
+from oracles import csv_writer_bytes, pairwise_auc
+
+# values whose repr a hand-written line could get wrong: infinity, an exponent,
+# the smallest subnormal, a negative zero and a float with 17 significant digits
+EDGE_VALUES = [math.inf, 1e-05, 5e-324, -0.0, 0.1 + 0.2]
+
+
+def sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestRocCurve:
@@ -173,9 +186,53 @@ class TestReportIo:
         assert lines[0] == "fpr,tpr"
         assert len(lines) == 4
 
+    def test_roc_bytes_are_the_csv_writers(self, tmp_path):
+        fpr = np.array([0.0, *EDGE_VALUES, 1.0])
+        tpr = [np.float64(0.5), *EDGE_VALUES[::-1], 1.0]  # numpy scalars are written as floats
+        path = tmp_path / "roc.csv"
+        digest = write_roc_csv(path, fpr, tpr)
+        expected = [["fpr", "tpr"]] + [[repr(float(f)), repr(float(t))] for f, t in zip(fpr, tpr)]
+        assert path.read_bytes() == csv_writer_bytes(expected)
+        assert digest == sha(path)
+
+    def test_report_bytes_are_the_csv_writers(self, tmp_path):
+        values = {"auc": EDGE_VALUES[:3], "tpr_at_fpr_0.01": EDGE_VALUES[2:]}
+        per_seed = {seed: {m: v[i] for m, v in values.items()} for i, seed in enumerate([4, 0, 2])}
+        path = tmp_path / "report.csv"
+        with np.errstate(invalid="ignore"):  # the std of a column holding inf is nan
+            digest = write_report_csv(path, per_seed)
+            aggregates = {m: aggregate_runs([per_seed[s][m] for s in (0, 2, 4)]) for m in values}
+        expected = [REPORT_HEADER]
+        expected += [[m, s, repr(per_seed[s][m])] for m in sorted(values) for s in (0, 2, 4)]
+        for m in sorted(values):
+            expected += [[m, "mean", repr(aggregates[m][0])], [m, "std", repr(aggregates[m][1])]]
+        assert path.read_bytes() == csv_writer_bytes(expected)
+        assert digest == sha(path)
+
     def test_summarize_bundles_fields(self):
         scores = np.array([0.9, 0.8, 0.1, 0.05])
         labels = np.array([True, True, False, False])
         s = summarize(scores, labels, (0.01, 0.1))
         assert s.auc == 1.0
         assert s.tpr_at[0.01] == 1.0 and s.tpr_at[0.1] == 1.0
+
+
+class TestCsvReader:
+    HEADER = ["a", "b"]
+
+    def rows(self, tmp_path, content, header=HEADER):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        return list(read_csv_rows(path, header, "table"))
+
+    def test_blank_lines_are_skipped_and_lines_keep_their_numbers(self, tmp_path):
+        content = b"\r\na,b\r\n1,2\n\n\r\n3,4\n\n"
+        assert self.rows(tmp_path, content) == [(3, ["1", "2"]), (6, ["3", "4"])]
+
+    def test_header_none_takes_the_files_header_stripped(self, tmp_path):
+        assert self.rows(tmp_path, b" a , b\n1,2\n", header=None) == [(1, ["a", "b"]), (2, ["1", "2"])]
+
+    @pytest.mark.parametrize("header", [HEADER, None])
+    def test_empty_file_has_no_header(self, tmp_path, header):
+        with pytest.raises(FormatError, match=r"unexpected table header \[\]"):
+            self.rows(tmp_path, b"\n\n", header)

@@ -151,9 +151,8 @@ FULL_CONFIG = {
     "seeds": [0, 2],
     "attack": {"method": "canary", "mode": "offline",
                "canary": {"epsilon": 0.1, "steps": 3, "shadow_batch": 2, "lr": 0.05,
-                          "objective": "raw_logit", "init": "target_plus_noise",
-                          "init_noise_scale": 0.02, "num_queries": 2,
-                          "offline_density": True}},
+                          "objective": "raw_logit", "init_noise_scale": 0.02,
+                          "num_queries": 2, "offline_density": True}},
     "targets": {"count": 4, "seed": 0},
 }
 

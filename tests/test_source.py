@@ -76,3 +76,18 @@ def test_importing_a_module_loads_only_its_imports():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
     assert done.stdout.split() == ["mialab", "mialab.rng"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_csv_codec(path):
+    # every table is read by metrics.read_csv_rows and written by metrics.write_lines,
+    # so no other module holds a csv reader or writer, or splits lines on commas
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in ("reader", "writer")
+                 and isinstance(node.value, ast.Name) and node.value.id == "csv"
+                 and path.name != "metrics.py")
+             or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("split", "rsplit")
+                 and any(isinstance(a, ast.Constant) and a.value == "," for a in node.args))]
+    assert not found, f"CSV handled outside the codec at {found}"
