@@ -131,9 +131,7 @@ def cmd_attack(args) -> None:
     start = time.perf_counter()
     cfg = load_config(args.config)
     dataset = cfg.dataset.materialize()
-    data = Path(args.farm).read_bytes()  # read once, for the farm and its sha256
-    farm, farm_sha256 = load_farm(args.farm, data), hashlib.sha256(data).hexdigest()
-    del data  # the farm holds its own copy of the rows; the runs need no second one
+    farm = load_farm(args.farm)
     check_farm_fits(farm, dataset)
     n_member, n_nonmember = _target_counts(cfg)
     least = farm.splits.sum(axis=1).min(), (~farm.splits).sum(axis=1).min()
@@ -153,7 +151,7 @@ def cmd_attack(args) -> None:
         {
             "command": "attack",
             "resolved_config": cfg.to_dict(),
-            "farm": {"path": str(args.farm), "sha256": farm_sha256},
+            "farm": {"path": str(args.farm), "sha256": farm.sha256},
             "runs": infos,
             "outputs": outputs,
             "wall_time_s": time.perf_counter() - start,

@@ -2,8 +2,8 @@
 
 Supports CSV and IDX-pair ingestion, a deterministic synthetic Gaussian
 mixture for desk-scale experiments, a 64-bit blake2b fingerprint of the
-canonical byte serialization, and optional per-row access counting used
-to prove that training never touches held-out points.
+canonical byte layout, and optional per-row access counting used to prove
+that training never touches held-out points.
 """
 
 from __future__ import annotations
@@ -92,15 +92,14 @@ class Dataset:
         x, y = self.take(index)  # a 0-d index array: an advanced index, so x is a copy
         return x, int(y)
 
-    def canonical_bytes(self) -> bytes:
-        header = struct.pack("<QQQ", self.n, self.input_dim, self.num_classes)
-        return header + self.features.astype("<f8").tobytes() + self.labels.astype("<i8").tobytes()
-
     def fingerprint(self) -> int:
-        """blake2b-64 of the canonical bytes, read as a little-endian integer."""
+        """blake2b-64 of n, input_dim, num_classes (<u8), the C-ordered features (<f8)
+        and the labels (<i8), read as a little-endian integer; hashed in place, uncopied."""
         if self._fingerprint is None:
-            digest = hashlib.blake2b(self.canonical_bytes(), digest_size=8).digest()
-            self._fingerprint = int.from_bytes(digest, "little")
+            h = hashlib.blake2b(struct.pack("<QQQ", self.n, self.input_dim, self.num_classes), digest_size=8)
+            h.update(np.ascontiguousarray(self.features, "<f8"))
+            h.update(np.ascontiguousarray(self.labels, "<i8"))
+            self._fingerprint = int.from_bytes(h.digest(), "little")
         return self._fingerprint
 
 

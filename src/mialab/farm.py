@@ -1,14 +1,14 @@
 """Shadow-model farms: build, persist, partition, and the target oracle.
 
-The farm store (version 2) is a single binary file, little-endian
-throughout: 8-byte magic, version word, dataset fingerprint (blake2b-64),
-master seed, architecture descriptor, per-model training seeds, the split
-matrix as packed bits, the records' parameter rows as one (n_models,
-param_count) float64 block, and a trailing 32-byte blake2b-256 checksum of
-every byte before it. Version 1 files (FNV-1a fingerprint, no checksum)
-are refused; rebuild them with train-shadows. A store is written to a
-temporary file next to its path and moved into place, so a reader never
-sees half a farm.
+The farm store (version 3) is a single binary file, little-endian
+throughout: 8-byte magic, version word, dataset fingerprint, master seed,
+architecture descriptor, per-model training seeds, the split matrix as
+packed bits, the records' parameter rows as one (n_models, param_count)
+float64 block, and a trailing 32-byte SHA-256 of every byte before it;
+hashed on over that trailer, the same pass gives the file's SHA-256.
+Versions 1 and 2 (no checksum, blake2b trailer) are refused; rebuild
+them with train-shadows. A store is written to a temporary file next to
+its path and moved into place, so a reader never sees half a farm.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .training import (  # noqa: F401  train_model stays bound here for perfbenc
 )
 
 MAGIC = b"SHDWFARM"
-VERSION = 2
+VERSION = 3
 CHECKSUM_BYTES = 32
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
@@ -48,6 +48,8 @@ class ShadowFarm:
     splits: np.ndarray  # bool (n_models, n_points)
     records: list[ModelRecord]
     master_seed: int
+    # the loaded store file's SHA-256; None in memory, dataclasses.replace included
+    sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n_models(self) -> int:
@@ -195,7 +197,7 @@ def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowF
 
 
 def save_farm(farm: ShadowFarm, path) -> str:
-    """Write the farm store to path; returns the sha256 hex digest of its bytes.
+    """Write the farm store to path; returns the SHA-256 hex digest of its bytes.
 
     Each part goes to the temporary file as it is hashed, the parameter
     block one record row at a time, so no second copy of it is made.
@@ -215,7 +217,6 @@ def save_farm(farm: ShadowFarm, path) -> str:
         np.packbits(farm.splits.ravel()).tobytes(),
     ]
     rows = (rec._theta.astype("<f8", copy=False) for rec in farm.records)
-    checksum = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
     digest = hashlib.sha256()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -223,11 +224,10 @@ def save_farm(farm: ShadowFarm, path) -> str:
         with open(tmp, "wb") as fh:
             for part in chain(header, rows):
                 fh.write(part)
-                checksum.update(part)
                 digest.update(part)
-            tail = checksum.digest()
-            fh.write(tail)
-            digest.update(tail)
+            trailer = digest.copy().digest()
+            fh.write(trailer)
+            digest.update(trailer)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -254,12 +254,12 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
-def load_farm(path, data: bytes | None = None) -> ShadowFarm:
-    """Read the farm store at path, or decode data, its bytes when the caller
-    has already read them. Magic, version, length and checksum are checked
-    in that order before any of the payload is decoded."""
+def load_farm(path) -> ShadowFarm:
+    """Read the farm store at path. Magic, version, length and checksum are
+    checked in that order before any of the payload is decoded; the farm's
+    sha256 is the file's, from the hasher that checked the trailer."""
     path = Path(path)
-    blob = memoryview(path.read_bytes() if data is None else data)
+    blob = memoryview(path.read_bytes())
     reader = _Reader(blob, path)
     magic = bytes(reader.read(8))
     if magic != MAGIC:
@@ -282,9 +282,10 @@ def load_farm(path, data: bytes | None = None) -> ShadowFarm:
         raise FormatError(f"{path}: truncated farm store: expected {size} bytes, got {len(blob)}")
     if len(blob) > size:
         raise FormatError(f"{path}: {len(blob) - size} trailing bytes after farm payload")
-    payload, checksum = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
-    if hashlib.blake2b(payload, digest_size=CHECKSUM_BYTES).digest() != checksum:
+    digest, trailer = hashlib.sha256(blob[:-CHECKSUM_BYTES]), blob[-CHECKSUM_BYTES:]
+    if digest.digest() != trailer:
         raise FormatError(f"{path}: checksum mismatch, the farm store is corrupt")
+    digest.update(trailer)  # on to the file's digest
     if act_code not in _ACT_NAMES:
         raise FormatError(f"{path}: unknown activation code {act_code}")
     arch = ArchDescriptor(input_dim, tuple(hidden), num_classes, _ACT_NAMES[act_code])
@@ -297,7 +298,9 @@ def load_farm(path, data: bytes | None = None) -> ShadowFarm:
     thetas = np.frombuffer(reader.read(8 * pcount * n_models), dtype="<f8").astype(np.float64)
     records = [ModelRecord(arch, seed, row)
                for seed, row in zip(seeds, thetas.reshape(n_models, pcount))]
-    return ShadowFarm(fingerprint, arch, splits, records, master_seed)
+    farm = ShadowFarm(fingerprint, arch, splits, records, master_seed)
+    farm.sha256 = digest.hexdigest()
+    return farm
 
 
 def farms_equal(a: ShadowFarm, b: ShadowFarm) -> bool:

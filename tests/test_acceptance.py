@@ -7,6 +7,7 @@ and takes a few minutes; everything else is seconds.
 
 import hashlib
 import json
+import os
 import time
 
 import numpy as np
@@ -207,7 +208,9 @@ def _targets_for_seed(farm, master_seed):
 
 @pytest.fixture(scope="module")
 def desk_experiment():
-    """Five farms, four attacks each; shared by criteria 5 and 8."""
+    """Five farms, four attacks each; shared by criteria 5 and 8. Each farm is
+    built on up to two workers, which leaves every model's parameters as built
+    serially (test_farm's test_parallel_uneven_groups_match_serial_and_reference)."""
     ds, arch = _experiment_parts()
     tc = TrainConfig(**TRAIN)
     base = CanaryConfig(epsilon=CANARY_EPSILON, num_queries=10)
@@ -219,7 +222,7 @@ def desk_experiment():
                "isolation": [], "elapsed": 0.0}
     start = time.perf_counter()
     for ms in MASTER_SEEDS:
-        farm = build_farm(ds, N_MODELS, arch, tc, master_seed=ms)
+        farm = build_farm(ds, N_MODELS, arch, tc, master_seed=ms, jobs=min(2, os.cpu_count() or 1))
         target_model, targets = _targets_for_seed(farm, ms)
         oracle, shadows = hold_out_target(farm, target_model)
         aseed = state_seeds(stream_states([(ms, 15, 0)]))[0]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,26 @@ from oracles import _ref_stream, csv_writer_bytes
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class CountedHash:
+    """A hashlib object that adds every byte it is fed to a tally per algorithm."""
+
+    def __init__(self, inner, tally):
+        self.inner, self.tally = inner, tally
+
+    def update(self, data):
+        self.tally[self.inner.name] += memoryview(data).nbytes
+        self.inner.update(data)
+
+    def copy(self):
+        return CountedHash(self.inner.copy(), self.tally)  # a copy re-hashes nothing
+
+    def digest(self):
+        return self.inner.digest()
+
+    def hexdigest(self):
+        return self.inner.hexdigest()
 
 
 def base_config(**overrides):
@@ -241,11 +262,36 @@ class TestAttack:
             assert abs(members - (len(table.rows) - members)) <= 1
         manifest = json.loads((att / "attack_manifest.json").read_text())
         assert {r["seed"] for r in manifest["runs"]} == {0, 1}
-        assert manifest["farm"]["sha256"] == sha(out / "farm.bin")
+        train_manifest = json.loads((out / "train_manifest.json").read_text())
+        assert manifest["farm"]["sha256"] == train_manifest["outputs"]["farm.bin"] == sha(out / "farm.bin")
         for s in (0, 1):
             assert manifest["outputs"][f"scores_seed{s}.csv"] == sha(att / f"scores_seed{s}.csv")
         for run in manifest["runs"]:
             assert run["target_param_reads"] == 0
+
+    def test_farm_bytes_are_hashed_once_per_command(self, tmp_path, monkeypatch):
+        # the store's trailer and the manifest's farm digest come from one SHA-256
+        # pass; the only other bytes hashed are the dataset's (its blake2b-64
+        # fingerprint, once per command) and the score tables as they are written
+        tally = Counter()
+        for name in ("sha256", "blake2b"):
+            def counted(data=b"", *, make=getattr(hashlib, name), **kwargs):
+                h = CountedHash(make(**kwargs), tally)
+                h.update(data)
+                return h
+            monkeypatch.setattr(hashlib, name, counted)
+        cfg = base_config()
+        dataset_bytes = 24 + 8 * cfg["dataset"]["n_points"] * (cfg["dataset"]["input_dim"] + 1)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        farm_bytes = (tmp_path / "t" / "farm.bin").stat().st_size
+        assert tally == {"sha256": farm_bytes, "blake2b": dataset_bytes}
+        tally.clear()
+        assert main(["attack", "--config", str(cfg_path), "--farm", str(tmp_path / "t" / "farm.bin"),
+                     "--out", str(tmp_path / "a")]) == 0
+        score_bytes = sum(p.stat().st_size for p in (tmp_path / "a").glob("scores_seed*.csv"))
+        assert tally == {"sha256": farm_bytes + score_bytes, "blake2b": dataset_bytes}
 
     def test_run_streams_are_numpys_one_row_streams(self):
         # every run seed's target-choice and target-sample streams and attack
@@ -382,6 +428,7 @@ class TestAttack:
 
     @pytest.mark.parametrize("damage,error", [
         ("version_1", "UnsupportedVersionError"),
+        ("version_2", "UnsupportedVersionError"),
         ("flipped_bit", "FormatError"),
     ])
     def test_refused_farm_leaves_no_output(self, trained, tmp_path, capsys, damage, error):
@@ -390,6 +437,9 @@ class TestAttack:
         if damage == "version_1":
             blob[8:12] = (1).to_bytes(4, "little")
             del blob[-CHECKSUM_BYTES:]  # v1 stores had no checksum
+        elif damage == "version_2":
+            blob[8:12] = (2).to_bytes(4, "little")
+            blob[-CHECKSUM_BYTES:] = hashlib.blake2b(blob[:-CHECKSUM_BYTES], digest_size=CHECKSUM_BYTES).digest()
         else:
             blob[100] ^= 0x10
         farm = tmp_path / "farm.bin"
@@ -398,6 +448,8 @@ class TestAttack:
                    "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith(f"error:{error}: ") and err.count("\n") == 1
+        if error == "UnsupportedVersionError":
+            assert "rerun train-shadows" in err
         assert not (tmp_path / "x").exists()
 
 

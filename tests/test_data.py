@@ -137,9 +137,19 @@ class TestFingerprint:
         ds = Dataset(np.array([[0.0, 0.5], [1.0, 0.25]]), np.array([0, 1]))
         canonical = (struct.pack("<QQQ", 2, 2, 2) + struct.pack("<4d", 0.0, 0.5, 1.0, 0.25)
                      + struct.pack("<2q", 0, 1))
-        assert ds.canonical_bytes() == canonical
         digest = hashlib.blake2b(canonical, digest_size=8).digest()
         assert ds.fingerprint() == int.from_bytes(digest, "little") == 0xA3F094FC27D0F225
+
+    def test_fingerprint_ignores_memory_order(self):
+        # the hashed layout is C-ordered whatever order the caller's matrix is in
+        features = synthetic_mixture(40, 5, 3, seed=4).features
+        labels = np.arange(40) % 3
+        fortran = np.asfortranarray(features)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        a, b = Dataset(features, labels), Dataset(fortran, labels)
+        assert a.fingerprint() == b.fingerprint()
+        strided = np.repeat(features, 2, axis=1)[:, ::2]  # a non-contiguous view
+        assert a.fingerprint() == Dataset(strided, labels).fingerprint()
 
     def test_fnv1a_known_vectors(self):
         # standard FNV-1a 64-bit test vectors

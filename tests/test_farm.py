@@ -291,16 +291,35 @@ class TestStore:
     def test_loaded_records_are_frozen_rows_equal_to_the_built_ones(self, toy, tmp_path):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"
-        digest = save_farm(farm, path)
+        save_farm(farm, path)
+        loaded = load_farm(path)
+        assert loaded.records == farm.records
+        assert [r.seed for r in loaded.records] == [r.seed for r in farm.records]
+        for rec in loaded.records:
+            assert not rec._theta.flags.writeable
+            assert not any(a.flags.writeable for a in rec._params.weights + rec._params.biases)
+            assert rec.access_count == 0
+
+    def test_trailer_is_the_payloads_sha256(self, toy, tmp_path):
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
         data = path.read_bytes()
-        assert digest == hashlib.sha256(data).hexdigest()
-        for loaded in (load_farm(path), load_farm(path, data)):
-            assert loaded.records == farm.records
-            assert [r.seed for r in loaded.records] == [r.seed for r in farm.records]
-            for rec in loaded.records:
-                assert not rec._theta.flags.writeable
-                assert not any(a.flags.writeable for a in rec._params.weights + rec._params.biases)
-                assert rec.access_count == 0
+        assert data[8:12] == struct.pack("<I", 3)
+        assert data[-CHECKSUM_BYTES:] == hashlib.sha256(data[:-CHECKSUM_BYTES]).digest()
+
+    def test_save_and_load_give_the_files_sha256(self, toy, tmp_path):
+        # one hasher per command serves the trailer and the manifest's digest
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        digest = save_farm(farm, path)
+        loaded = load_farm(path)
+        assert loaded.sha256 == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert farms_equal(loaded, farm)
+        # a farm built or derived in memory claims no file's digest
+        assert farm.sha256 is None
+        assert replace(loaded, master_seed=loaded.master_seed + 1).sha256 is None
+        assert hold_out_target(loaded, 0)[1].sha256 is None
 
     @pytest.mark.parametrize("dims,n_models,n_points", [
         ((4, 6, 3), 8, 32),  # the toy farm's shape: block at byte 149
@@ -317,15 +336,14 @@ class TestStore:
         farm = ShadowFarm(5, arch, splits, [ModelRecord(arch, i, row) for i, row in enumerate(rows)], 9)
         path = tmp_path / "farm.bin"
         save_farm(farm, path)
-        data = path.read_bytes()
-        offset = len(data) - CHECKSUM_BYTES - rows.nbytes
+        offset = path.stat().st_size - CHECKSUM_BYTES - rows.nbytes
         assert offset == 49 + 4 * (len(dims) - 2) + 8 * n_models + -(-n_models * n_points // 8)
         assert offset % 2 == 1  # so no view of the block in the file's bytes is 8-aligned
-        for loaded in (load_farm(path), load_farm(path, data)):
-            assert farms_equal(loaded, farm)
-            for rec in loaded.records:
-                assert rec._theta.flags.aligned
-                assert all(a.flags.aligned for a in rec._params.weights + rec._params.biases)
+        loaded = load_farm(path)
+        assert farms_equal(loaded, farm)
+        for rec in loaded.records:
+            assert rec._theta.flags.aligned
+            assert all(a.flags.aligned for a in rec._params.weights + rec._params.biases)
 
     def test_truncated_file(self, toy, tmp_path):
         _, _, _, farm = toy
@@ -370,12 +388,28 @@ class TestStore:
         with pytest.raises(UnsupportedVersionError, match="rerun train-shadows"):
             load_farm(path)
 
-    def test_payload_corruption_fails_checksum(self, toy, tmp_path):
+    def test_version_2_store_refused_with_rebuild_hint(self, toy, tmp_path):
+        # version 2 had this layout with a blake2b-256 trailer
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        blob = bytearray(path.read_bytes()[:-CHECKSUM_BYTES])
+        blob[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob) + hashlib.blake2b(blob, digest_size=CHECKSUM_BYTES).digest())
+        with pytest.raises(UnsupportedVersionError, match="version 2 .*rerun train-shadows"):
+            load_farm(path)
+
+    @pytest.mark.parametrize("where", [
+        pytest.param(-CHECKSUM_BYTES - 1, id="payload"),  # last byte of the last model's parameters
+        pytest.param(-CHECKSUM_BYTES, id="trailer-first"),
+        pytest.param(-1, id="trailer-last"),
+    ])
+    def test_corruption_fails_checksum(self, toy, tmp_path, where):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"
         save_farm(farm, path)
         blob = bytearray(path.read_bytes())
-        blob[-CHECKSUM_BYTES - 1] ^= 0x01  # last byte of the last model's parameters
+        blob[where] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="checksum"):
             load_farm(path)

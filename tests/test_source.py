@@ -91,3 +91,16 @@ def test_one_csv_codec(path):
                  and node.func.attr in ("split", "rsplit")
                  and any(isinstance(a, ast.Constant) and a.value == "," for a in node.args))]
     assert not found, f"CSV handled outside the codec at {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "data.py"], ids=lambda p: p.name)
+def test_one_store_digest(path):
+    # the farm store's trailer and every manifest digest are SHA-256; blake2b
+    # serves the dataset fingerprint alone, in data.py
+    names = {"blake2b", "blake2s"}
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id in names)
+             or (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names)
+             or (isinstance(node, ast.Constant) and node.value in names)]
+    assert not found, f"blake2 outside data.py at {found}"
