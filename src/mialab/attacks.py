@@ -10,7 +10,7 @@ attack runner that produces a ScoreTable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -369,35 +369,25 @@ def random_noise_query(x_star: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     return np.clip(x_star + noise, DOMAIN_LOW, DOMAIN_HIGH)
 
 
-@dataclass
-class ScoreRow:
-    target_index: int
-    is_member: bool
-    query_scores: list[float]
-    aggregated: float
-
-
-@dataclass
+@dataclass(eq=False)
 class ScoreTable:
-    """Per-target attack scores with ground-truth membership labels."""
+    """Attack scores with ground-truth membership labels, one row per target."""
 
-    rows: list[ScoreRow]
-    in_model_accesses: int | None = field(default=None, compare=False)
-
-    def scores(self) -> np.ndarray:
-        return np.array([r.aggregated for r in self.rows])
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.is_member for r in self.rows], dtype=bool)
+    index: np.ndarray  # (T,) int64 dataset indices
+    member: np.ndarray  # (T,) bool
+    scores: np.ndarray  # (T, Q) float64, Q queries per target
+    aggregated: np.ndarray  # (T,) float64 ensemble of each row of scores
+    in_model_accesses: int | None = None
 
     def write_csv(self, path) -> str:
         """One line per (target, query), written by metrics.write_lines; a
         score's repr is made once per distinct value, an aggregate's once per
         target. Returns the sha256 of the bytes written."""
         reprs, lines = {}, [",".join(SCORE_HEADER)]
-        for row in self.rows:
-            head, agg = f"{row.target_index},{int(row.is_member)},", repr(row.aggregated)
-            for q, s in enumerate(row.query_scores):
+        for t, member, scores, agg in zip(self.index.tolist(), self.member.tolist(),
+                                          self.scores.tolist(), self.aggregated.tolist()):
+            head, agg = f"{t},{int(member)},", repr(agg)
+            for q, s in enumerate(scores):
                 text = reprs.get(s) if s else None  # 0.0 == -0.0, but their reprs differ
                 if text is None:
                     text = reprs[s] = repr(s)
@@ -407,8 +397,9 @@ class ScoreTable:
     @staticmethod
     def read_csv(path) -> "ScoreTable":
         """Inverse of write_csv: each target's rows agree on is_member (0 or
-        1) and aggregated_score and number their queries 0, 1, ... in order."""
-        rows: dict[int, ScoreRow] = {}
+        1) and aggregated_score and number their queries 0, 1, ... in order;
+        every target has as many. Targets keep their first-appearance order."""
+        targets: dict[int, tuple[bool, float, list[float]]] = {}
         for lineno, rec in read_csv_rows(path, SCORE_HEADER, "score table"):
             try:
                 idx, member, query = int(rec[0]), int(rec[1]), int(rec[2])
@@ -419,15 +410,25 @@ class ScoreTable:
                 raise FormatError(f"{path}: line {lineno}: is_member must be 0 or 1, got {member}")
             if math.isnan(score) or math.isnan(agg):  # +-inf is a saturated ratio, NaN is not
                 raise FormatError(f"{path}: line {lineno}: score is NaN")
-            row = rows.setdefault(idx, ScoreRow(idx, bool(member), [], agg))
-            if (row.is_member, row.aggregated) != (bool(member), agg):
+            first_member, first_agg, scores = targets.setdefault(idx, (bool(member), agg, []))
+            if (first_member, first_agg) != (bool(member), agg):
                 raise FormatError(f"{path}: line {lineno}: target {idx} disagrees with its "
                                   "earlier rows on is_member or aggregated_score")
-            if query != len(row.query_scores):
+            if query != len(scores):
                 raise FormatError(f"{path}: line {lineno}: target {idx} has query_id {query}, "
-                                  f"expected {len(row.query_scores)}")
-            row.query_scores.append(score)
-        return ScoreTable(list(rows.values()))
+                                  f"expected {len(scores)}")
+            scores.append(score)
+        rows = list(targets.values())
+        counts = sorted({len(scores) for _, _, scores in rows}) or [0]  # [0]: no targets
+        if len(counts) > 1:
+            raise FormatError(f"{path}: targets have unequal query counts {counts}")
+        try:
+            index = np.array(list(targets), dtype=np.int64)
+        except OverflowError as exc:
+            raise FormatError(f"{path}: a target index is out of the int64 range") from exc
+        return ScoreTable(index, np.array([m for m, _, _ in rows], dtype=bool),
+                          np.array([s for _, _, s in rows]).reshape(len(rows), counts[0]),
+                          np.array([a for _, a, _ in rows]))
 
 
 def _draw_alt_labels(seed: int, index: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -507,7 +508,8 @@ def run_attack(
     BLOCK_ELEMENTS: all (target, query) rows of a block are optimised
     together, and the oracle and each shadow model evaluate one row per query,
     or per target for LiRA, whose Q queries are stride-0 copies of the target
-    point; one elementwise pass scores the block's (targets, Q) array. Every
+    point; one elementwise pass scores the block's rows of the (targets, Q)
+    table, and one ensemble_scores call aggregates the whole table. Every
     row is computed exactly as it would be alone, so a query's score depends
     on neither the block size, nor num_queries, nor the other targets, and a
     LiRA target's scores are equal. Offline mode never evaluates an IN
@@ -525,8 +527,8 @@ def run_attack(
             f"farm fingerprint {farm.fingerprint:#x}"
         )
     online = mode == "online"
-    targets = [(int(t), bool(is_member)) for t, is_member in targets]
-    index = np.array([t for t, _ in targets], dtype=np.int64)
+    index = np.array([int(t) for t, _ in targets], dtype=np.int64)
+    is_member = np.array([bool(m) for _, m in targets], dtype=bool)
     if index.size and (index.min() < 0 or index.max() >= farm.n_points):
         bad = index[(index < 0) | (index >= farm.n_points)][0]
         raise IndexError(f"target index {bad} out of range for {farm.n_points} points")
@@ -536,10 +538,10 @@ def run_attack(
     n_queries = config.num_queries
     lira = method == "lira"
     block = max(1, BLOCK_ELEMENTS // ((1 if lira else n_queries) * max(farm.arch.dims)))
-    rows, in_evaluations = [], 0
-    for start in range(0, len(targets), block):
-        idx = index[start:start + block]
-        blk_member = member[start:start + block]
+    scores, in_evaluations = np.empty((index.size, n_queries)), 0
+    for start in range(0, index.size, block):
+        rows = slice(start, start + block)
+        idx, blk_member = index[rows], member[rows]
         x_star, y = dataset.take(idx)
         if lira:
             queries = np.broadcast_to(x_star[:, None], (len(idx), n_queries, x_star.shape[1]))
@@ -557,15 +559,12 @@ def run_attack(
                     farm.records, config, online, rngs, alt)
                 in_evaluations += hits
             queries = x_rows.reshape(len(idx), n_queries, -1)
-        scores, hits = _score_block(queries, x_star[:, None] if lira else queries,
-                                    y, blk_member, farm.records, oracle, config, online)
+        scores[rows], hits = _score_block(queries, x_star[:, None] if lira else queries, y,
+                                          blk_member, farm.records, oracle, config, online)
         in_evaluations += hits
         if not online and in_evaluations:
             raise IsolationError(
                 f"offline attack evaluated IN shadow models ({in_evaluations} (row, model) pairs)"
             )
-        aggregated = ensemble_scores(scores).tolist()
-        for (t, is_member), row, agg in zip(targets[start:start + block], scores.tolist(),
-                                            aggregated):
-            rows.append(ScoreRow(t, is_member, row, agg))
-    return ScoreTable(rows, in_model_accesses=None if online else in_evaluations)
+    return ScoreTable(index, is_member, scores, ensemble_scores(scores),
+                      None if online else in_evaluations)

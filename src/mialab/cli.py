@@ -175,12 +175,12 @@ def cmd_eval(args) -> None:
         if seed in tables:
             raise ConfigError(f"duplicate run seed {seed} among score tables")
         table = ScoreTable.read_csv(path)
-        if len(set(table.labels().tolist())) < 2:
+        if table.member.all() or not table.member.any():
             raise FormatError(f"{path}: score table needs both member and non-member targets")
         tables[seed] = (path, table)
     roc_names = [f"roc_seed{s}.csv" for s in tables]
     out = _ensure_out(args.out, ["report.csv", "eval_manifest.json"] + roc_names, args.force)
-    summaries = {seed: summarize(table.scores(), table.labels(), (FPR_TARGET,))
+    summaries = {seed: summarize(table.aggregated, table.member, (FPR_TARGET,))
                  for seed, (_, table) in sorted(tables.items())}
     per_seed = {seed: {METRIC_AUC: summary.auc, METRIC_TPR: summary.tpr_at[FPR_TARGET]}
                 for seed, summary in summaries.items()}
@@ -194,6 +194,8 @@ def cmd_eval(args) -> None:
             "command": "eval",
             "inputs": {str(p): _sha256(p) for p, _ in tables.values()},
             "metrics": {str(s): m for s, m in per_seed.items()},
+            "targets": {str(s): {"n_pos": int(t.member.sum()), "n_neg": int((~t.member).sum())}
+                        for s, (_, t) in sorted(tables.items())},
             "outputs": outputs,
         },
     )

@@ -158,7 +158,7 @@ def write_report_csv(path, per_seed: dict[int, dict[str, float]]) -> str:
 
 def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[str, float]]]:
     """Inverse of write_report_csv: (per-seed rows, aggregate rows). Every
-    value is a finite number."""
+    value is a finite number, and no (metric, seed) row comes twice."""
     per_seed: dict[int, dict[str, float]] = {}
     aggregates: dict[str, dict[str, float]] = {}
     for lineno, (metric, seed, value) in read_csv_rows(path, REPORT_HEADER, "report"):
@@ -169,11 +169,13 @@ def read_report_csv(path) -> tuple[dict[int, dict[str, float]], dict[str, dict[s
         if not math.isfinite(val):
             raise FormatError(f"{path}: line {lineno}: value {value!r} is not a finite number")
         if seed in ("mean", "std"):
-            aggregates.setdefault(metric, {})[seed] = val
+            row, key = aggregates.setdefault(metric, {}), seed
         else:
             try:
-                seed_i = int(seed)
+                row, key = per_seed.setdefault(int(seed), {}), metric
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: bad seed {seed!r}") from exc
-            per_seed.setdefault(seed_i, {})[metric] = val
+        if key in row:
+            raise FormatError(f"{path}: line {lineno}: repeats an earlier ({metric}, {seed}) row")
+        row[key] = val
     return per_seed, aggregates

@@ -5,8 +5,8 @@ differences of scalar objective values for gradients, explicit pairwise
 counting for AUC, a
 hand-rolled recurrence for Adam, the one-target attack and one-model
 training loops the batched library code must reproduce bit for bit, with
-streams built by numpy's SeedSequence directly, and a csv.writer encoder
-of score tables.
+streams built by numpy's SeedSequence directly, a csv.writer encoder
+of score tables, and a builder and a bitwise comparison of them.
 """
 
 import csv
@@ -121,6 +121,27 @@ def csv_writer_bytes(rows) -> bytes:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
     return buf.getvalue().encode()
+
+
+def score_table(rows):
+    """A ScoreTable of (target index, is_member, query scores, aggregate) rows."""
+    from mialab.attacks import ScoreTable
+
+    index, member, scores, aggregated = zip(*rows)
+    return ScoreTable(np.array(index, dtype=np.int64), np.array(member, dtype=bool),
+                      np.array(scores, dtype=np.float64), np.array(aggregated, dtype=np.float64))
+
+
+def tables_equal(a, b) -> bool:
+    """Whether two ScoreTables hold the same targets, labels and score bits.
+    The float columns compare as uint64 views, so -0.0 differs from 0.0."""
+    for t in (a, b):
+        assert (t.index.dtype, t.member.dtype, t.scores.dtype, t.aggregated.dtype) == (
+            np.int64, np.bool_, np.float64, np.float64)
+        assert t.scores.ndim == 2 and t.index.shape == t.member.shape == t.aggregated.shape
+    return (np.array_equal(a.index, b.index) and np.array_equal(a.member, b.member)
+            and np.array_equal(a.scores.view(np.uint64), b.scores.view(np.uint64))
+            and np.array_equal(a.aggregated.view(np.uint64), b.aggregated.view(np.uint64)))
 
 
 def pairwise_auc(scores, labels):
@@ -306,7 +327,7 @@ def ref_offline_score(conf_t, mu_o, sd_o, density):
 
 
 def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, seed):
-    """Per-target scores as (target, is_member, query scores, aggregate) tuples."""
+    """Per-target scores as a ScoreTable, each aggregate the mean of its target's scores."""
     from mialab.rng import TAG_ALT_LABEL
 
     offline = mode == "offline"
@@ -353,7 +374,7 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
                 mu_i, sd_i = _ref_fit(in_phi[:, q], SIGMA_FLOOR)
                 scores.append(ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o))
         out.append((t, is_member, scores, float(np.mean(scores))))
-    return out
+    return score_table(out)
 
 
 # ---- per-model training reference -----------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 from mialab.attacks import (
     CanaryConfig,
     GaussianStats,
-    ScoreTable,
     lira_offline_score,
     lira_online_score,
     optimize_canary,
@@ -46,7 +45,7 @@ from mialab.nn import (
 from mialab.rng import state_seeds, stream_states, substream
 from mialab.training import DpConfig, TrainConfig
 
-from oracles import fd_input_gradient, fd_param_gradient_coords, pairwise_auc
+from oracles import fd_input_gradient, fd_param_gradient_coords, pairwise_auc, tables_equal
 
 # ---- desk-scale experiment configuration -----------------------------------
 # Values the criteria do not pin (mixture noise, width, epochs, epsilon,
@@ -178,7 +177,7 @@ def test_criterion_4_reduction_to_lira(tmp_path):
     for mode in ("online", "offline"):
         lira = run_attack(ds, oracle, rest, targets, "lira", mode, cfg, seed=23)
         canary = run_attack(ds, oracle, rest, targets, "canary", mode, cfg, seed=23)
-        identical = identical and lira.rows == canary.rows
+        identical = identical and tables_equal(lira, canary)
         a, b = tmp_path / f"lira_{mode}.csv", tmp_path / f"canary_{mode}.csv"
         lira.write_csv(a)
         canary.write_csv(b)
@@ -229,7 +228,7 @@ def desk_experiment():
 
         def auc_of(method, mode, cfg):
             table = run_attack(ds, oracle, shadows, targets, method, mode, cfg, seed=aseed)
-            return roc_auc(table.scores(), table.labels()), table
+            return roc_auc(table.aggregated, table.member), table
 
         on, _ = auc_of("lira", "online", base)
         off, _ = auc_of("lira", "offline", base)
@@ -337,7 +336,7 @@ def _dp_pair_auc(ds, arch, master_seed, dp):
     table = run_attack(ds, oracle, shadows, targets, "lira", "online",
                        CanaryConfig(epsilon=CANARY_EPSILON, num_queries=10),
                        seed=state_seeds(stream_states([(master_seed, 15, 0)]))[0])
-    return roc_auc(table.scores(), table.labels())
+    return roc_auc(table.aggregated, table.member)
 
 
 def test_criterion_7_dp_direction(clip_checks):

@@ -11,7 +11,6 @@ from mialab.attacks import (
     SIGMA_FLOOR,
     CanaryConfig,
     GaussianStats,
-    ScoreRow,
     ScoreTable,
     ensemble_scores,
     fit_gaussians,
@@ -25,7 +24,7 @@ from mialab.attacks import (
 )
 from mialab import attacks
 from mialab.data import synthetic_mixture
-from mialab.errors import ConfigError, FingerprintMismatchError
+from mialab.errors import ConfigError, FingerprintMismatchError, FormatError
 from mialab.farm import build_farm, hold_out_target, in_out_partition
 from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
 from mialab.rng import substream, substreams
@@ -38,16 +37,22 @@ from oracles import (
     ref_online_score,
     csv_writer_bytes,
     reference_attack,
+    score_table,
+    tables_equal,
 )
 
 
-def score_csv_bytes(rows) -> bytes:
+HEADER = "target_index,is_member,query_id,score,aggregated_score\n"
+
+
+def score_csv_bytes(table) -> bytes:
     """A score table's CSV as csv.writer writes it: one row per (target, query),
     each score and aggregate its repr."""
     return csv_writer_bytes(
         [["target_index", "is_member", "query_id", "score", "aggregated_score"]]
-        + [[row.target_index, int(row.is_member), q, repr(s), repr(row.aggregated)]
-           for row in rows for q, s in enumerate(row.query_scores)])
+        + [[int(t), int(m), q, repr(float(s)), repr(float(agg))]
+           for t, m, row, agg in zip(table.index, table.member, table.scores, table.aggregated)
+           for q, s in enumerate(row)])
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +453,7 @@ class TestRunAttack:
             cfg = CanaryConfig(epsilon=0.0, steps=40, shadow_batch=2, num_queries=3)
             lira = run_attack(ds, oracle, rest, targets, "lira", mode, cfg, seed=33)
             canary = run_attack(ds, oracle, rest, targets, "canary", mode, cfg, seed=33)
-            assert lira.rows == canary.rows
+            assert tables_equal(lira, canary)
 
     def test_lira_queries_are_identical_per_target(self, toy_farm):
         ds, farm = toy_farm
@@ -456,9 +461,9 @@ class TestRunAttack:
         oracle, rest = hold_out_target(farm, 2)
         cfg = CanaryConfig(epsilon=0.1, num_queries=4)
         table = run_attack(ds, oracle, rest, targets, "lira", "online", cfg, seed=34)
-        for row in table.rows:
-            assert len(set(row.query_scores)) == 1
-            assert row.aggregated == row.query_scores[0]
+        bits = table.scores.view(np.uint64)
+        assert (bits == bits[:, :1]).all()
+        assert np.array_equal(table.aggregated.view(np.uint64), bits[:, 0])
 
     def test_offline_isolation_counters(self, toy_farm):
         ds, farm = toy_farm
@@ -478,7 +483,7 @@ class TestRunAttack:
         targets = [(int(t), bool(farm.splits[4, t])) for t in points]
         cfg = CanaryConfig(epsilon=0.15, steps=6, shadow_batch=2, num_queries=2)
         table = run_attack(ds, oracle, rest, targets, "canary", "offline", cfg, seed=35)
-        assert len(table.rows) == len(targets) > 30
+        assert len(table.index) == len(targets) > 30
         assert rest.records[always_in].access_count == 0
         assert all(r.access_count > 0 for r in rest.records[1:])
 
@@ -526,8 +531,9 @@ class TestRunAttack:
         oracle, rest = hold_out_target(farm, 0)
         cfg = CanaryConfig(epsilon=0.05, steps=5, shadow_batch=2, num_queries=3)
         table = run_attack(ds, oracle, rest, targets, "random_noise", "offline", cfg, seed=38)
-        for row in table.rows:
-            assert row.aggregated == pytest.approx(np.mean(row.query_scores), abs=1e-15)
+        assert table.scores.shape == (len(targets), 3)
+        assert np.array_equal(table.aggregated.view(np.uint64),
+                              ensemble_scores(table.scores).view(np.uint64))
 
     def test_deterministic_rerun(self, toy_farm):
         ds, farm = toy_farm
@@ -536,7 +542,7 @@ class TestRunAttack:
         cfg = CanaryConfig(epsilon=0.2, steps=8, shadow_batch=2, num_queries=2)
         a = run_attack(ds, oracle, rest, targets, "canary", "offline", cfg, seed=39)
         b = run_attack(ds, oracle, rest, targets, "canary", "offline", cfg, seed=39)
-        assert a.rows == b.rows
+        assert tables_equal(a, b)
 
 
 class TestScoreTableCsv:
@@ -548,32 +554,66 @@ class TestScoreTableCsv:
         table = run_attack(ds, oracle, rest, targets, "lira", "offline", cfg, seed=40)
         path = tmp_path / "scores_seed0.csv"
         table.write_csv(path)
-        assert path.read_bytes() == score_csv_bytes(table.rows)
-        loaded = ScoreTable.read_csv(path)
-        assert loaded.rows == table.rows
+        assert path.read_bytes() == score_csv_bytes(table)
+        assert tables_equal(ScoreTable.read_csv(path), table)
 
     def test_bytes_are_the_csv_writers(self, tmp_path):
         inf, tiny, third = math.inf, 5e-324, 0.1 + 0.2
-        rows = [
-            ScoreRow(0, True, [0.0, -0.0, 0.0], -0.0),  # signed zeros, as scores and aggregate
-            ScoreRow(1, False, [-0.0], 0.0),  # one query per target
-            ScoreRow(2, True, [inf, -inf, tiny], inf),
-            ScoreRow(3, False, [1e16, 1e-05, third], third),  # aggregate equal to one of its scores
-            ScoreRow(4, True, [1e16, 1e16, 1e-05], 1e16),  # repeated within and across targets
-            ScoreRow(5, False, [third, 0.3, tiny, 0.0], -0.0),
-        ]
+        table = score_table([
+            (0, True, [0.0, -0.0, 0.0], -0.0),  # signed zeros, as scores and aggregate
+            (1, False, [-0.0, -0.0, 0.0], 0.0),
+            (2, True, [inf, -inf, tiny], inf),
+            (3, False, [1e16, 1e-05, third], third),  # aggregate equal to one of its scores
+            (4, True, [1e16, 1e16, 1e-05], 1e16),  # repeated within and across targets
+            (5, False, [third, 0.3, tiny], -0.0),
+        ])
         path = tmp_path / "scores_seed3.csv"
-        digest = ScoreTable(rows).write_csv(path)
-        assert path.read_bytes() == score_csv_bytes(rows)
+        digest = table.write_csv(path)
+        assert path.read_bytes() == score_csv_bytes(table)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert repr(ScoreTable.read_csv(path).rows) == repr(rows)  # repr tells -0.0 from 0.0
+        assert tables_equal(ScoreTable.read_csv(path), table)  # the bits tell -0.0 from 0.0
+
+    @pytest.mark.parametrize("body,counts", [
+        pytest.param("0,1,0,0.5,0.5\n0,1,1,0.5,0.5\n1,0,0,0.1,0.1\n", "[1, 2]", id="last_short"),
+        pytest.param("0,1,0,0.5,0.5\n1,0,0,0.1,0.1\n1,0,1,0.1,0.1\n2,1,0,0.3,0.3\n",
+                     "[1, 2]", id="middle_long"),
+    ])
+    def test_mixed_query_counts_refused(self, tmp_path, body, counts):
+        # a (targets, Q) table holds one query count; no command writes another
+        path = tmp_path / "scores_seed0.csv"
+        path.write_text(HEADER + body)
+        with pytest.raises(FormatError) as err:
+            ScoreTable.read_csv(path)
+        assert str(err.value) == f"{path}: targets have unequal query counts {counts}"
+
+    @pytest.mark.parametrize("index", [1 << 63, -(1 << 63) - 1])
+    def test_index_beyond_int64_is_a_format_error(self, tmp_path, index):
+        path = tmp_path / "scores_seed0.csv"
+        path.write_text(HEADER + f"{index},1,0,0.5,0.5\n")
+        with pytest.raises(FormatError, match="out of the int64 range"):
+            ScoreTable.read_csv(path)
+
+    def test_interleaved_targets_keep_first_appearance_order(self, tmp_path):
+        path = tmp_path / "scores_seed0.csv"
+        path.write_text(HEADER + "7,0,0,0.25,0.5\n3,1,0,-0.0,0.0\n7,0,1,0.75,0.5\n3,1,1,0.0,0.0\n")
+        expected = score_table([(7, False, [0.25, 0.75], 0.5), (3, True, [-0.0, 0.0], 0.0)])
+        assert tables_equal(ScoreTable.read_csv(path), expected)
+
+    def test_header_only_table_is_empty(self, tmp_path):
+        path = tmp_path / "scores_seed0.csv"
+        path.write_text(HEADER)
+        table = ScoreTable.read_csv(path)
+        assert table.scores.shape == (0, 0)
+        assert table.index.shape == table.member.shape == table.aggregated.shape == (0,)
+        table.write_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == score_csv_bytes(table)
 
     def test_round_trip_with_infinite_scores(self, tmp_path):
-        table = ScoreTable([ScoreRow(3, True, [float("inf"), 2.0], float("inf")),
-                            ScoreRow(5, False, [0.25, 0.5], 0.375)])
+        table = score_table([(3, True, [float("inf"), 2.0], float("inf")),
+                             (5, False, [0.25, 0.5], 0.375)])
         path = tmp_path / "scores_seed1.csv"
         table.write_csv(path)
-        assert ScoreTable.read_csv(path).rows == table.rows
+        assert tables_equal(ScoreTable.read_csv(path), table)
 
     def test_write_is_deterministic(self, tmp_path, toy_farm):
         ds, farm = toy_farm
@@ -600,8 +640,7 @@ def _engine_and_reference(ds, farm, held, method, mode, cfg, seed, n_each=6):
     oracle, rest = hold_out_target(farm, held)
     table = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=seed)
     ref = reference_attack(ds, farm.records[held], rest, targets, method, mode, cfg, seed)
-    got = [(r.target_index, r.is_member, r.query_scores, r.aggregated) for r in table.rows]
-    return repr(got), repr(ref), oracle, targets  # repr tells -0.0 from 0.0
+    return table, ref, oracle, targets
 
 
 class TestEngineMatchesReference:
@@ -613,7 +652,7 @@ class TestEngineMatchesReference:
         ds, farm = toy_farm
         cfg = CanaryConfig(epsilon=0.15, steps=6, shadow_batch=2, lr=0.05, num_queries=3)
         got, ref, oracle, targets = _engine_and_reference(ds, farm, 2, method, mode, cfg, seed=51)
-        assert got == ref
+        assert tables_equal(got, ref)
         assert oracle.query_count == len(targets) * 3
 
     @pytest.mark.parametrize("method,mode", [("lira", "online"), ("lira", "offline"),
@@ -625,7 +664,7 @@ class TestEngineMatchesReference:
         ds, farm = toy_farm
         cfg = CanaryConfig(epsilon=0.15, num_queries=10)
         got, ref, oracle, targets = _engine_and_reference(ds, farm, 4, method, mode, cfg, seed=57)
-        assert got == ref
+        assert tables_equal(got, ref)
         assert oracle.query_count == len(targets) * 10
 
     @pytest.mark.parametrize("objective", OBJECTIVE_KINDS)
@@ -634,7 +673,7 @@ class TestEngineMatchesReference:
             cfg = CanaryConfig(epsilon=0.2, steps=5, shadow_batch=3, lr=0.08, num_queries=2,
                                objective=objective, init_noise_scale=0.07)
             got, ref, _, _ = _engine_and_reference(ds, farm, 1, "canary", mode, cfg, seed=52)
-            assert got == ref
+            assert tables_equal(got, ref)
 
     @pytest.mark.parametrize("mode", ["online", "offline"])
     @pytest.mark.parametrize("edge", ["one_pick", "smaller_side", "no_steps"])
@@ -652,7 +691,7 @@ class TestEngineMatchesReference:
         cfg = CanaryConfig(epsilon=0.05, steps=steps, shadow_batch=batch, num_queries=10)
         got, ref, oracle, _ = _engine_and_reference(ds, farm, held, "canary", mode, cfg, seed=58,
                                                     n_each=n_each)
-        assert got == ref
+        assert tables_equal(got, ref)
         assert oracle.query_count == 2 * n_each * 10
 
     def test_offline_density_variant(self, deep_tanh_farm):
@@ -660,7 +699,7 @@ class TestEngineMatchesReference:
         cfg = CanaryConfig(epsilon=0.1, steps=3, num_queries=2, offline_density=True,
                            init_noise_scale=0.0)
         got, ref, _, _ = _engine_and_reference(ds, farm, 0, "canary", "offline", cfg, seed=53)
-        assert got == ref
+        assert tables_equal(got, ref)
 
 
 class TestBatchComposition:
@@ -673,15 +712,16 @@ class TestBatchComposition:
         oracle, rest = hold_out_target(farm, 3)
         cfg = CanaryConfig(epsilon=0.1, steps=4, shadow_batch=2, num_queries=3,
                            objective="cw_margin_random_label")
-        full = {r.target_index: r for r in
-                run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=55).rows}
+        full = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=55)
         subset = [targets[i] for i in np.random.default_rng(56).permutation(len(targets))[:7]]
         # blocks of 2 targets (3 evaluated rows x widest layer 12 x 2 = 72
         # elements), or of 6 for LiRA, which evaluates one row per target
         monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
         part = run_attack(ds, oracle, rest, subset, method, mode, cfg, seed=55)
-        assert [r.target_index for r in part.rows] == [t for t, _ in subset]
-        assert all(repr(r) == repr(full[r.target_index]) for r in part.rows)
+        assert part.index.tolist() == [t for t, _ in subset]
+        at = [full.index.tolist().index(t) for t, _ in subset]
+        assert tables_equal(part, ScoreTable(full.index[at], full.member[at], full.scores[at],
+                                             full.aggregated[at]))
 
 
 class TestBlockPlan:
@@ -720,14 +760,14 @@ class TestQueryLayout:
         ds, farm = desk_net_farm
         targets = _targets_for(farm, 0, 10, np.random.default_rng(62))
         oracle, rest = hold_out_target(farm, 0)
-        rows = {}
+        bits = {}
         for n_queries in (10, 16):
             cfg = CanaryConfig(epsilon=0.05, steps=2, num_queries=n_queries)
-            rows[n_queries] = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=63).rows
-        for ten, sixteen in zip(rows[10], rows[16]):
-            assert repr(ten.query_scores) == repr(sixteen.query_scores[:10])
-            if method == "lira":  # Q copies of the target point score alike
-                assert len({repr(s) for s in sixteen.query_scores}) == 1
+            table = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=63)
+            bits[n_queries] = table.scores.view(np.uint64)
+        assert np.array_equal(bits[10], bits[16][:, :10])
+        if method == "lira":  # Q copies of the target point score alike
+            assert (bits[16] == bits[16][:, :1]).all()
         assert oracle.query_count == 26 * len(targets)
 
 

@@ -258,8 +258,8 @@ class TestAttack:
         assert rc == 0
         for s in (0, 1):
             table = ScoreTable.read_csv(att / f"scores_seed{s}.csv")
-            members = sum(r.is_member for r in table.rows)
-            assert abs(members - (len(table.rows) - members)) <= 1
+            members = int(table.member.sum())
+            assert abs(members - (len(table.member) - members)) <= 1
         manifest = json.loads((att / "attack_manifest.json").read_text())
         assert {r["seed"] for r in manifest["runs"]} == {0, 1}
         train_manifest = json.loads((out / "train_manifest.json").read_text())
@@ -544,6 +544,9 @@ class TestJobs:
 @pytest.fixture(scope="module")
 def evaluated(trained):
     root, cfg_path, out = trained
+    if not (root / "att").exists():  # TestAttack writes it when it runs first
+        assert main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
+                     "--out", str(root / "att")]) == 0
     ev = root / "ev"
     scores = [str(root / "att" / f"scores_seed{s}.csv") for s in (0, 1)]
     assert main(["eval", *scores, "--out", str(ev), "--force"]) == 0
@@ -563,6 +566,7 @@ class TestEvalCompare:
         names = ["report.csv", "roc_seed0.csv", "roc_seed1.csv"]
         manifest = json.loads((ev / "eval_manifest.json").read_text())
         assert manifest["outputs"] == {name: sha(ev / name) for name in names}
+        assert manifest["targets"] == {str(s): {"n_pos": 10, "n_neg": 10} for s in (0, 1)}
 
     def test_eval_rerun_identical(self, evaluated, trained):
         root, ev = evaluated
@@ -623,6 +627,42 @@ class TestEvalCompare:
         assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:FormatError: ") and err.count("\n") == 1
+
+    def test_interleaved_rows_give_the_target_major_report(self, evaluated, tmp_path):
+        # every target's query 0 row, then every query 1 row: targets keep their order
+        root, ev = evaluated
+        header, *rows = (root / "att" / "scores_seed0.csv").read_bytes().splitlines(True)
+        query_major = sorted(rows, key=lambda line: int(line.split(b",")[2]))
+        assert query_major != rows
+        scores = tmp_path / "interleaved_seed0.csv"
+        scores.write_bytes(header + b"".join(query_major))
+        assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 0
+        target_major = tmp_path / "target_major"
+        assert main(["eval", str(root / "att" / "scores_seed0.csv"), "--out",
+                     str(target_major)]) == 0
+        for name in ("report.csv", "roc_seed0.csv"):
+            assert sha(tmp_path / "ev" / name) == sha(target_major / name)
+
+    def test_header_only_table_is_one_error_line(self, tmp_path, capsys):
+        scores = tmp_path / "empty_seed0.csv"
+        scores.write_text("target_index,is_member,query_id,score,aggregated_score\n")
+        assert main(["eval", str(scores), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error:FormatError: {scores}: score table needs both member and "
+                       "non-member targets\n")
+        assert not (tmp_path / "ev").exists()
+
+    def test_table_cut_mid_target_is_one_error_line(self, evaluated, tmp_path, capsys):
+        # dropping the last line leaves the last target one query short; it used to evaluate
+        root, _ = evaluated
+        lines = (root / "att" / "scores_seed0.csv").read_bytes().splitlines(True)
+        scores = tmp_path / "cut_seed0.csv"
+        scores.write_bytes(b"".join(lines[:-1]))
+        out = tmp_path / "ev"
+        assert main(["eval", str(scores), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error:FormatError: {scores}: targets have unequal query counts [1, 2]\n"
+        assert not out.exists()
 
     def test_one_class_table_leaves_no_output(self, tmp_path, capsys):
         # the first table is fine: its ROC file used to be written before the second failed
@@ -738,6 +778,18 @@ class TestEvalCompare:
         assert main(["compare", *map(str, paths), "--out", str(tmp_path / "c")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error:{error}: ") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
+
+    def test_compare_refuses_a_repeated_report_row(self, tmp_path, capsys):
+        # the later auc row of seed 0 used to win: compare wrote lira 0.9 and exited 0
+        from mialab.metrics import write_report_csv
+
+        lira, canary = tmp_path / "lira.csv", tmp_path / "canary.csv"
+        lira.write_text("metric,seed,value\nauc,0,0.5\nauc,0,0.9\nauc,mean,0.5\n")
+        write_report_csv(canary, {0: {"auc": 0.6}})
+        assert main(["compare", str(lira), str(canary), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error:FormatError: {lira}: line 3: repeats an earlier (auc, 0) row\n"
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -179,6 +179,20 @@ class TestReportIo:
         assert aggregates["auc"]["mean"] == pytest.approx(0.775)
         assert aggregates["auc"]["std"] == pytest.approx(0.025)
 
+    @pytest.mark.parametrize("body,line,row", [
+        pytest.param("auc,0,0.5\nauc,0,0.9\nauc,mean,0.5\n", 3, "(auc, 0)", id="seed"),
+        pytest.param("auc,1,0.5\nauc,01,0.5\n", 3, "(auc, 01)", id="same_seed_number"),
+        pytest.param("auc,0,0.5\nauc,mean,0.5\nauc,std,0.0\nauc,mean,0.9\n", 5, "(auc, mean)",
+                     id="aggregate"),
+    ])
+    def test_repeated_row_is_refused(self, tmp_path, body, line, row):
+        # the later row used to overwrite the earlier one
+        path = tmp_path / "report.csv"
+        path.write_text("metric,seed,value\n" + body)
+        with pytest.raises(FormatError) as err:
+            read_report_csv(path)
+        assert str(err.value) == f"{path}: line {line}: repeats an earlier {row} row"
+
     def test_roc_csv(self, tmp_path):
         path = tmp_path / "roc.csv"
         write_roc_csv(path, [0.0, 0.5, 1.0], [0.0, 0.9, 1.0])
