@@ -256,7 +256,7 @@ def _step_gradient(x, rows, picks, records, params, kinds, labels, b: int) -> np
     return grad
 
 
-def _optimize_rows(
+def optimize_canary(
     x_star: np.ndarray,
     y: np.ndarray,
     member: np.ndarray,
@@ -266,24 +266,31 @@ def _optimize_rows(
     rngs,
     alt: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
-    """Canaries for a block of rows, optimised together.
+    """Adversarial queries near the (n, d) rows x_star that separate IN from
+    OUT shadow models, optimised together as one block.
 
-    Row r starts at x_star[r] with label y[r]; member[r, m] says whether
-    records[m] is an IN model for the row's target. Each row draws from its
-    own rng: its init noise, then one uniform key per (step, model). A
-    step's picks on a side are the shadow_batch models of that side with
-    the smallest keys (the lower id on a tie): a uniform subset, drawn
-    afresh each step, that does not depend on the other rows of the block.
-    Per step, each picked model runs one stacked forward and one backward
-    over the rows that picked it on either side, around one objective pass
-    per side; Adam and the projection run once on the block. Only picked
-    models' params are read, so offline never reads a model IN for all rows.
+    Row r starts at x_star[r] with label y[r] (alt[r] for the random-label
+    objectives); member[r, m] says whether records[m] is IN for the row's
+    target. Each row needs shadow_batch models on each side it picks from:
+    OUT, and IN online (_check_eligible, rows named by position). Each row
+    draws from its own rng: its init noise, then one uniform key per (step,
+    model). A step's picks on a side are the shadow_batch models of that
+    side with the smallest keys (the lower id on a tie): a uniform subset,
+    drawn afresh each step, that does not depend on the other rows of the
+    block. Per step, each picked model runs one stacked forward and one
+    backward over the rows that picked it on either side, around one
+    objective pass per side; Adam and the projection onto the epsilon ball
+    within the input domain run once on the block. Only picked models'
+    params are read, so offline never reads a model IN for its row. For one
+    row, pass a (1, d) block whose records hold its OUT models first and
+    whose member row is true on the IN tail.
 
     Returns the canaries and the number of evaluated (row, model) pairs whose
     model is IN for the row, counted from the ids actually evaluated.
     """
     n, dim = x_star.shape
     b, steps, n_models = config.shadow_batch, config.steps, len(records)
+    _check_eligible(np.arange(n), member, b, online)
     sides = 2 if online else 1
     # OUT keys less 1.0, which is exact: ranked by key, a row's OUT models
     # come first and its IN ones from its OUT count, each side in key order
@@ -317,41 +324,6 @@ def _optimize_rows(
         adam_step(adam, delta, grad, config.lr)
         delta, x = _project(x_star, delta, config.epsilon)
     return x, in_evaluations
-
-
-def optimize_canary(
-    x_star: np.ndarray,
-    y_star: int,
-    s_in,
-    s_out,
-    config: CanaryConfig,
-    rng: np.random.Generator,
-    alt_label: int | None = None,
-) -> np.ndarray:
-    """Adversarial query near x_star separating IN from OUT shadow models.
-
-    Each iteration draws a fresh uniform batch of shadow_batch OUT models
-    (and of shadow_batch IN models when online), averages the input
-    gradient of each side's objective over its batch, takes
-    one Adam step on the perturbation, and projects back onto the
-    epsilon ball intersected with the input domain. The optimisation is
-    offline exactly when s_in is None: it then never sees an IN model.
-    This is one row of the block optimiser that run_attack drives over
-    many targets at once.
-    """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    online = s_in is not None
-    b = config.shadow_batch
-    if len(s_out) < b:
-        raise ValueError(f"shadow batch {b} exceeds {len(s_out)} available OUT models")
-    if online and len(s_in) < b:
-        raise ValueError(f"shadow batch {b} exceeds {len(s_in)} available IN models")
-    records = list(s_out) + (list(s_in) if online else [])
-    member = np.arange(len(records))[None, :] >= len(s_out)
-    alt = None if alt_label is None else np.array([alt_label])
-    x, _ = _optimize_rows(x_star[None, :], np.array([y_star]), member, records, config,
-                          online, [rng], alt)
-    return x[0]
 
 
 def random_noise_query(x_star: np.ndarray, epsilon: float, rngs) -> np.ndarray:
@@ -503,10 +475,10 @@ def run_attack(
     targets is a sequence of (dataset index, is_member) pairs whose
     membership bits come from the held-out target model's own split mask.
     Before any work, the farm must fit the dataset (check_farm_fits), the
-    oracle carry its fingerprint, and every target have enough IN/OUT
-    shadow models. Targets are then processed in blocks sized by
-    BLOCK_ELEMENTS: all (target, query) rows of a block are optimised
-    together, and the oracle and each shadow model evaluate one row per query,
+    oracle carry its fingerprint, and every target appear once and have
+    enough IN/OUT shadow models. Targets are then processed in blocks sized
+    by BLOCK_ELEMENTS: one optimize_canary call optimises all (target, query)
+    rows of a block, and the oracle and each shadow model evaluate one row per query,
     or per target for LiRA, whose Q queries are stride-0 copies of the target
     point; one elementwise pass scores the block's rows of the (targets, Q)
     table, and one ensemble_scores call aggregates the whole table. Every
@@ -532,6 +504,9 @@ def run_attack(
     if index.size and (index.min() < 0 or index.max() >= farm.n_points):
         bad = index[(index < 0) | (index >= farm.n_points)][0]
         raise IndexError(f"target index {bad} out of range for {farm.n_points} points")
+    repeated = np.flatnonzero(np.bincount(index, minlength=farm.n_points)[index] > 1)
+    if repeated.size:  # a score table holds each target once
+        raise ConfigError(f"target {index[repeated[0]]} is listed more than once")
     member = farm.splits[:, index].T  # (targets, models): model is IN for the target
     _check_eligible(index, member, config.shadow_batch if method == "canary" else 1, online)
 
@@ -554,7 +529,7 @@ def run_attack(
                 alt = None
                 if config.objective.endswith("random_label"):
                     alt = _draw_alt_labels(seed, idx, y, farm.arch.num_classes).repeat(n_queries)
-                x_rows, hits = _optimize_rows(
+                x_rows, hits = optimize_canary(
                     x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
                     farm.records, config, online, rngs, alt)
                 in_evaluations += hits

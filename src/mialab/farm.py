@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -41,7 +41,7 @@ _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class ShadowFarm:
     fingerprint: int
     arch: ArchDescriptor
@@ -49,7 +49,7 @@ class ShadowFarm:
     records: list[ModelRecord]
     master_seed: int
     # the loaded store file's SHA-256; None in memory, dataclasses.replace included
-    sha256: str | None = field(default=None, init=False, compare=False, repr=False)
+    sha256: str | None = field(default=None, init=False, repr=False)
 
     @property
     def n_models(self) -> int:
@@ -62,6 +62,19 @@ class ShadowFarm:
     def __post_init__(self):
         if self.splits.shape[0] != len(self.records):
             raise ValueError("split matrix rows must match the number of records")
+
+    def __eq__(self, other) -> bool:
+        """Equal fields, splits and records compared by value; sha256, which
+        says only where a loaded copy came from, is left out."""
+        if not isinstance(other, ShadowFarm):
+            return NotImplemented
+        return (
+            self.fingerprint == other.fingerprint
+            and self.master_seed == other.master_seed
+            and self.arch == other.arch
+            and np.array_equal(self.splits, other.splits)
+            and self.records == other.records
+        )
 
 
 class TargetOracle:
@@ -186,14 +199,7 @@ def hold_out_target(farm: ShadowFarm, which: int) -> tuple[TargetOracle, ShadowF
         raise IndexError(f"model index {which} out of range for {farm.n_models} models")
     fresh = [ModelRecord(r.arch, r.seed, r._theta) for r in farm.records]
     oracle = TargetOracle(fresh.pop(which), farm.fingerprint)
-    remaining = ShadowFarm(
-        fingerprint=farm.fingerprint,
-        arch=farm.arch,
-        splits=np.delete(farm.splits, which, axis=0),
-        records=fresh,
-        master_seed=farm.master_seed,
-    )
-    return oracle, remaining
+    return oracle, replace(farm, splits=np.delete(farm.splits, which, axis=0), records=fresh)
 
 
 def save_farm(farm: ShadowFarm, path) -> str:
@@ -304,10 +310,4 @@ def load_farm(path) -> ShadowFarm:
 
 
 def farms_equal(a: ShadowFarm, b: ShadowFarm) -> bool:
-    return (
-        a.fingerprint == b.fingerprint
-        and a.master_seed == b.master_seed
-        and a.arch == b.arch
-        and np.array_equal(a.splits, b.splits)
-        and a.records == b.records
-    )
+    return a == b

@@ -285,7 +285,10 @@ def _held_out_gap(farm, ds, master_seed, epsilon):
         x, y = ds.point(int(t))
         held_in, train_in = s_in[:4], s_in[4:]
         held_out, train_out = s_out[:4], s_out[4:]
-        x_mal = optimize_canary(x, y, train_in, train_out, cfg, substream(master_seed, 44, int(t)))
+        records = train_out + train_in  # one row: OUT models first, member on the IN tail
+        member = np.arange(len(records))[None, :] >= len(train_out)
+        (x_mal,), _ = optimize_canary(x[None], np.array([y]), member, records, cfg, True,
+                                      [substream(master_seed, 44, int(t))], None)
         phi_in = scale_confidence_batch(
             np.stack([model_confidence_batch(m, x_mal[None], y) for m in held_in])[:, 0]
         )

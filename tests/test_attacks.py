@@ -64,6 +64,16 @@ def toy_farm():
     return ds, farm
 
 
+def one_row_canary(x, y, s_in, s_out, cfg, rng):
+    """optimize_canary on the one-row block of x: its OUT models first, then
+    its IN ones, online exactly when s_in is given."""
+    records = list(s_out) + list(s_in or [])
+    member = np.arange(len(records))[None, :] >= len(s_out)
+    canaries, _ = optimize_canary(x[None], np.array([y]), member, records, cfg,
+                                  s_in is not None, [rng], None)
+    return canaries[0]
+
+
 class TestGaussianFit:
     def test_degenerate_variance_floors(self):
         (mu,), (sigma,) = fit_gaussians([[1.0, 1.0, 1.0]])
@@ -288,7 +298,7 @@ class TestCanaryOptimizer:
         x, y = ds.point(3)
         s_in, s_out = in_out_partition(farm, 3)
         cfg = CanaryConfig(epsilon=0.0, steps=7, shadow_batch=2, num_queries=1)
-        out = optimize_canary(x, y, s_in, s_out, cfg, substream(9, 0))
+        out = one_row_canary(x, y, s_in, s_out, cfg, substream(9, 0))
         assert np.array_equal(out, x)
 
     def test_projection_contract(self, toy_farm):
@@ -299,7 +309,7 @@ class TestCanaryOptimizer:
             x, y = ds.point(t)
             s_in, s_out = in_out_partition(farm, t)
             cfg = CanaryConfig(epsilon=eps, steps=15, shadow_batch=2, num_queries=1)
-            out = optimize_canary(x, y, s_in, s_out, cfg, substream(11, t))
+            out = one_row_canary(x, y, s_in, s_out, cfg, substream(11, t))
             # 1e-12 slack covers float addition after the projection
             assert np.max(np.abs(out - x)) <= eps + 1e-12
             assert out.min() >= 0.0 and out.max() <= 1.0
@@ -309,17 +319,24 @@ class TestCanaryOptimizer:
         x, y = ds.point(5)
         s_in, s_out = in_out_partition(farm, 5)
         cfg = CanaryConfig(epsilon=0.2, steps=10, shadow_batch=2, num_queries=1)
-        a = optimize_canary(x, y, s_in, s_out, cfg, substream(12, 5))
-        b = optimize_canary(x, y, s_in, s_out, cfg, substream(12, 5))
+        a = one_row_canary(x, y, s_in, s_out, cfg, substream(12, 5))
+        b = one_row_canary(x, y, s_in, s_out, cfg, substream(12, 5))
         assert np.array_equal(a, b)
 
-    def test_batch_exceeding_models_errors(self, toy_farm):
+    @pytest.mark.parametrize("side", ["OUT", "IN"])
+    def test_batch_exceeding_models_errors(self, toy_farm, side):
+        # a short side is refused, not filled from the other side
         ds, farm = toy_farm
         x, y = ds.point(2)
         s_in, s_out = in_out_partition(farm, 2)
-        cfg = CanaryConfig(epsilon=0.1, steps=3, shadow_batch=len(s_out) + 1, num_queries=1)
-        with pytest.raises(ValueError, match="shadow batch"):
-            optimize_canary(x, y, s_in, s_out, cfg, substream(13, 0))
+        if side == "OUT":
+            s_out = s_out[:1]
+        else:
+            s_in = s_in[:1]
+        cfg = CanaryConfig(epsilon=0.1, steps=3, shadow_batch=2, num_queries=1)
+        with pytest.raises(ConfigError, match=f"target 0 has 1 {side} shadow models, "
+                                              "the attack needs 2"):
+            one_row_canary(x, y, s_in, s_out, cfg, substream(13, 0))
 
     @pytest.mark.parametrize("key,value,problem", [
         pytest.param("lr", -0.05, "lr must be finite and positive", id="lr-negative"),
@@ -347,13 +364,12 @@ class TestCanaryOptimizer:
         member = farm.splits[:, targets].T
         cfg = CanaryConfig(epsilon=0.2, steps=6, shadow_batch=2, num_queries=1)
         keys = [(24, t) for t in targets]
-        block, in_block = attacks._optimize_rows(x, y, member, farm.records, cfg, online,
-                                                 substreams(keys), None)
+        block, in_block = optimize_canary(x, y, member, farm.records, cfg, online,
+                                          substreams(keys), None)
         in_alone = 0
         for r, key in enumerate(keys):
-            alone, count = attacks._optimize_rows(x[r:r + 1], y[r:r + 1], member[r:r + 1],
-                                                  farm.records, cfg, online, [substream(*key)],
-                                                  None)
+            alone, count = optimize_canary(x[r:r + 1], y[r:r + 1], member[r:r + 1],
+                                           farm.records, cfg, online, [substream(*key)], None)
             assert np.array_equal(block[r], alone[0])
             in_alone += count
         assert in_block == in_alone == (len(targets) * cfg.steps * 2 if online else 0)
@@ -364,7 +380,7 @@ class TestCanaryOptimizer:
         s_in, s_out = in_out_partition(farm, 7)
         before = [r.access_count for r in s_in]
         cfg = CanaryConfig(epsilon=0.2, steps=10, shadow_batch=2, num_queries=1)
-        optimize_canary(x, y, None, s_out, cfg, substream(14, 0))  # no IN models: offline
+        one_row_canary(x, y, None, s_out, cfg, substream(14, 0))  # no IN models: offline
         assert [r.access_count for r in s_in] == before
 
     def test_separates_held_out_models(self, toy_farm):
@@ -388,7 +404,7 @@ class TestCanaryOptimizer:
             x, y = ds.point(int(t))
             held_in, train_in = s_in[:4], s_in[4:]
             held_out, train_out = s_out[:4], s_out[4:]
-            xm = optimize_canary(x, y, train_in, train_out, cfg, substream(16, int(t)))
+            xm = one_row_canary(x, y, train_in, train_out, cfg, substream(16, int(t)))
 
             def gap(point):
                 phi_in = scale_confidence_batch(
@@ -792,3 +808,16 @@ class TestEligibility:
         cfg = CanaryConfig(epsilon=0.1, num_queries=1)
         with pytest.raises(IndexError, match="out of range"):
             run_attack(ds, oracle, rest, [(ds.n, True)], "lira", "online", cfg, seed=1)
+
+    @pytest.mark.parametrize("method", ["lira", "canary"])
+    def test_repeated_target_fails_before_any_query(self, toy_farm, method):
+        # a table with a target twice would number its queries on past Q
+        ds, farm = toy_farm
+        oracle, rest = hold_out_target(farm, 0)
+        targets = [(5, bool(farm.splits[0, 5])), (5, bool(farm.splits[0, 5])),
+                   (1, bool(farm.splits[0, 1]))]
+        cfg = CanaryConfig(epsilon=0.1, steps=2, num_queries=2)
+        with pytest.raises(ConfigError, match="^target 5 is listed more than once$"):
+            run_attack(ds, oracle, rest, targets, method, "online", cfg, seed=1)
+        assert oracle.query_count == 0
+        assert all(r.access_count == 0 for r in rest.records)

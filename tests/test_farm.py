@@ -288,6 +288,24 @@ class TestStore:
         loaded = load_farm(path)
         assert farms_equal(farm, loaded)
 
+    def test_equality_compares_contents_not_the_files_digest(self, toy, tmp_path):
+        # farms_equal is ==: splits and records by value, sha256 left out
+        _, _, _, farm = toy
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        loaded = load_farm(path)
+        assert loaded.sha256 is not None and farm.sha256 is None
+        assert loaded == farm and farm == loaded and farms_equal(loaded, farm)
+        splits = farm.splits.copy()
+        splits[0, 0] = not splits[0, 0]
+        theta = farm.records[1]._theta.copy()
+        theta[0] += 1.0
+        records = list(farm.records)
+        records[1] = ModelRecord(farm.arch, records[1].seed, theta)
+        for other in (replace(farm, splits=splits), replace(farm, records=records)):
+            assert loaded != other and not farms_equal(loaded, other)
+        assert farm != farm.fingerprint
+
     def test_loaded_records_are_frozen_rows_equal_to_the_built_ones(self, toy, tmp_path):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"

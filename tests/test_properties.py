@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mialab import attacks
-from mialab.attacks import CanaryConfig, ScoreTable, _optimize_rows
+from mialab.attacks import CanaryConfig, ScoreTable, optimize_canary
 from mialab.cli import main
 from mialab.config import ExperimentConfig, load_config, write_manifest
 from mialab.errors import ConfigError, FormatError, MialabError
@@ -235,9 +235,9 @@ def test_canary_picks_stay_on_their_side(stored, block, seed):
     records = stored[1].records[:n_models]
     config = CanaryConfig(epsilon=0.1, steps=steps, shadow_batch=b, num_queries=1)
     x_star = np.full((n, records[0].arch.input_dim), 0.5)
-    _, in_evaluations = _optimize_rows(x_star, np.zeros(n, dtype=np.int64), member, records,
-                                       config, online, substreams([(seed, r) for r in range(n)]),
-                                       None)
+    _, in_evaluations = optimize_canary(x_star, np.zeros(n, dtype=np.int64), member, records,
+                                        config, online, substreams([(seed, r) for r in range(n)]),
+                                        None)
     assert in_evaluations == (n * steps * b if online else 0)
 
 
@@ -253,8 +253,8 @@ def test_canary_picks_are_uniform_on_each_side(stored, monkeypatch):
 
     monkeypatch.setattr(attacks, "_step_gradient", step_gradient)
     config = CanaryConfig(epsilon=0.1, steps=steps, shadow_batch=b, num_queries=1)
-    _optimize_rows(np.full((2, 3), 0.5), np.zeros(2, dtype=np.int64), member, stored[1].records,
-                   config, True, substreams([(3, 0), (3, 1)]), None)
+    optimize_canary(np.full((2, 3), 0.5), np.zeros(2, dtype=np.int64), member, stored[1].records,
+                    config, True, substreams([(3, 0), (3, 1)]), None)
     picks = np.stack(picked, axis=1)  # (rows, steps, sides, b)
     for r, row in enumerate(member):
         for side, models in enumerate((np.flatnonzero(~row), np.flatnonzero(row))):
