@@ -25,7 +25,6 @@ from .nn import (
     OBJECTIVE_KINDS,
     ObjectiveKind,
     adam_step,
-    check_params,
     init_adam,
     input_backward,
     input_forward,
@@ -183,8 +182,10 @@ class CanaryConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not (math.isfinite(self.lr) and self.lr > 0):  # else the canary climbs its own loss
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-        if self.steps < 0 or self.shadow_batch < 1 or self.num_queries < 1:
-            raise ValueError("steps, shadow_batch and num_queries must be positive")
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps!r}")
+        if self.shadow_batch < 1 or self.num_queries < 1:
+            raise ValueError("shadow_batch and num_queries must be positive")
         if self.objective not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -211,45 +212,40 @@ def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float):
     return delta, x
 
 
-def _step_gradient(x, rows, picks, records, params, kinds, labels, b: int) -> np.ndarray:
+def _step_gradient(x, picks, records, params, kinds, labels) -> np.ndarray:
     """One canary step's (n, dim) gradient: the mean over each side's b picks
-    of their input gradients, OUT side first. Entry e, ordered (row, side,
-    slot), is row rows[e] of x under model picks[e]; side s takes objective
-    kinds[s] with its (n * b) entries' labels.
+    of their input gradients, OUT side first. picks is (n, sides, b): entry e,
+    ordered (row, side, slot), is row e // (sides * b) of x under model
+    picks.flat[e]; side s takes objective kinds[s] with its (n * b) entries'
+    labels.
 
-    Entries are sorted by model, rows ascending, so each picked model runs
-    one forward and one backward over a contiguous run of them; one
-    objective pass covers each side's logits.
+    Entries keep that layout throughout. One stable argsort gives each picked
+    model its run of entry ids, over which it runs one forward and one
+    backward; one objective pass covers each side's logits.
     """
-    n_entries, n_sides, n_classes = len(picks), len(kinds), records[0].arch.num_classes
-    order = np.argsort(picks, kind="stable")
-    x_sorted = x[rows[order]]
-    logits = np.empty((n_entries, n_classes))
-    passes, lo = [], 0
-    for m, hi in enumerate(np.cumsum(np.bincount(picks, minlength=len(records))).tolist()):
-        if hi > lo:
-            logits[lo:hi], act_grads = input_forward(records[m].arch, params[m], x_sorted[lo:hi])
-            passes.append((params[m], lo, hi, act_grads))
+    n, n_sides, b = picks.shape
+    n_classes, models = records[0].arch.num_classes, picks.ravel()
+    order = np.argsort(models, kind="stable")
+    rows = order // (n_sides * b)  # the row of x of each entry, in model order
+    logits = np.empty((n, n_sides, b, n_classes))
+    flat = logits.reshape(-1, n_classes)
+    runs, lo = [], 0
+    for m, hi in enumerate(np.cumsum(np.bincount(models, minlength=len(records))).tolist()):
+        if hi > lo:  # ndarray.take costs less per call than fancy indexing
+            e = order[lo:hi]
+            flat[e], act_grads = input_forward(records[m].arch, params[m], x.take(rows[lo:hi], 0))
+            runs.append((params[m], e, act_grads))
         lo = hi
-    del x_sorted
-    by_entry = np.empty_like(logits)
-    by_entry[order] = logits
-    by_entry = by_entry.reshape(-1, n_sides, b, n_classes)
     for side, kind in enumerate(kinds):  # logits become their gradients
-        by_entry[:, side] = objective_grad_logits(
-            by_entry[:, side].reshape(-1, n_classes), labels, kind).reshape(-1, b, n_classes)
-    dlogits = by_entry.reshape(n_entries, n_classes)[order]
-    del by_entry, logits
-    per_pick = np.empty((n_entries, x.shape[1]))
-    for model, lo, hi, act_grads in passes:
-        per_pick[lo:hi] = input_backward(model, act_grads, dlogits[lo:hi])
-    sorted_at = np.empty(n_entries, dtype=np.intp)  # each entry's place in model order
-    sorted_at[order] = np.arange(n_entries)
-    sorted_at = sorted_at.reshape(-1, n_sides, b)
-    total = per_pick[sorted_at[:, :, 0]]
-    total += 0.0  # from +0.0, then in pick order, as one row at a time sums
-    for j in range(1, b):
-        total += per_pick[sorted_at[:, :, j]]
+        logits[:, side] = objective_grad_logits(
+            logits[:, side].reshape(-1, n_classes), labels, kind).reshape(n, b, n_classes)
+    per_pick = np.empty((models.size, x.shape[1]))
+    for model, e, act_grads in runs:
+        per_pick[e] = input_backward(model, act_grads, flat.take(e, 0))
+    per_pick = per_pick.reshape(n, n_sides, b, -1)
+    total = np.zeros((n, n_sides, x.shape[1]))  # from +0.0, then in slot order, as one row sums
+    for j in range(b):
+        total += per_pick[:, :, j]
     grad = total[:, 0] / b
     for side in range(1, n_sides):
         grad += total[:, side] / b
@@ -296,23 +292,19 @@ def optimize_canary(
     # come first and its IN ones from its OUT count, each side in key order
     out_offset = (~member).astype(np.float64)
     n_out = n_models - member.sum(axis=1)
-    columns = (np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None]
-               + np.arange(b)).reshape(n, sides * b)
+    columns = np.column_stack([np.zeros_like(n_out), n_out])[:, :sides, None] + np.arange(b)
     noise = config.noise_scale > 0
     delta = np.zeros_like(x_star)
-    picks = np.empty((n, steps, sides * b), dtype=np.intp)
+    picks = np.empty((n, steps, sides, b), dtype=np.intp)
     for r, rng in enumerate(rngs):
         if noise:
             delta[r] = rng.normal(0.0, config.noise_scale, size=dim)
         keys = rng.random((steps, n_models))
         keys -= out_offset[r]
         picks[r] = keys.argsort(axis=1, kind="stable")[:, columns[r]]
-    picks = picks.reshape(n, steps, sides, b)
     in_evaluations = int(member[np.arange(n)[:, None, None, None], picks].sum())
-    params = {m: check_params(records[m].arch, records[m].params)
+    params = {m: records[m].params  # a record's rows are shape-checked when it is built
               for m in np.flatnonzero(np.bincount(picks.ravel(), minlength=n_models)).tolist()}
-
-    entry_row = np.arange(n).repeat(sides * b)  # row of each (row, side, slot) entry
     labels, alt_labels = y.repeat(b), None if alt is None else alt.repeat(b)
     kinds = [ObjectiveKind(config.objective, side, alt_labels)
              for side in (OUT_MAXIMIZE, IN_MINIMIZE)[:sides]]
@@ -320,7 +312,7 @@ def optimize_canary(
     delta, x = _project(x_star, delta, config.epsilon)
     adam = init_adam(x_star.shape)
     for s in range(steps):
-        grad = _step_gradient(x, entry_row, picks[:, s].ravel(), records, params, kinds, labels, b)
+        grad = _step_gradient(x, picks[:, s], records, params, kinds, labels)
         adam_step(adam, delta, grad, config.lr)
         delta, x = _project(x_star, delta, config.epsilon)
     return x, in_evaluations

@@ -49,6 +49,8 @@ class Dataset:
             raise ValueError("labels must be a vector matching the number of rows")
         if features.shape[0] == 0:
             raise ValueError("dataset is empty")
+        if features.shape[1] == 0:
+            raise ValueError("features must have at least one column")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
         if features.min() < DOMAIN_LOW or features.max() > DOMAIN_HIGH:

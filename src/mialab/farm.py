@@ -1,10 +1,11 @@
 """Shadow-model farms: build, persist, partition, and the target oracle.
 
 The farm store (version 3) is a single binary file, little-endian
-throughout: 8-byte magic, version word, dataset fingerprint, master seed,
-architecture descriptor, per-model training seeds, the split matrix as
-packed bits, the records' parameter rows as one (n_models, param_count)
-float64 block, and a trailing 32-byte SHA-256 of every byte before it;
+throughout: one fixed 49-byte HEADER (8-byte magic, version word, dataset
+fingerprint, master seed, model and point counts, architecture fields),
+the hidden widths, per-model training seeds, the split matrix as packed
+bits, the records' parameter rows as one (n_models, param_count) float64
+block, and a trailing 32-byte SHA-256 of every byte before it;
 hashed on over that trailer, the same pass gives the file's SHA-256.
 Versions 1 and 2 (no checksum, blake2b trailer) are refused; rebuild
 them with train-shadows. A store is written to a temporary file next to
@@ -37,6 +38,9 @@ from .training import (  # noqa: F401  train_model stays bound here for perfbenc
 MAGIC = b"SHDWFARM"
 VERSION = 3
 CHECKSUM_BYTES = 32
+# magic, version, fingerprint, master seed, M models, N points, input width,
+# classes, activation code, hidden layer count; then the hidden widths
+HEADER = struct.Struct("<8sIQQIIIIBI")
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
@@ -62,6 +66,8 @@ class ShadowFarm:
     def __post_init__(self):
         if self.splits.shape[0] != len(self.records):
             raise ValueError("split matrix rows must match the number of records")
+        if any(rec.arch != self.arch for rec in self.records):  # the store keeps farm.arch only
+            raise ValueError(f"every record must have the farm's architecture {self.arch}")
 
     def __eq__(self, other) -> bool:
         """Equal fields, splits and records compared by value; sha256, which
@@ -212,12 +218,9 @@ def save_farm(farm: ShadowFarm, path) -> str:
     if not 0 <= farm.master_seed < 2**64:
         raise ValueError("master_seed must fit in an unsigned 64-bit field")
     header = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<QQ", farm.fingerprint, farm.master_seed),
-        struct.pack("<IIIIB", farm.n_models, farm.n_points, arch.input_dim, arch.num_classes,
-                    _ACT_CODES[arch.activation]),
-        struct.pack("<I", len(arch.hidden_dims)),
+        HEADER.pack(MAGIC, VERSION, farm.fingerprint, farm.master_seed, farm.n_models,
+                    farm.n_points, arch.input_dim, arch.num_classes, _ACT_CODES[arch.activation],
+                    len(arch.hidden_dims)),
         struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims),
         struct.pack(f"<{farm.n_models}Q", *(r.seed for r in farm.records)),
         np.packbits(farm.splits.ravel()).tobytes(),
@@ -240,52 +243,40 @@ def save_farm(farm: ShadowFarm, path) -> str:
     return digest.hexdigest()
 
 
-class _Reader:
-    def __init__(self, blob: memoryview, path):
-        self.blob = blob
-        self.off = 0
-        self.path = path
-
-    def read(self, size: int) -> memoryview:
-        if self.off + size > len(self.blob):
-            raise FormatError(
-                f"{self.path}: truncated farm store: expected {self.off + size} bytes, "
-                f"got {len(self.blob)}"
-            )
-        out = self.blob[self.off:self.off + size]
-        self.off += size
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-
 def load_farm(path) -> ShadowFarm:
     """Read the farm store at path. Magic, version, length and checksum are
     checked in that order before any of the payload is decoded; the farm's
-    sha256 is the file's, from the hasher that checked the trailer."""
+    sha256 is the file's, from the hasher that checked the trailer. A file
+    shorter than the header, which every store version shares, is truncated
+    unless its bytes already differ from the magic (or it has none)."""
     path = Path(path)
     blob = memoryview(path.read_bytes())
-    reader = _Reader(blob, path)
-    magic = bytes(reader.read(8))
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, not a farm store")
-    (version,) = reader.unpack("<I")
+    head = bytes(blob[:HEADER.size])
+    if not head or head[:len(MAGIC)] != MAGIC[:len(head)]:
+        raise FormatError(f"{path}: bad magic {head[:len(MAGIC)]!r}, not a farm store")
+
+    def need(size: int) -> None:
+        if len(blob) < size:
+            raise FormatError(f"{path}: truncated farm store: expected {size} bytes, got {len(blob)}")
+
+    need(HEADER.size)
+    (_, version, fingerprint, master_seed, n_models, n_points, input_dim, num_classes, act_code,
+     n_hidden) = HEADER.unpack(head)
     if version != VERSION:
         raise UnsupportedVersionError(
             f"{path}: unsupported farm store version {version} (supported: {VERSION}); "
             "rerun train-shadows to rebuild the farm"
         )
-    fingerprint, master_seed = reader.unpack("<QQ")
-    n_models, n_points, input_dim, num_classes, act_code = reader.unpack("<IIIIB")
-    (n_hidden,) = reader.unpack("<I")
-    hidden = reader.unpack(f"<{n_hidden}I")
+    seeds_at = HEADER.size + 4 * n_hidden
+    need(seeds_at)
+    hidden = struct.unpack_from(f"<{n_hidden}I", blob, HEADER.size)
     dims = (input_dim, *hidden, num_classes)
     pcount = sum(o * i + o for i, o in zip(dims, dims[1:]))
     n_bits = n_models * n_points
-    size = reader.off + 8 * n_models + (n_bits + 7) // 8 + 8 * pcount * n_models + CHECKSUM_BYTES
-    if len(blob) < size:
-        raise FormatError(f"{path}: truncated farm store: expected {size} bytes, got {len(blob)}")
+    splits_at = seeds_at + 8 * n_models
+    block_at = splits_at + (n_bits + 7) // 8
+    size = block_at + 8 * pcount * n_models + CHECKSUM_BYTES
+    need(size)
     if len(blob) > size:
         raise FormatError(f"{path}: {len(blob) - size} trailing bytes after farm payload")
     digest, trailer = hashlib.sha256(blob[:-CHECKSUM_BYTES]), blob[-CHECKSUM_BYTES:]
@@ -295,13 +286,13 @@ def load_farm(path) -> ShadowFarm:
     if act_code not in _ACT_NAMES:
         raise FormatError(f"{path}: unknown activation code {act_code}")
     arch = ArchDescriptor(input_dim, tuple(hidden), num_classes, _ACT_NAMES[act_code])
-    seeds = reader.unpack(f"<{n_models}Q")
-    packed = np.frombuffer(reader.read((n_bits + 7) // 8), dtype=np.uint8)
+    seeds = struct.unpack_from(f"<{n_models}Q", blob, seeds_at)
+    packed = np.frombuffer(blob, np.uint8, block_at - splits_at, splits_at)
     splits = np.unpackbits(packed, count=n_bits).astype(bool).reshape(n_models, n_points)
     # Copied, not viewed: the block starts at byte 49 + 4h + 8M + ceil(MN/8)
     # (8567 for the desk farm), rarely a multiple of 8, and BLAS kernels on
     # unaligned rows round differently, so scores would not be bitwise.
-    thetas = np.frombuffer(reader.read(8 * pcount * n_models), dtype="<f8").astype(np.float64)
+    thetas = np.frombuffer(blob, "<f8", pcount * n_models, block_at).astype(np.float64)
     records = [ModelRecord(arch, seed, row)
                for seed, row in zip(seeds, thetas.reshape(n_models, pcount))]
     farm = ShadowFarm(fingerprint, arch, splits, records, master_seed)

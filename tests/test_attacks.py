@@ -347,6 +347,12 @@ class TestCanaryOptimizer:
         pytest.param("epsilon", -0.1, "epsilon must be non-negative", id="epsilon-negative"),
         pytest.param("init_noise_scale", math.inf, "init_noise_scale must be finite",
                      id="init_noise_scale-inf"),
+        # zero steps is valid: the canary stays at its projected start
+        pytest.param("steps", -1, "^steps must be non-negative, got -1$", id="steps-negative"),
+        pytest.param("shadow_batch", 0, "^shadow_batch and num_queries must be positive$",
+                     id="shadow_batch-zero"),
+        pytest.param("num_queries", 0, "^shadow_batch and num_queries must be positive$",
+                     id="num_queries-zero"),
     ])
     def test_config_refuses_bad_scales(self, key, value, problem):
         # a non-positive lr would climb the canary's own loss

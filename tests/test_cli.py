@@ -132,6 +132,17 @@ class TestTrainShadows:
         assert err.startswith("error:FileNotFoundError: ") and err.count("\n") == 1
         assert not (tmp_path / "o" / "farm.bin").exists()
 
+    def test_label_only_dataset_is_one_error_line(self, tmp_path, capsys):
+        # numpy's "zero-size array to reduction operation" used to surface instead
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "0\n1\n" * 10)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(base_config(dataset={"kind": "csv", "path": str(data)})))
+        assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error:ValueError: features must have at least one column\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("as_manifest", [False, True], ids=["config", "manifest"])
     def test_retired_canary_init_is_refused(self, tmp_path, capsys, as_manifest):
         # init_noise_scale alone sets a canary's start: 0 is the retired init "target"

@@ -205,6 +205,16 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 0.5
 
+    def test_rejects_zero_width_features(self, tmp_path):
+        # a label-only CSV or a 0x0 IDX image pair has rows but no feature columns
+        csv = tmp_path / "d.csv"
+        csv.write_text("label\n0\n1\n")
+        idx = write_idx_pair(tmp_path, np.zeros((2, 0, 0)), [0, 1])
+        for load in (lambda: load_csv(csv), lambda: load_idx_pair(idx),
+                     lambda: Dataset(np.zeros((2, 0)), np.array([0, 1]))):
+            with pytest.raises(ValueError, match="^features must have at least one column$"):
+                load()
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError, match="domain"):
             Dataset(np.array([[1.5]]), np.array([0]))

@@ -306,6 +306,19 @@ class TestStore:
             assert loaded != other and not farms_equal(loaded, other)
         assert farm != farm.fingerprint
 
+    @pytest.mark.parametrize("arch", [ArchDescriptor(4, (6,), 3, "tanh"), ArchDescriptor(4, (8,), 3)],
+                             ids=["tanh-records-in-a-relu-farm", "wider-records"])
+    def test_records_must_have_the_farms_architecture(self, toy, arch):
+        # the store keeps one architecture: tanh records reloaded as relu, and
+        # wider ones wrote a file the loader refused for its trailing bytes
+        _, _, _, farm = toy
+        rows = np.zeros((farm.n_models, arch.param_count()))
+        records = [ModelRecord(arch, r.seed, row) for r, row in zip(farm.records, rows)]
+        with pytest.raises(ValueError, match="every record must have the farm's architecture"):
+            ShadowFarm(farm.fingerprint, farm.arch, farm.splits, records, farm.master_seed)
+        with pytest.raises(ValueError, match="every record must have the farm's architecture"):
+            replace(farm, records=farm.records[:-1] + records[-1:])
+
     def test_loaded_records_are_frozen_rows_equal_to_the_built_ones(self, toy, tmp_path):
         _, _, _, farm = toy
         path = tmp_path / "farm.bin"
@@ -371,6 +384,19 @@ class TestStore:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_farm(path)
+
+    def test_every_proper_prefix_is_refused_as_truncated(self, tmp_path):
+        ds = synthetic_mixture(6, 2, 2, seed=3, noise=0.1)
+        farm = build_farm(ds, 3, ArchDescriptor(2, (2,), 2), TrainConfig(epochs=1, batch_size=3),
+                          master_seed=4)
+        path = tmp_path / "farm.bin"
+        save_farm(farm, path)
+        blob = path.read_bytes()
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            problem = "bad magic b''" if size == 0 else f"truncated farm store: expected .* got {size}$"
+            with pytest.raises(FormatError, match=problem):
+                load_farm(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "farm.bin"
