@@ -231,9 +231,9 @@ def _step_gradient(x, picks, records, params, kinds, labels) -> np.ndarray:
     flat = logits.reshape(-1, n_classes)
     runs, lo = [], 0
     for m, hi in enumerate(np.cumsum(np.bincount(models, minlength=len(records))).tolist()):
-        if hi > lo:  # ndarray.take costs less per call than fancy indexing
+        if hi > lo:  # each model's rows are gathered straight into its tiles
             e = order[lo:hi]
-            flat[e], act_grads = input_forward(records[m].arch, params[m], x.take(rows[lo:hi], 0))
+            flat[e], act_grads = input_forward(records[m].arch, params[m], x, rows[lo:hi])
             runs.append((params[m], e, act_grads))
         lo = hi
     for side, kind in enumerate(kinds):  # logits become their gradients
@@ -241,7 +241,7 @@ def _step_gradient(x, picks, records, params, kinds, labels) -> np.ndarray:
             logits[:, side].reshape(-1, n_classes), labels, kind).reshape(n, b, n_classes)
     per_pick = np.empty((models.size, x.shape[1]))
     for model, e, act_grads in runs:
-        per_pick[e] = input_backward(model, act_grads, flat.take(e, 0))
+        per_pick[e] = input_backward(model, act_grads, flat, e)
     per_pick = per_pick.reshape(n, n_sides, b, -1)
     total = np.zeros((n, n_sides, x.shape[1]))  # from +0.0, then in slot order, as one row sums
     for j in range(b):

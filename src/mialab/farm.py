@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FingerprintMismatchError, FormatError, ShapeError, UnsupportedVersionError
-from .nn import ArchDescriptor, Params, forward_batch, softmax
+from .nn import ArchDescriptor, Params, forward_batch, row_tiles, softmax
 from .rng import TAG_MODEL, TAG_SPLITS, state_seeds, stream_states
 from .training import (  # noqa: F401  train_model stays bound here for perfbench's tracer
     ModelRecord,
@@ -119,8 +119,8 @@ class TargetOracle:
 def row_confidences(arch: ArchDescriptor, params: Params, X: np.ndarray, y) -> np.ndarray:
     """Softmax confidence on the label of each row: (B,) for a (B, d) batch with
     one label, (T, Q) for (T, Q, d) query blocks with one label per block.
-    Each row is its own (1, d) matmul slice, so its confidence is bitwise
-    that of the row evaluated alone, whatever the batch. A stride-0 query axis
+    Rows are evaluated in row_tiles, so a row's confidence is bitwise that of
+    the row alone in a zero-padded tile, whatever the batch. A stride-0 query axis
     (np.broadcast_to of one point per block) is evaluated once per block, and
     its answers are broadcast read-only."""
     X = np.asarray(X, dtype=np.float64)
@@ -132,7 +132,8 @@ def row_confidences(arch: ArchDescriptor, params: Params, X: np.ndarray, y) -> n
     if X.ndim == 3 and X.shape[1] > 1 and X.strides[1] == 0:
         return np.broadcast_to(row_confidences(arch, params, X[:, :1], y), X.shape[:-1])
     labels = np.broadcast_to(y[..., None], X.shape[:-1]).ravel()
-    p = softmax(forward_batch(arch, params, X.reshape(-1, 1, arch.input_dim))[:, 0])
+    logits = forward_batch(arch, params, row_tiles(X.reshape(-1, arch.input_dim), np.arange(labels.size)))
+    p = softmax(logits.reshape(-1, arch.num_classes)[:labels.size])
     return p[np.arange(labels.size), labels].reshape(X.shape[:-1])
 
 

@@ -42,6 +42,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Rows per BLAS call of every per-row product (row_tiles). A row's bits depend
+# on it, so it is frozen like the RNG tags: changing it can change any score.
+ROW_TILE = 16
+
 
 @dataclass(frozen=True)
 class ArchDescriptor:
@@ -291,21 +295,30 @@ def objective_grad_logits(logits: np.ndarray, y, kind: ObjectiveKind) -> np.ndar
     return g
 
 
-def input_forward(arch: ArchDescriptor, params: Params, x: np.ndarray):
-    """(n, K) logits of (n, input_dim) rows, and the activation derivatives
-    input_backward needs. Rows are stacked as (n, 1, input_dim) so every
-    matmul runs per row: each row is bitwise the row alone, which a flat
-    (n, input_dim) product would not be. Shapes are the caller's to check."""
-    logits, _, pre = _forward_cached(arch, params, x[:, None, :])
-    return logits[:, 0], [_activate_grad(z, arch.activation) for z in pre]
+def row_tiles(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The n rows x[rows] (indices in range) of an (m, d) array, gathered straight
+    into zero-padded (ceil(n / ROW_TILE), ROW_TILE, d) tiles. A gemm on a tile gives
+    each row the same bits whatever its position, tile-mates or padding."""
+    tiles = np.zeros((-(-len(rows) // ROW_TILE), ROW_TILE, x.shape[-1]))
+    x.take(rows, 0, out=tiles.reshape(-1, x.shape[-1])[:len(rows)], mode="clip")
+    return tiles
 
 
-def input_backward(params: Params, act_grads, dlogits: np.ndarray) -> np.ndarray:
-    """(n, input_dim) input gradients from the (n, K) logit gradients of input_forward's rows."""
-    delta = dlogits[:, None, :]
+def input_forward(arch: ArchDescriptor, params: Params, x: np.ndarray, rows: np.ndarray):
+    """(n, K) logits of the n rows x[rows] and the activation derivatives, in tile
+    layout, that input_backward needs; every matmul runs on row_tiles. Shapes unchecked."""
+    logits, _, pre = _forward_cached(arch, params, row_tiles(x, rows))
+    logits = logits.reshape(-1, arch.num_classes)[:len(rows)]
+    return logits, [_activate_grad(z, arch.activation) for z in pre]
+
+
+def input_backward(params: Params, act_grads, dlogits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, input_dim) input gradients from the logit gradients dlogits[rows]
+    of input_forward's rows, in their order."""
+    delta = row_tiles(dlogits, rows)
     for l in range(len(params.weights) - 1, 0, -1):
         delta = (delta @ params.weights[l]) * act_grads[l - 1]
-    return (delta @ params.weights[0])[:, 0]
+    return (delta @ params.weights[0]).reshape(len(delta) * ROW_TILE, -1)[:len(rows)]
 
 
 def input_gradient(
@@ -319,8 +332,9 @@ def input_gradient(
     if x.ndim not in (1, 2) or x.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected input of shape (n, {arch.input_dim}), got {x.shape}")
     check_params(arch, params)
-    logits, act_grads = input_forward(arch, params, x.reshape(-1, arch.input_dim))
-    grad = input_backward(params, act_grads, objective_grad_logits(logits, y, kind))
+    rows = np.arange(x.size // arch.input_dim)
+    logits, act_grads = input_forward(arch, params, x.reshape(-1, arch.input_dim), rows)
+    grad = input_backward(params, act_grads, objective_grad_logits(logits, y, kind), rows)
     return grad[0] if x.ndim == 1 else grad
 
 

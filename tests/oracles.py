@@ -191,9 +191,22 @@ def _ref_softmax(z):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+# Rows per BLAS call of every per-row product, written out rather than
+# imported, so that a change of the engine's constant fails the reference.
+_TILE = 16
+
+
+def one_row_tile(row):
+    """One row as the first of a zero-padded tile of _TILE rows."""
+    tile = np.zeros((_TILE, row.shape[-1]))
+    tile[0] = row
+    return tile
+
+
 def _ref_forward(params, activation, x):
-    """Single-row forward pass; returns logits (K,) and hidden pre-activations."""
-    h = x[None, :]
+    """One row's forward pass as a tile; returns logits (K,) and the tile's
+    hidden pre-activations."""
+    h = one_row_tile(x)
     pre = []
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ W.T + b
@@ -237,7 +250,7 @@ def _ref_dlogits(logits, y, kind, direction, alt, clamp):
 
 def _ref_input_gradient(params, activation, x, y, kind, direction, alt, clamp):
     logits, pre = _ref_forward(params, activation, x)
-    delta = _ref_dlogits(logits, y, kind, direction, alt, clamp)[None, :]
+    delta = one_row_tile(_ref_dlogits(logits, y, kind, direction, alt, clamp))
     for l in range(len(params.weights) - 1, -1, -1):
         dh = delta @ params.weights[l]
         if l == 0:
@@ -290,13 +303,10 @@ def _ref_canary(x_star, y, models, column, cfg, rng, alt, offline):
 
 
 def _ref_confidence(rec, X, y):
-    """Softmax confidence of label y for each row of a (Q, d) batch."""
-    h = X
-    for l, (W, b) in enumerate(zip(rec._params.weights, rec._params.biases)):
-        h = h @ W.T + b
-        if l < len(rec._params.weights) - 1:
-            h = np.maximum(h, 0.0) if rec.arch.activation == "relu" else np.tanh(h)
-    return _ref_softmax(h)[:, y]
+    """Softmax confidence of label y for each row of a (Q, d) batch, each row
+    evaluated as a tile."""
+    return np.array([_ref_softmax(_ref_forward(rec._params, rec.arch.activation, x)[0])[y]
+                     for x in X])
 
 
 def _ref_phi(f, clamp):

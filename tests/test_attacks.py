@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from mialab.attacks import (
 from mialab import attacks
 from mialab.data import synthetic_mixture
 from mialab.errors import ConfigError, FingerprintMismatchError, FormatError
-from mialab.farm import build_farm, hold_out_target, in_out_partition
+from mialab.farm import build_farm, hold_out_target, in_out_partition, save_farm
 from mialab.nn import OBJECTIVE_KINDS, ArchDescriptor
 from mialab.rng import substream, substreams
 from mialab.training import TrainConfig
@@ -657,6 +661,14 @@ def deep_tanh_farm():
     return ds, farm
 
 
+@pytest.fixture(scope="module")
+def wide_net_farm():
+    ds = synthetic_mixture(60, 784, 10, seed=16, noise=0.25)
+    farm = build_farm(ds, 12, ArchDescriptor(784, (64,), 10), TrainConfig(epochs=1, batch_size=32),
+                      master_seed=17)
+    return ds, farm
+
+
 def _engine_and_reference(ds, farm, held, method, mode, cfg, seed, n_each=6):
     targets = _targets_for(farm, held, n_each, np.random.default_rng(held))
     oracle, rest = hold_out_target(farm, held)
@@ -715,6 +727,16 @@ class TestEngineMatchesReference:
                                                     n_each=n_each)
         assert tables_equal(got, ref)
         assert oracle.query_count == 2 * n_each * 10
+
+    @pytest.mark.parametrize("method,mode", [("canary", "online"), ("random_noise", "offline")])
+    def test_wide_net(self, wide_net_farm, method, mode):
+        # the toy nets' rows get a 16-row tile's bits in most tile sizes; a
+        # 784-64 layer's rows only in calls of few rows (up to 17 under the
+        # SkylakeX kernel), so this case pins the reference's tile size
+        ds, farm = wide_net_farm
+        cfg = CanaryConfig(epsilon=0.05, steps=3, num_queries=4)
+        got, ref, _, _ = _engine_and_reference(ds, farm, 0, method, mode, cfg, seed=59, n_each=3)
+        assert tables_equal(got, ref)
 
     def test_offline_density_variant(self, deep_tanh_farm):
         ds, farm = deep_tanh_farm
@@ -791,6 +813,46 @@ class TestQueryLayout:
         if method == "lira":  # Q copies of the target point score alike
             assert (bits[16] == bits[16][:, :1]).all()
         assert oracle.query_count == 26 * len(targets)
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from mialab.attacks import CanaryConfig, run_attack
+from mialab.data import synthetic_mixture
+from mialab.farm import hold_out_target, load_farm
+farm_path, dim, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+ds = synthetic_mixture(120, dim, 10, seed=dim, noise=0.25)
+farm = load_farm(farm_path)
+oracle, rest = hold_out_target(farm, 0)
+targets = [(i, bool(farm.splits[0, i])) for i in range(24)]
+cfg = CanaryConfig(epsilon=0.05, steps=4, num_queries=2)
+for method in ("lira", "canary"):
+    run_attack(ds, oracle, rest, targets, method, "online", cfg, seed=7).write_csv(f"{out}_{method}.csv")
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("dim,hidden", [(20, 128), (784, 64)])
+    def test_score_bytes_identical_across_blas_threads(self, tmp_path, dim, hidden):
+        # one saved farm per net, attacked at 1 and 2 BLAS threads: the desk
+        # net and the 784-64-10 net, whose 16-row tile products are
+        # thread-invariant (a 784-256 one is not)
+        ds = synthetic_mixture(120, dim, 10, seed=dim, noise=0.25)
+        farm = build_farm(ds, 12, ArchDescriptor(dim, (hidden,), 10),
+                          TrainConfig(epochs=2, batch_size=32), master_seed=5)
+        save_farm(farm, tmp_path / "farm.bin")
+        src = str(Path(attacks.__file__).resolve().parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / "farm.bin"),
+                            str(dim), str(out)], env=env, check=True)
+            tables.append([Path(f"{out}_{m}.csv").read_bytes() for m in ("lira", "canary")])
+        assert tables[0] == tables[1]
 
 
 class TestEligibility:

@@ -32,7 +32,7 @@ from mialab.farm import (
 from mialab.nn import ArchDescriptor, forward_batch, softmax
 from mialab.training import DpConfig, ModelRecord, TrainConfig, record_accuracy
 
-from oracles import reference_train
+from oracles import one_row_tile, reference_train
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ class TestOracle:
         for _ in range(10):
             x = rng.uniform(0, 1, ds.input_dim)
             y = int(rng.integers(3))
-            direct = float(softmax(forward_batch(rec.arch, rec._params, x[None]))[0, y])
+            direct = float(softmax(forward_batch(rec.arch, rec._params, one_row_tile(x)))[0, y])
             assert oracle.confidence(x, y) == direct
 
     def test_confidences_are_single_queries_bitwise(self, toy):
@@ -225,9 +225,9 @@ class TestOracle:
     def test_stride_zero_block_is_evaluated_once_per_point(self, toy, monkeypatch):
         ds, _, _, farm = toy
         oracle, _ = hold_out_target(farm, 3)
-        evaluated, real = [], mialab.farm.forward_batch
-        monkeypatch.setattr(mialab.farm, "forward_batch",
-                            lambda arch, params, X: evaluated.append(len(X)) or real(arch, params, X))
+        evaluated, real = [], mialab.farm.row_tiles
+        monkeypatch.setattr(mialab.farm, "row_tiles",
+                            lambda X, rows: evaluated.append(len(rows)) or real(X, rows))
         X, y = ds.features[:5], np.array([0, 2, 1, 2, 0])
         spread = np.broadcast_to(X[:, None], (5, 4, ds.input_dim))
         conf = oracle.confidences(spread, y)

@@ -1,6 +1,11 @@
 """Network substrate: forward math, objectives, exact gradients, Adam."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,15 @@ from mialab.nn import (
     forward_batch,
     init_adam,
     init_params,
+    input_backward,
+    input_forward,
     input_gradient,
     param_gradient,
     scale_confidence,
     softmax,
 )
 from mialab.errors import ShapeError
-from mialab.farm import model_confidence_batch
+from mialab.farm import model_confidence_batch, row_confidences
 from mialab.training import ModelRecord
 
 from oracles import (
@@ -242,6 +249,66 @@ class TestInputGradient:
         obj = ObjectiveKind("cross_entropy_random_label", OUT_MAXIMIZE, np.array([1, 2]))
         with pytest.raises(ValueError, match="alternative label"):
             input_gradient(arch, params, np.zeros((2, 5)), np.array([0, 2]), obj)
+
+
+# (input_dim, hidden, classes, activation) of the nets whose tiles are checked:
+# the desk net, a tanh net, a net of three layers and the 784-feature net
+TILE_NETS = {
+    "desk": (20, (128,), 10, "relu"),
+    "tanh": (20, (32,), 6, "tanh"),
+    "three_layer": (12, (48, 24), 5, "relu"),
+    "wide": (784, (64,), 10, "relu"),
+}
+
+
+def check_tile_independence(name: str) -> None:
+    """Each row's logits, input gradient and confidence are bitwise the row's
+    alone (one row, 15 padding rows), at any tile position, beside any
+    tile-mates and over any padding: calls of 5, 16, 17 and 40 rows that
+    gather rows of two batches, the second 100 times larger."""
+    input_dim, hidden, classes, activation = TILE_NETS[name]
+    arch = ArchDescriptor(input_dim, hidden, classes, activation)
+    rng = np.random.default_rng(input_dim + classes)
+    params = init_params(arch, rng)
+    X = np.concatenate([rng.uniform(0, 1, (20, input_dim)), rng.uniform(-50, 50, (20, input_dim))])
+    dlogits, y = rng.normal(size=(40, classes)), rng.integers(classes, size=40)
+    for i in (0, 7, 19):
+        logits, act_grads = input_forward(arch, params, X, np.array([i]))
+        grad = input_backward(params, act_grads, dlogits, np.array([i]))
+        conf = row_confidences(arch, params, X[i:i + 1], int(y[i]))
+        for n in (5, 16, 17, 40):
+            rows = rng.permutation(40)[:n]
+            at = int(rng.integers(n))
+            rows[rows == i], rows[at] = rows[at], i
+            mixed_logits, mixed_grads = input_forward(arch, params, X, rows)
+            assert mixed_logits[at].tobytes() == logits[0].tobytes(), (name, i, n)
+            mixed = input_backward(params, mixed_grads, dlogits, rows)
+            assert mixed[at].tobytes() == grad[0].tobytes(), (name, i, n)
+            assert row_confidences(arch, params, X[rows], int(y[i]))[at] == conf[0], (name, i, n)
+
+
+def _dynamic_arch_x86() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("name", sorted(TILE_NETS))
+    def test_rows_are_independent_of_their_tile(self, name):
+        check_tile_independence(name)
+
+    @pytest.mark.skipif(not _dynamic_arch_x86(),
+                        reason="OPENBLAS_CORETYPE selects kernels only in a DYNAMIC_ARCH x86 OpenBLAS")
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_rows_are_independent_of_their_tile_on_other_kernels(self, core):
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+            [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        script = ("from test_nn import TILE_NETS, check_tile_independence\n"
+                  "for name in TILE_NETS:\n"
+                  "    check_tile_independence(name)\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestParamGradient:

@@ -104,3 +104,37 @@ def test_one_store_digest(path):
              or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names)
              or (isinstance(node, ast.Constant) and node.value in names)]
     assert not found, f"blake2 outside data.py at {found}"
+
+
+def _is_row_stacking(node) -> bool:
+    """x[:, None, :] or x.reshape(-1, 1, ...): rows stacked as (n, 1, d)."""
+    def literal(e):
+        try:
+            return ast.literal_eval(e)
+        except ValueError:
+            return Ellipsis  # not a literal
+
+    def full(e):
+        return isinstance(e, ast.Slice) and e.lower is None and e.upper is None and e.step is None
+
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+        parts = node.slice.elts
+        return len(parts) == 3 and full(parts[0]) and literal(parts[1]) is None and full(parts[2])
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reshape" and len(node.args) >= 3
+            and literal(node.args[0]) == -1 and literal(node.args[1]) == 1)
+
+
+@pytest.mark.parametrize("path", [ROOT / "src" / "mialab" / n for n in ("nn.py", "farm.py")],
+                         ids=lambda p: p.name)
+def test_per_row_products_run_in_tiles(path):
+    # every per-row product goes through nn.row_tiles, a gemm of ROW_TILE rows,
+    # not one (1, d) slice per row; per_example_grad_vectors' (B, out, 1) *
+    # (B, 1, in) is an elementwise outer product, not a matmul, and is left out
+    tree = ast.parse(path.read_text())
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "per_example_grad_vectors"
+            for node in ast.walk(fn)}
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if id(node) not in skip and _is_row_stacking(node)]
+    assert not found, f"rows stacked one per matmul slice at {found}"
