@@ -125,17 +125,13 @@ def lira_online_score(conf_t, in_stats: GaussianStats, out_stats: GaussianStats)
     return math_elementwise(math.exp, saturated)
 
 
-def lira_offline_score(conf_t, out_stats: GaussianStats, density: bool = False):
+def lira_offline_score(conf_t, out_stats: GaussianStats):
     """One-sided score against the OUT distribution.
 
-    Default is the Gaussian tail form 1 - Pr[Z > conf], i.e. the normal
-    CDF at (conf - mu)/sigma, nondecreasing in conf. The erfc form keeps
-    the left tail resolvable down to z around -38 instead of rounding to
-    zero at -8. density=True swaps in the two-sided alternative
-    1 - pdf(conf).
+    The Gaussian tail form 1 - Pr[Z > conf], i.e. the normal CDF at
+    (conf - mu)/sigma, nondecreasing in conf. The erfc form keeps the left
+    tail resolvable down to z around -38 instead of rounding to zero at -8.
     """
-    if density:
-        return 1.0 - math_elementwise(math.exp, _log_pdf(conf_t, out_stats))
     z = (conf_t - out_stats.mu) / out_stats.sigma
     return 0.5 * math_elementwise(math.erfc, -z / _SQRT2)
 
@@ -171,7 +167,6 @@ class CanaryConfig:
     objective: str = "raw_logit"
     init_noise_scale: float | None = None
     num_queries: int = 10
-    offline_density: bool = False
 
     def __post_init__(self):
         for name in ("epsilon", "init_noise_scale"):
@@ -409,7 +404,6 @@ def _score_block(
     member: np.ndarray,
     records,
     oracle: TargetOracle,
-    cfg: CanaryConfig,
     online: bool,
 ) -> tuple[np.ndarray, int]:
     """(targets, Q) query scores of a block of targets, and the IN evaluations made.
@@ -435,7 +429,7 @@ def _score_block(
     out_fits = _grouped_fits(phi, ~member)
     if online:
         return lira_online_score(conf_t, _grouped_fits(phi, member), out_fits), in_evaluations
-    return lira_offline_score(conf_t, out_fits, density=cfg.offline_density), in_evaluations
+    return lira_offline_score(conf_t, out_fits), in_evaluations
 
 
 def _check_eligible(index: np.ndarray, member: np.ndarray, need: int, online: bool) -> None:
@@ -527,7 +521,7 @@ def run_attack(
                 in_evaluations += hits
             queries = x_rows.reshape(len(idx), n_queries, -1)
         scores[rows], hits = _score_block(queries, x_star[:, None] if lira else queries, y,
-                                          blk_member, farm.records, oracle, config, online)
+                                          blk_member, farm.records, oracle, online)
         in_evaluations += hits
         if not online and in_evaluations:
             raise IsolationError(

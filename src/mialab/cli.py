@@ -292,7 +292,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         args.func(args)
-    except (MialabError, ValueError, OSError) as exc:
+    except (MialabError, ValueError, OSError, MemoryError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -25,7 +25,7 @@ DATASET_KEYS = {
     "csv": ("path",),
     "idx-pair": ("path", "labels_path"),
 }
-_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
 _type_hints = cache(typing.get_type_hints)  # a config class's field types, resolved once
 
 
@@ -34,7 +34,7 @@ def _typed(value, kind: type, where: str):
     a float field also takes an integer (read as a float)."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 

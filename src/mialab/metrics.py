@@ -114,11 +114,11 @@ def write_lines(path, lines) -> str:
 
 
 def read_csv_rows(path, header: list[str] | None, what: str):
-    """Yield (line number, fields) of each non-blank row of a CSV file. The first,
-    its names stripped, is the header: it must equal header, or is yielded when
-    header is None. Later rows have its width. Anything else, and bytes that are
-    not UTF-8, raise FormatError naming the file as a what."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Yield (line number, fields) of each non-blank row of a CSV file, after any
+    byte-order mark. The first, its names stripped, is the header: it must equal
+    header, or is yielded when header is None. Later rows have its width. Anything
+    else, and bytes that are not UTF-8, raise FormatError naming the file as a what."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             rows = filter(None, reader)  # a blank line reads as []

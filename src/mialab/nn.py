@@ -220,11 +220,13 @@ def scale_confidence(f):
 class ObjectiveKind:
     """One side of an attack objective pair.
 
-    kind names the pair; direction selects the side. Descending the
-    in_minimize loss raises softmax confidence on y, descending the
-    out_maximize loss lowers it. Random-label kinds carry a fixed
-    alternative label (chosen once per target, never equal to y); for a
-    batched gradient it may hold one label per row.
+    kind names the pair; direction selects the side. The two sides move
+    softmax confidence on y in opposite directions: descending the
+    in_minimize loss raises it for the cross-entropy and margin pairs, and
+    lowers it for raw_logit and scaled_log_score (see the header comment).
+    Random-label kinds carry a fixed alternative label (chosen once per
+    target, never equal to y); for a batched gradient it may hold one label
+    per row.
     """
 
     kind: str

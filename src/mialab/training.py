@@ -1,4 +1,4 @@
-"""Training models on their splits, in lock-step groups: mini-batch SGD/Adam or DP-SGD.
+"""Training models on their splits in lock-step groups: mini-batch Adam, plain or DP-SGD.
 
 The DP path clips every per-example gradient to an L2 norm bound, sums,
 adds Gaussian noise with per-coordinate standard deviation
@@ -33,8 +33,6 @@ from .nn import (
 )
 from .rng import generators, stream_states, substream, substreams
 
-OPTIMIZERS = ("sgd", "adam")
-
 # train_models trains models in lock-step groups of at most this many
 # models x parameters, which bounds the buffers one group holds.
 # Parameters do not depend on it.
@@ -68,8 +66,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; only 'adam' is supported")
 
 
 class ModelRecord:
@@ -197,8 +195,8 @@ def _train_group(
     (G, P) parameters.
 
     Each step gathers every model's own batch as (G, B, input_dim), writes
-    all gradients into one (G, P) buffer and takes one in-place optimizer
-    step on the (G, P) parameters. Each model draws its init, batch order
+    all gradients into one (G, P) buffer and takes one in-place Adam step
+    on the (G, P) parameters. Each model draws its init, batch order
     and DP noise from its own seed's substreams; the streams of every epoch
     are derived up front in one batch, and each epoch's generators are built
     when it starts. The first epoch that leaves a parameter non-finite raises
@@ -213,7 +211,7 @@ def _train_group(
                       for rng in substreams([(seed, 0) for seed in seeds])])
     grad = np.empty_like(theta)
     params, grads = layer_views(arch, theta), layer_views(arch, grad)
-    adam = init_adam(theta.shape) if config.optimizer == "adam" else None
+    adam = init_adam(theta.shape)
     dp = config.dp
     rows = np.arange(len(seeds))[:, None]
     tags = (1,) if dp is None else (1, 2)  # batch order, DP noise
@@ -231,11 +229,7 @@ def _train_group(
                     dp_step(arch, params, Xb, yb, dp, noise_rngs, grad)
                 else:
                     param_gradient(arch, params, Xb, yb, out=grads)
-                if adam is not None:
-                    adam_step(adam, theta, grad, config.lr)
-                else:
-                    grad *= config.lr
-                    theta -= grad
+                adam_step(adam, theta, grad, config.lr)
             if not np.all(np.isfinite(theta)):
                 raise ValueError(f"training diverged: non-finite parameters in epoch {epoch + 1}")
     return theta

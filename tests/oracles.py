@@ -329,10 +329,8 @@ def ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o):
     return math.inf if log_ratio > 709.0 else 0.0 if log_ratio < -745.0 else math.exp(log_ratio)
 
 
-def ref_offline_score(conf_t, mu_o, sd_o, density):
-    """Offline score of one query, in plain math: the erfc tail or 1 - pdf."""
-    if density:
-        return 1.0 - math.exp(_ref_log_pdf(conf_t, mu_o, sd_o))
+def ref_offline_score(conf_t, mu_o, sd_o):
+    """Offline score of one query, in plain math: the erfc tail."""
     return 0.5 * math.erfc(-((conf_t - mu_o) / sd_o) / math.sqrt(2.0))
 
 
@@ -379,7 +377,7 @@ def reference_attack(dataset, target_record, farm, targets, method, mode, cfg, s
             conf_t = _ref_phi(_ref_confidence(target_record, batch[q:q + 1].copy(), y)[0], clamp)
             mu_o, sd_o = _ref_fit(out_phi[:, q], SIGMA_FLOOR)
             if offline:
-                scores.append(ref_offline_score(conf_t, mu_o, sd_o, cfg.offline_density))
+                scores.append(ref_offline_score(conf_t, mu_o, sd_o))
             else:
                 mu_i, sd_i = _ref_fit(in_phi[:, q], SIGMA_FLOOR)
                 scores.append(ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o))
@@ -512,13 +510,10 @@ def reference_train(dataset, mask, arch, config, seed):
             else:
                 g = ghost_dp_gradient(weights, biases, arch.activation, X[batch], y[batch],
                                       config.dp.clip_norm, config.dp.noise_multiplier, noise)
-            if config.optimizer == "adam":
-                t += 1
-                m = 0.9 * m + (1.0 - 0.9) * g
-                v = 0.999 * v + (1.0 - 0.999) * g * g
-                m_hat = m / (1.0 - 0.9 ** t)
-                v_hat = v / (1.0 - 0.999 ** t)
-                theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-            else:
-                theta = theta - config.lr * g
+            t += 1
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
     return theta

@@ -170,12 +170,6 @@ class TestOfflineScore:
         vals = [lira_offline_score(c, stats) for c in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_density_variant_two_sided(self):
-        stats = GaussianStats(0.0, 1.0)
-        center = lira_offline_score(0.0, stats, density=True)
-        far = lira_offline_score(6.0, stats, density=True)
-        assert far > center
-
 
 # np.log rounds these apart from math.log in the last bit
 _LOG_ROUNDS_APART = [0.7372569546021128, 0.8476811963434164, 2.344837549636431,
@@ -234,16 +228,14 @@ class TestElementwiseScores:
         assert _bits(scores) == _bits(ref)
         assert scores[0] > 1e307 and scores[1] == math.inf and scores[2] > 0.0 == scores[3]
 
-    @pytest.mark.parametrize("density", [False, True])
-    def test_offline_score(self, grid, density):
+    def test_offline_score(self, grid):
         conf, _, out_stats = grid
-        scores = lira_offline_score(conf, out_stats, density=density)
-        ref = [ref_offline_score(c, m, s, density) for c, m, s in
+        scores = lira_offline_score(conf, out_stats)
+        ref = [ref_offline_score(c, m, s) for c, m, s in
                zip(conf.ravel().tolist(), out_stats.mu.ravel().tolist(),
                    out_stats.sigma.ravel().tolist())]
         assert scores.shape == conf.shape and _bits(scores) == _bits(ref)
-        if not density:
-            assert (0.0 < scores[2]).all() and (scores[2] < 1e-299).all()  # z near -38
+        assert (0.0 < scores[2]).all() and (scores[2] < 1e-299).all()  # z near -38
 
     def test_fits_broadcast_over_queries(self, grid):
         # a (k, 1) fit serves all of a LiRA target's queries
@@ -736,13 +728,6 @@ class TestEngineMatchesReference:
         ds, farm = wide_net_farm
         cfg = CanaryConfig(epsilon=0.05, steps=3, num_queries=4)
         got, ref, _, _ = _engine_and_reference(ds, farm, 0, method, mode, cfg, seed=59, n_each=3)
-        assert tables_equal(got, ref)
-
-    def test_offline_density_variant(self, deep_tanh_farm):
-        ds, farm = deep_tanh_farm
-        cfg = CanaryConfig(epsilon=0.1, steps=3, num_queries=2, offline_density=True,
-                           init_noise_scale=0.0)
-        got, ref, _, _ = _engine_and_reference(ds, farm, 0, "canary", "offline", cfg, seed=53)
         assert tables_equal(got, ref)
 
 

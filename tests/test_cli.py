@@ -144,14 +144,19 @@ class TestTrainShadows:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("as_manifest", [False, True], ids=["config", "manifest"])
-    def test_retired_canary_init_is_refused(self, tmp_path, capsys, as_manifest):
+    @pytest.mark.parametrize("key,value", [
         # init_noise_scale alone sets a canary's start: 0 is the retired init "target"
+        ("init", "target_plus_noise"),
+        # the offline score is always the one-sided tail; older manifests carry this as false
+        ("offline_density", False),
+    ])
+    def test_retired_canary_key_is_refused(self, tmp_path, capsys, key, value, as_manifest):
         cfg = base_config()
-        cfg["attack"]["canary"]["init"] = "target_plus_noise"
+        cfg["attack"]["canary"][key] = value
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"resolved_config": cfg} if as_manifest else cfg))
         assert main(["train-shadows", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == "error:ConfigError: unknown config.attack.canary keys: ['init']\n"
+        assert capsys.readouterr().err == f"error:ConfigError: unknown config.attack.canary keys: ['{key}']\n"
         assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -173,7 +178,6 @@ class TestTrainShadows:
         ("canary", "lr", float("inf")),
         ("canary", "init_noise_scale", float("-inf")),
         ("canary", "steps", [2]),
-        ("canary", "offline_density", "false"),
         ("canary", "steps", 2.9),
         ("canary", "lr", True),
         ("canary", "mode", "offline"),
@@ -202,6 +206,7 @@ class TestTrainShadows:
         ("arch", "activation", "sigmoid"),
         pytest.param("arch", "hidden_dims", [0], id="arch-hidden_dims-zero_width"),
         ("train", "seed", 0),
+        ("train", "optimizer", "sgd"),
         pytest.param("dataset", "path", "/nonexistent.csv", id="synthetic-path"),
         pytest.param(None, "dataset", {"kind": "csv", "path": "d.csv", "n_points": 100},
                      id="csv-n_points"),
@@ -435,6 +440,23 @@ class TestAttack:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error:ConfigError: invalid config: {key} {problem}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["steps", "num_queries"])
+    def test_refused_allocation_is_one_error_line(self, trained, tmp_path, capsys, key):
+        # each asks numpy for over a PiB, beyond any 64-bit user address space,
+        # so the allocation is refused without touching memory
+        _, _, out = trained
+        cfg = base_config()
+        cfg["attack"].update(method="canary", mode="online")
+        cfg["attack"]["canary"][key] = 10**13
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert "MemoryError: Unable to allocate " in err  # numpy names it _ArrayMemoryError
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("damage,error", [

@@ -92,6 +92,17 @@ class TestCsv:
         with pytest.raises(FormatError, match="line 3: expected 2 fields, got 1"):
             load_csv(p)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports often start with one; it is no part of the first column's name
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("label,f0\n1,0.5\n0,0.7\n", encoding="utf-8")
+        marked.write_text("label,f0\n1,0.5\n0,0.7\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_csv(marked).fingerprint() == load_csv(plain).fingerprint()
+        marked.write_text("f0,label\nabc,0\n", encoding="utf-8-sig")
+        with pytest.raises(FormatError, match="line 2, column 'f0': non-numeric value 'abc'"):
+            load_csv(marked)
+
     def test_undecodable_bytes_are_a_format_error(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"f0,label\n0.\xff,1\n")

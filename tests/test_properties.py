@@ -144,7 +144,7 @@ FULL_CONFIG = {
     "dataset": {"kind": "synthetic", "n_points": 32, "input_dim": 3, "num_classes": 2,
                 "noise": 0.1, "seed": 1},
     "arch": {"hidden_dims": [4, 3], "activation": "tanh"},
-    "train": {"epochs": 2, "batch_size": 6, "lr": 0.01, "optimizer": "sgd",
+    "train": {"epochs": 2, "batch_size": 6, "lr": 0.01, "optimizer": "adam",
               "dp": {"clip_norm": 5.0, "noise_multiplier": 1.0}},
     "n_models": 8,
     "master_seed": 7,
@@ -152,7 +152,7 @@ FULL_CONFIG = {
     "attack": {"method": "canary", "mode": "offline",
                "canary": {"epsilon": 0.1, "steps": 3, "shadow_batch": 2, "lr": 0.05,
                           "objective": "raw_logit", "init_noise_scale": 0.02,
-                          "num_queries": 2, "offline_density": True}},
+                          "num_queries": 2}},
     "targets": {"count": 4, "seed": 0},
 }
 

@@ -90,14 +90,6 @@ class TestTrainModel:
         b = train_model(ds, mask, arch, cfg, 10)
         assert a == b
 
-    def test_sgd_optimizer_runs(self):
-        ds = synthetic_mixture(30, 4, 2, seed=11, noise=0.2)
-        arch = ArchDescriptor(4, (), 2)
-        mask = make_even_splits(ds.n, 1, seed=12)[0]
-        rec = train_model(ds, mask, arch, TrainConfig(epochs=3, batch_size=8, lr=0.1,
-                                                      optimizer="sgd"), 13)
-        assert all(np.isfinite(a).all() for a in rec._params.weights + rec._params.biases)
-
     def test_never_reads_masked_out_points(self):
         ds = synthetic_mixture(40, 4, 3, seed=14, noise=0.2)
         ds.enable_access_counting()
@@ -270,14 +262,13 @@ class TestLockStepTraining:
     @pytest.mark.parametrize("group", [1, 3, None])
     @pytest.mark.parametrize("dp", [None, DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
                              ids=["plain", "dp"])
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["one_hidden", "two_hidden"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden,
-                                                 optimizer, dp, group):
+    def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden, dp,
+                                                 group):
         arch = ArchDescriptor(5, hidden, 3, activation)
         masks = make_even_splits(GROUP_DS.n, N_GROUP_MODELS, seed=41)
-        config = TrainConfig(epochs=3, batch_size=4, lr=0.05, optimizer=optimizer, dp=dp)
+        config = TrainConfig(epochs=3, batch_size=4, lr=0.05, dp=dp)
         monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, group))
         sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch)]
         assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
