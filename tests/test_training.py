@@ -245,7 +245,8 @@ class TestDpTraining:
             TrainConfig(lr=lr)
 
 
-# 31 points split in halves of 15 with batch 4: every epoch ends on a batch of 3.
+# 31 points split in halves of 15: with batch 4 every epoch ends on a batch of 3,
+# with batch 5 every batch is full.
 GROUP_DS = synthetic_mixture(31, 5, 3, seed=40, noise=0.3)
 N_GROUP_MODELS = 7
 GROUP_SEEDS = [100 + i for i in range(N_GROUP_MODELS)]
@@ -262,13 +263,15 @@ class TestLockStepTraining:
     @pytest.mark.parametrize("group", [1, 3, None])
     @pytest.mark.parametrize("dp", [None, DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
                              ids=["plain", "dp"])
+    @pytest.mark.parametrize("batch_size", [4, 5], ids=["ragged_batch", "full_batches"])
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["one_hidden", "two_hidden"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden, dp,
-                                                 group):
+    def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden,
+                                                 batch_size, dp, group):
         arch = ArchDescriptor(5, hidden, 3, activation)
         masks = make_even_splits(GROUP_DS.n, N_GROUP_MODELS, seed=41)
-        config = TrainConfig(epochs=3, batch_size=4, lr=0.05, dp=dp)
+        assert {int(m.sum()) for m in masks} == {15}
+        config = TrainConfig(epochs=3, batch_size=batch_size, lr=0.05, dp=dp)
         monkeypatch.setattr(training, "TRAIN_GROUP_ELEMENTS", group_budget(arch, group))
         sizes = [len(g) for g in plan_groups(N_GROUP_MODELS, arch)]
         assert sizes == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[group]
