@@ -293,7 +293,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         args.func(args)
     except (MialabError, ValueError, OSError, MemoryError) as exc:
-        print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
+        # numpy refuses an allocation with a private subclass of MemoryError
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error:{name}: {exc}", file=sys.stderr)
         return 1
     return 0
 

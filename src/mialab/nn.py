@@ -8,6 +8,7 @@ use the (fan_out, fan_in) layout, so a single linear layer computes
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -145,40 +146,53 @@ def check_params(arch: ArchDescriptor, params: Params) -> Params:
     return params
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, activation: str, out=None) -> np.ndarray:
+    """Derivative from the activation h, into out if given: relu's mask h > 0, tanh's 1 - h*h."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.greater(h, 0.0, out=out)
+    g = np.multiply(h, h, out=out)
+    return np.subtract(1.0, g, out=g)
 
 
-def _activate_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    """Activation derivative; relu's is a boolean mask, which multiplies as 1.0/0.0."""
-    if activation == "relu":
-        return z > 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
+class Workspace:
+    """Buffers that training steps on (G, B) batches write with out=: the batch X,
+    labels y and DP input norms |x|^2 + 1; each layer's output and delta; each
+    hidden layer's activation derivative; the sparse label index; one noise row."""
+
+    def __init__(self, arch: ArchDescriptor, shape: tuple):
+        self.X = np.empty((*shape, arch.input_dim))
+        self.y = np.empty(shape, np.int64)
+        self.x_norms = np.empty(shape)
+        self.outs = [np.empty((*shape, d)) for d in arch.dims[1:]]
+        self.deltas = [np.empty((*shape, d)) for d in arch.dims[1:]]
+        self.act_grads = [np.empty((*shape, d)) for d in arch.hidden_dims]
+        self.index = list(np.indices(shape, sparse=True))
+        self.noise = np.empty(arch.param_count())
+
+    def rows(self, B: int) -> "Workspace":
+        """A copy whose buffers but the noise row are [:, :B] views, for a short last batch."""
+        short = copy.copy(self)
+        short.__dict__.update((k, [v[:, :B] for v in a] if isinstance(a, list) else a[:, :B])
+                              for k, a in vars(self).items() if k != "noise")
+        return short
 
 
-def _forward_cached(arch: ArchDescriptor, params: Params, X: np.ndarray):
-    """Forward pass on a (..., B, input_dim) batch, keeping activations for backprop.
+def _forward_cached(arch: ArchDescriptor, params: Params, X: np.ndarray, outs=None):
+    """Forward pass on a (..., B, input_dim) batch: the logits and each layer's input.
 
     Stacked (G, out, in) weights pair slice g of a (G, B, input_dim) batch
-    with model g; every product runs slice by slice.
+    with model g; every product runs slice by slice. Layer l writes into
+    outs[l] if given; a hidden layer's activation overwrites its pre-activation.
     """
     acts = [X]  # inputs to each layer
-    pre = []    # pre-activations of hidden layers
-    h = X
     n_layers = len(params.weights)
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ np.swapaxes(W, -1, -2)
+        z = np.matmul(acts[-1], np.swapaxes(W, -1, -2), out=None if outs is None else outs[l])
         z += b[..., None, :]
         if l < n_layers - 1:
-            pre.append(z)
-            h = _activate(z, arch.activation)
-            acts.append(h)
-        else:
-            logits = z
-    return logits, acts, pre
+            acts.append(np.maximum(z, 0.0, out=z) if arch.activation == "relu"
+                        else np.tanh(z, out=z))
+    return z, acts
 
 
 def forward_batch(arch: ArchDescriptor, params: Params, X: np.ndarray) -> np.ndarray:
@@ -191,15 +205,14 @@ def forward_batch(arch: ArchDescriptor, params: Params, X: np.ndarray) -> np.nda
     if X.ndim < 2 or X.shape[-1] != arch.input_dim:
         raise ShapeError(f"expected batch of shape (B, {arch.input_dim}), got {X.shape}")
     check_params(arch, params)
-    logits, _, _ = _forward_cached(arch, params, X)
-    return logits
+    return _forward_cached(arch, params, X)[0]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted for stability."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted for stability; into out when given."""
+    e = np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 
 def math_elementwise(f, x):
@@ -309,9 +322,9 @@ def row_tiles(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def input_forward(arch: ArchDescriptor, params: Params, x: np.ndarray, rows: np.ndarray):
     """(n, K) logits of the n rows x[rows] and the activation derivatives, in tile
     layout, that input_backward needs; every matmul runs on row_tiles. Shapes unchecked."""
-    logits, _, pre = _forward_cached(arch, params, row_tiles(x, rows))
+    logits, acts = _forward_cached(arch, params, row_tiles(x, rows))
     logits = logits.reshape(-1, arch.num_classes)[:len(rows)]
-    return logits, [_activate_grad(z, arch.activation) for z in pre]
+    return logits, [_activate_grad(h, arch.activation) for h in acts[1:]]
 
 
 def input_backward(params: Params, act_grads, dlogits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -341,7 +354,8 @@ def input_gradient(
 
 
 def param_gradient(
-    arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray, out: Params | None = None
+    arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray, out: Params | None = None,
+    ws: Workspace | None = None,
 ) -> Params:
     """Mean cross-entropy gradient over a batch, shaped like Params.
 
@@ -351,7 +365,7 @@ def param_gradient(
     gradient is bitwise that of the model alone, since every product runs
     slice by slice. Parameter shapes are checked unless out is given: the
     training loop's layer_views of its (G, P) buffers have them by
-    construction.
+    construction. The training loop also passes its Workspace as ws.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -362,12 +376,12 @@ def param_gradient(
     if out is None:
         check_params(arch, params)
         out = layer_views(arch, np.empty((*X.shape[:-2], arch.param_count())))
-    deltas, acts = per_example_deltas(arch, params, X, y, X.shape[-2])
+    deltas, acts = per_example_deltas(arch, params, X, y, X.shape[-2], ws)
     return write_batch_gradient(deltas, acts, out)
 
 
 def per_example_deltas(arch: ArchDescriptor, params: Params, X: np.ndarray, y: np.ndarray,
-                       divisor):
+                       divisor, ws: Workspace | None = None):
     """Per-layer backprop signals of each example's own cross-entropy loss,
     divided by divisor: B for param_gradient's mean, 1 (exact) for DP-SGD.
 
@@ -375,16 +389,18 @@ def per_example_deltas(arch: ArchDescriptor, params: Params, X: np.ndarray, y: n
     gradient and acts[l] its (..., B, in) input. Example i's loss has
     weight gradient outer(deltas[l][i], acts[l][i]) and bias gradient
     deltas[l][i]. Stacked params and (G, B, input_dim) batches run slice
-    by slice.
+    by slice. Everything is written into ws's buffers, made here when not given.
     """
-    logits, acts, pre = _forward_cached(arch, params, X)
-    delta = softmax(logits)
-    delta[(*np.indices(y.shape), y)] -= 1.0
-    delta /= divisor
+    ws = Workspace(arch, y.shape) if ws is None else ws
+    logits, acts = _forward_cached(arch, params, X, ws.outs)
+    delta = softmax(logits, out=ws.deltas[-1])
+    delta[(*ws.index, y)] -= 1.0
+    if divisor != 1:
+        delta /= divisor
     deltas = [delta]
     for l in range(len(params.weights) - 1, 0, -1):
-        delta = delta @ params.weights[l]
-        delta *= _activate_grad(pre[l - 1], arch.activation)
+        delta = np.matmul(delta, params.weights[l], out=ws.deltas[l - 1])
+        delta *= _activate_grad(acts[l], arch.activation, out=ws.act_grads[l - 1])
         deltas.insert(0, delta)
     return deltas, acts
 

@@ -21,6 +21,7 @@ from .errors import ShapeError
 from .nn import (
     ArchDescriptor,
     Params,
+    Workspace,
     adam_step,
     forward_batch,
     init_adam,
@@ -135,6 +136,7 @@ def dp_step(
     dp: DpConfig,
     rngs,
     grad: np.ndarray,
+    ws: Workspace | None = None,
 ) -> None:
     """One DP-SGD gradient for each of G models, written into grad (G, P).
 
@@ -146,26 +148,41 @@ def dp_step(
     (c * delta_l)^T a_l per layer. Model g then adds noise of standard
     deviation noise_multiplier * clip_norm drawn from rngs[g] and divides
     by B. Every product and reduction runs per model, so each row is
-    bitwise that of the model alone.
+    bitwise that of the model alone. ws is the training loop's Workspace.
     """
-    deltas, acts = per_example_deltas(arch, params, X, y, 1)
-    norms = np.sqrt(sum(np.sum(delta * delta, axis=-1) * (np.sum(a * a, axis=-1) + 1.0)
-                        for delta, a in zip(deltas, acts)))
+    if ws is None:
+        ws = Workspace(arch, y.shape)
+        ws.x_norms = np.sum(X * X, axis=-1) + 1.0
+    deltas, acts = per_example_deltas(arch, params, X, y, 1, ws)
+    squares = ws.act_grads + ws.outs[-1:]  # buffers backprop is done with, one per layer width
+    norms = ws.x_norms * np.sum(np.multiply(deltas[0], deltas[0], out=squares[0]), axis=-1)
+    for l in range(1, len(deltas)):
+        a_norms = np.sum(np.multiply(acts[l], acts[l], out=squares[l - 1]), axis=-1) + 1.0
+        norms += a_norms * np.sum(np.multiply(deltas[l], deltas[l], out=squares[l]), axis=-1)
+    np.sqrt(norms, out=norms)
     factors = np.ones_like(norms)  # min(1, clip_norm / norm)
     over = norms > dp.clip_norm
     factors[over] = dp.clip_norm / norms[over]
     # post-clip contract; the 1e-9 slack absorbs float rounding only
     clipped = factors * norms
     if np.any(clipped > dp.clip_norm * (1.0 + 1e-9)):
-        raise AssertionError(
-            f"post-clip norm {clipped.max():.17g} exceeds bound {dp.clip_norm}"
-        )
-    write_batch_gradient([delta * factors[..., None] for delta in deltas], acts,
-                         layer_views(arch, grad))
+        raise AssertionError(f"post-clip norm {clipped.max():.17g} exceeds bound {dp.clip_norm}")
+    for delta in deltas:
+        delta *= factors[..., None]
+    write_batch_gradient(deltas, acts, layer_views(arch, grad))
     if dp.noise_multiplier > 0:
         for row, rng in zip(grad, rngs):
-            row += rng.normal(0.0, dp.noise_multiplier * dp.clip_norm, size=row.shape)
+            row += normal_noise(rng, dp.noise_multiplier * dp.clip_norm, ws.noise)
     grad /= X.shape[-2]
+
+
+def normal_noise(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """rng.normal(0.0, scale, out.shape) drawn into out: normal returns 0.0 + scale * z,
+    and adding 0.0 as it does keeps the sign of a zero draw."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += 0.0
+    return out
 
 
 def record_accuracy(record: ModelRecord, dataset: Dataset, indices: np.ndarray) -> float:
@@ -196,24 +213,30 @@ def _train_group(
 
     Each step gathers every model's own batch as (G, B, input_dim), writes
     all gradients into one (G, P) buffer and takes one in-place Adam step
-    on the (G, P) parameters. Each model draws its init, batch order
-    and DP noise from its own seed's substreams; the streams of every epoch
-    are derived up front in one batch, and each epoch's generators are built
-    when it starts. The first epoch that leaves a parameter non-finite raises
+    on the (G, P) parameters, in one full-size Workspace (a short last batch
+    uses its leading views). Each model draws its init, batch order and DP
+    noise from its own seed's substreams; the streams of every epoch are
+    derived up front in one batch, and each epoch's generators are built when
+    it starts. The first epoch that leaves a parameter non-finite raises
     ValueError, without numpy's overflow warnings.
     """
     masks, seeds = masks[group.start:group.stop], seeds[group.start:group.stop]
     X, y = dataset.take(np.stack([np.flatnonzero(mask) for mask in masks]))
-    n = X.shape[1]
+    G, n = y.shape
     if n == 0:
         raise ValueError("empty training set")
+    # one (G * n, input_dim) array of the group's points, model g's from row g * n
+    X, y, offsets = X.reshape(G * n, -1), y.ravel(), np.arange(0, G * n, n)[:, None]
+    dp = config.dp
+    x_norms = np.sum(X * X, axis=-1) + 1.0 if dp is not None else None
     theta = np.stack([init_params(arch, rng).to_vector()
                       for rng in substreams([(seed, 0) for seed in seeds])])
     grad = np.empty_like(theta)
     params, grads = layer_views(arch, theta), layer_views(arch, grad)
     adam = init_adam(theta.shape)
-    dp = config.dp
-    rows = np.arange(len(seeds))[:, None]
+    B = min(config.batch_size, n)
+    ws = Workspace(arch, (G, B))
+    short = ws.rows(n % B)
     tags = (1,) if dp is None else (1, 2)  # batch order, DP noise
     states = stream_states([(seed, tag, epoch) for epoch in range(config.epochs)
                             for tag in tags for seed in seeds])
@@ -221,14 +244,18 @@ def _train_group(
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is one error, below
         for epoch in range(config.epochs):
             order = np.stack([rng.permutation(n) for rng in generators(states[epoch, 0])])
+            order += offsets
             noise_rngs = generators(states[epoch, 1]) if dp is not None else None
-            for start in range(0, n, config.batch_size):
-                batch = order[:, start:start + config.batch_size]
-                Xb, yb = X[rows, batch], y[rows, batch]
+            for start in range(0, n, B):
+                batch = order[:, start:start + B]
+                step = ws if batch.shape[1] == B else short
+                X.take(batch, 0, out=step.X, mode="clip")
+                y.take(batch, out=step.y, mode="clip")
                 if dp is not None:
-                    dp_step(arch, params, Xb, yb, dp, noise_rngs, grad)
+                    x_norms.take(batch, out=step.x_norms, mode="clip")
+                    dp_step(arch, params, step.X, step.y, dp, noise_rngs, grad, step)
                 else:
-                    param_gradient(arch, params, Xb, yb, out=grads)
+                    param_gradient(arch, params, step.X, step.y, out=grads, ws=step)
                 adam_step(adam, theta, grad, config.lr)
             if not np.all(np.isfinite(theta)):
                 raise ValueError(f"training diverged: non-finite parameters in epoch {epoch + 1}")

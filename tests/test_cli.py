@@ -455,9 +455,26 @@ class TestAttack:
         rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
                    "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
-        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
-        assert "MemoryError: Unable to allocate " in err  # numpy names it _ArrayMemoryError
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error:MemoryError: Unable to allocate ")
         assert not (tmp_path / "x").exists()
+
+    def test_memory_error_subclass_is_named_memory_error(self, trained, tmp_path, capsys,
+                                                          monkeypatch):
+        # numpy refuses allocations with its private _ArrayMemoryError, which only
+        # some numpy versions name MemoryError; the error line names the public class
+        class _PrivateRefusal(MemoryError):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise _PrivateRefusal("Unable to allocate 8.00 EiB")
+
+        _, cfg_path, out = trained
+        monkeypatch.setattr(cli, "load_farm", refuse)
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(out / "farm.bin"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error:MemoryError: Unable to allocate 8.00 EiB\n"
 
     @pytest.mark.parametrize("damage,error", [
         ("version_1", "UnsupportedVersionError"),

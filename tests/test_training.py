@@ -1,5 +1,11 @@
 """Training: splits, determinism, masked-data isolation, DP mechanics."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from mialab.errors import ShapeError
 from mialab.nn import (
     ArchDescriptor,
     Params,
+    Workspace,
     init_params,
     layer_views,
     param_gradient,
@@ -166,6 +173,16 @@ class TestDpStep:
         expected = sigma * C / batch
         assert abs(draws.std() - expected) / expected < 0.05
 
+    def test_noise_is_drawn_in_place_like_normal(self):
+        # 200 streams of a desk model's 3978 parameters: bitwise the values of
+        # normal(0.0, 5.0), and each stream is left where normal leaves it
+        out = np.empty(3978)
+        for seed in range(200):
+            rng, ref = substream(seed, 2, 0), substream(seed, 2, 0)
+            assert training.normal_noise(rng, 5.0, out) is out
+            assert out.tobytes() == ref.normal(0.0, 5.0, size=3978).tobytes()
+            assert rng.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
     def test_clip_check_counter_advances(self, clip_checks):
         arch = ArchDescriptor(3, (), 2)
         theta, X, y = dp_group(arch, 3, 2, seed=22)
@@ -281,6 +298,51 @@ class TestLockStepTraining:
             assert rec.seed == seed
             assert np.array_equal(rec._theta,
                                   reference_train(GROUP_DS, mask, arch, config, seed))
+
+    def test_short_batch_uses_views_of_the_full_workspace(self):
+        arch = ArchDescriptor(5, (6, 4), 3)
+        ws = Workspace(arch, (7, 4))
+        short = ws.rows(3)
+        assert short.noise is ws.noise
+        layers = [ws.outs + ws.deltas + ws.act_grads, short.outs + short.deltas + short.act_grads]
+        for full, cut in [(ws.X, short.X), (ws.y, short.y), (ws.x_norms, short.x_norms),
+                          *zip(*layers)]:
+            assert cut.shape == (7, 3, *full.shape[2:]) and cut.base is full
+        assert [i.shape for i in short.index] == [(7, 1), (1, 3)]
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts minor page faults under glibc's default malloc on Linux")
+    def test_group_steps_keep_their_pages(self):
+        # Under glibc's default malloc, steps that allocate and free
+        # activation-sized temporaries hand their pages back to the kernel and
+        # fault them in again (about 174 minor faults per group step for this
+        # farm, plain or DP); steps that write into one workspace per group take
+        # about 30. Counted in a fresh process with no MALLOC_* setting, after a
+        # warm-up build.
+        script = (
+            "import resource\n"
+            "from mialab.data import synthetic_mixture\n"
+            "from mialab.farm import build_farm\n"
+            "from mialab.nn import ArchDescriptor\n"
+            "from mialab.training import DpConfig, TrainConfig\n"
+            "ds = synthetic_mixture(500, 20, 10, seed=3, noise=0.25)\n"
+            "arch = ArchDescriptor(20, (128,), 10)\n"
+            "for dp in (None, DpConfig(5.0, 1.0)):\n"
+            "    config = TrainConfig(epochs=3, batch_size=32, lr=0.01, dp=dp)\n"
+            "    build_farm(ds, 16, arch, config, master_seed=1)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    build_farm(ds, 16, arch, config, master_seed=2)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        # 2 groups of 8 models, 3 epochs of 8 batches (250 points, batch 32)
+        group_steps = len(plan_groups(16, ArchDescriptor(20, (128,), 10))) * 3 * 8
+        per_step = [int(line) / group_steps for line in done.stdout.split()]
+        assert len(per_step) == 2 and max(per_step) < 87, per_step
 
     def test_parallel_groups_cover_every_worker(self):
         arch = ArchDescriptor(5, (6,), 3)
