@@ -286,7 +286,10 @@ def load_farm(path) -> ShadowFarm:
     digest.update(trailer)  # on to the file's digest
     if act_code not in _ACT_NAMES:
         raise FormatError(f"{path}: unknown activation code {act_code}")
-    arch = ArchDescriptor(input_dim, tuple(hidden), num_classes, _ACT_NAMES[act_code])
+    try:
+        arch = ArchDescriptor(input_dim, tuple(hidden), num_classes, _ACT_NAMES[act_code])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     seeds = struct.unpack_from(f"<{n_models}Q", blob, seeds_at)
     packed = np.frombuffer(blob, np.uint8, block_at - splits_at, splits_at)
     splits = np.unpackbits(packed, count=n_bits).astype(bool).reshape(n_models, n_points)

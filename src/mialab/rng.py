@@ -25,49 +25,33 @@ TAG_ALT_LABEL = 16
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): entropy words are
 # hashed into a pool of four 32-bit words with the A constants, and the pool
-# is read out with the B constants. Every hash call advances its constant by
-# one multiplication, so the k-th call's pair is a fixed table entry.
+# is read out with the B constants. A hash call xors its input with a running
+# constant, advances the constant by one multiplication and multiplies by it;
+# no constant depends on the entropy, so every row makes the same calls.
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
+_OTHERS = [np.delete(np.arange(_POOL), src) for src in range(_POOL)]  # each pool word's peers
 
 
 @cache
-def _schedule(n_words: int) -> tuple:
-    """Hash constants of SeedSequence's mixing of n_words entropy words.
-
-    Hash call k xors its input with start * mult**k and multiplies by
-    start * mult**(k + 1), mod 2**32. Returns the (xor, mul) pairs of the
-    first pool fill, of each late-word pass over the other three pool words
-    (the source slot gets zeros and is restored after), of each word beyond
-    the pool, and of the (2, 4) read-out of four uint64 words.
-    """
-    def consts(start, mult, n):
-        out = [start]
-        for _ in range(n):
-            out.append(out[-1] * mult & _MASK32)
-        xor, mul = np.array(out[:-1], dtype=np.uint32), np.array(out[1:], dtype=np.uint32)
-        return xor, mul
-
-    a_xor, a_mul = consts(0x43B0D7E5, 0x931E8875,
-                          _POOL * _POOL + _POOL * max(0, n_words - _POOL))
-    fill = (a_xor[:_POOL], a_mul[:_POOL])
-    passes, k = [], _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        xor, mul = np.zeros(_POOL, dtype=np.uint32), np.zeros(_POOL, dtype=np.uint32)
-        xor[dst], mul[dst] = a_xor[k:k + _POOL - 1], a_mul[k:k + _POOL - 1]
-        passes.append((xor, mul))
-        k += _POOL - 1
-    extra = [(a_xor[i:i + _POOL], a_mul[i:i + _POOL]) for i in range(k, a_xor.size, _POOL)]
-    b_xor, b_mul = consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
-    return fill, passes, extra, (b_xor.reshape(2, _POOL), b_mul.reshape(2, _POOL))
+def _hash_words(const: int, mult: int, k: int) -> tuple:
+    """Xor and multiplier words of k successive hash calls from the running
+    constant const, and the constant after them."""
+    consts = [const]
+    for _ in range(k):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32), consts[-1]
 
 
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+def _hash(value: np.ndarray, const: int, k: int, mult: int = _MULT_A) -> tuple:
+    """k successive hash calls along value's last axis, and the constant after them."""
+    xor, mul, const = _hash_words(const, mult, k)
     value = (value ^ xor) * mul
-    return value ^ (value >> _SHIFT)
+    return value ^ (value >> _SHIFT), const
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -80,23 +64,22 @@ def _pool_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     words, row r that of SeedSequence(words[r, :lengths[r]]).generate_state(4,
     np.uint64).
 
-    SeedSequence hashes a zero for each pool word its entropy does not fill,
-    so padding changes nothing there; a row takes part in the passes over
-    words beyond the pool only up to its own length.
+    SeedSequence's mix_entropy and generate_state loops, run on a column of
+    rows. It hashes a zero for each pool word its entropy does not fill, so
+    padding changes nothing there; a row takes part in the passes over words
+    beyond the pool only up to its own length.
     """
     rows, n = words.shape
-    fill, passes, extra, readout = _schedule(n)
     pool = np.zeros((rows, _POOL), dtype=np.uint32)
     pool[:, :n] = words[:, :_POOL]
-    pool = _hashmix(pool, *fill)
-    for src, consts in enumerate(passes):  # late pool words reach earlier ones
-        mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    for src, consts in enumerate(extra, _POOL):  # entropy beyond the pool
-        mixed = _mix(pool, _hashmix(words[:, src, None], *consts))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
-    out = _hashmix(pool[:, None, :], *readout).reshape(rows, 2 * _POOL)
+    pool, const = _hash(pool, _INIT_A, _POOL)
+    for src, dst in enumerate(_OTHERS):  # late pool words reach earlier ones
+        hashed, const = _hash(pool[:, src, None], const, _POOL - 1)
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+    for src in range(_POOL, n):  # entropy beyond the pool
+        hashed, const = _hash(words[:, src, None], const, _POOL)
+        pool = np.where((lengths > src)[:, None], _mix(pool, hashed), pool)
+    out, _ = _hash(np.concatenate((pool, pool), axis=1), _INIT_B, 2 * _POOL, _MULT_B)
     return np.ascontiguousarray(out, dtype="<u4").view("<u8").astype(np.uint64)
 
 

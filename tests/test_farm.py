@@ -19,6 +19,9 @@ from mialab.data import synthetic_mixture
 from mialab.errors import FormatError, MialabError, ShapeError, UnsupportedVersionError
 from mialab.farm import (
     CHECKSUM_BYTES,
+    HEADER,
+    MAGIC,
+    VERSION,
     ShadowFarm,
     TargetOracle,
     build_farm,
@@ -457,6 +460,25 @@ class TestStore:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="checksum"):
             load_farm(path)
+
+    @pytest.mark.parametrize("input_dim, hidden, classes, message", [
+        (3, 0, 2, "hidden_dims must be positive"),
+        (3, 4, 1, "num_classes must be at least 2"),
+        (0, 4, 2, "input_dim must be positive"),
+    ], ids=["hidden-0", "classes-1", "input-0"])
+    def test_impossible_architecture_names_the_file(self, tmp_path, input_dim, hidden, classes,
+                                                    message):
+        # a store whose checksum holds but whose header describes no network
+        n_models, n_points = 2, 3
+        dims = (input_dim, hidden, classes)
+        pcount = sum(o * i + o for i, o in zip(dims, dims[1:]))
+        blob = (HEADER.pack(MAGIC, VERSION, 0, 0, n_models, n_points, input_dim, classes, 0, 1)
+                + struct.pack("<I", hidden) + bytes(8 * n_models + 1 + 8 * pcount * n_models))
+        path = tmp_path / "farm.bin"
+        path.write_bytes(blob + hashlib.sha256(blob).digest())
+        with pytest.raises(FormatError) as raised:
+            load_farm(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_every_single_bit_flip_refused(self, tmp_path):
         ds = synthetic_mixture(6, 2, 2, seed=3, noise=0.1)

@@ -24,7 +24,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mialab import attacks
@@ -275,8 +275,14 @@ KEY = st.one_of(
 
 @bounded(300)
 @given(keys=st.lists(st.lists(KEY, max_size=8).map(tuple), min_size=1, max_size=12))
+@example(keys=[(), (0,), (1, 2, 3, 4), (1, 2, 3, 4, 5), (2**64 + 1, 2**70 + 3, 2**90 + 5, 2**64)])
+@example(keys=[tuple(range(1, n + 1)) for n in (9, 4, 7, 5, 8, 6, 0)])
+@example(keys=[(2**96 - 1, 2**32)])
 def test_batched_streams_are_numpys_streams(keys):
-    """Key tuples of mixed lengths and word counts in one batch."""
+    """Key tuples of mixed lengths and word counts in one batch. The examples
+    hold rows that stop at different passes over words beyond the pool of
+    four: 0 to 12 words side by side, 0 and 4 to 9 words out of order, and
+    one five-word row alone."""
     for key, rng in zip(keys, substreams(keys), strict=True):
         expected = np.random.default_rng(np.random.SeedSequence(list(key)))
         assert rng.bit_generator.state == expected.bit_generator.state

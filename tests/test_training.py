@@ -263,7 +263,7 @@ class TestDpTraining:
 
 
 # 31 points split in halves of 15: with batch 4 every epoch ends on a batch of 3,
-# with batch 5 every batch is full.
+# with batch 5 every batch is full, and batch 16 clamps to one batch of all 15.
 GROUP_DS = synthetic_mixture(31, 5, 3, seed=40, noise=0.3)
 N_GROUP_MODELS = 7
 GROUP_SEEDS = [100 + i for i in range(N_GROUP_MODELS)]
@@ -280,7 +280,8 @@ class TestLockStepTraining:
     @pytest.mark.parametrize("group", [1, 3, None])
     @pytest.mark.parametrize("dp", [None, DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
                              ids=["plain", "dp"])
-    @pytest.mark.parametrize("batch_size", [4, 5], ids=["ragged_batch", "full_batches"])
+    @pytest.mark.parametrize("batch_size", [4, 5, 16],
+                             ids=["ragged_batch", "full_batches", "batch_over_n"])
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["one_hidden", "two_hidden"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_per_model_reference_bitwise(self, monkeypatch, activation, hidden,
