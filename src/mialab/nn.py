@@ -442,10 +442,10 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.work = (np.empty_like(self.m), np.empty_like(self.m))
+        self.work = np.empty_like(self.m)
 
 
 def init_adam(shape) -> AdamState:
@@ -455,10 +455,13 @@ def init_adam(shape) -> AdamState:
 def adam_step(state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: float) -> None:
     """One bias-corrected Adam update of variable and state, in place.
 
-    The operations follow m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    x -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) one rounding at a
-    time, so the result is bitwise that of the allocating expression. A
-    (G, P) variable updates G models' parameters in one pass.
+    The moments follow m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g. The step
+    folds both bias corrections into scalars, in the order of Kingma and Ba
+    (arXiv 1412.6980, end of section 2): with r = sqrt(1-b2^t),
+    x -= (lr*r / (1-b1^t)) * (m / (sqrt(v) + eps*r)), one rounding at a time,
+    so the result is bitwise that of the allocating expression. This equals
+    lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) up to rounding. A (G, P)
+    variable updates G models' parameters in one pass.
     """
     gradient = np.asarray(gradient, dtype=np.float64)
     if not isinstance(variable, np.ndarray) or variable.dtype != np.float64:
@@ -466,7 +469,8 @@ def adam_step(state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: 
     if variable.shape != gradient.shape or variable.shape != state.m.shape:
         raise ShapeError("variable, gradient and Adam state shapes must agree")
     t = state.step + 1
-    a, b = state.work
+    r = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    a = state.work
     state.m *= ADAM_BETA1
     np.multiply(gradient, 1.0 - ADAM_BETA1, out=a)
     state.m += a
@@ -474,11 +478,9 @@ def adam_step(state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: 
     np.multiply(gradient, 1.0 - ADAM_BETA2, out=a)
     a *= gradient
     state.v += a
-    np.divide(state.m, 1.0 - ADAM_BETA1 ** t, out=a)
-    a *= lr
-    np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPS
-    a /= b
+    np.sqrt(state.v, out=a)
+    a += ADAM_EPS * r
+    np.divide(state.m, a, out=a)
+    a *= lr * r / (1.0 - ADAM_BETA1 ** t)
     variable -= a
     state.step = t

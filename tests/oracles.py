@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own code paths: finite
 differences of scalar objective values for gradients, explicit pairwise
-counting for AUC, a
-hand-rolled recurrence for Adam, the one-target attack and one-model
-training loops the batched library code must reproduce bit for bit, with
+counting for AUC, one allocating Adam update in the folded order, the
+one-target attack and one-model training loops the batched library code
+must reproduce bit for bit, with
 streams built by numpy's SeedSequence directly, a csv.writer encoder
 of score tables, and a builder and a bitwise comparison of them.
 """
@@ -160,17 +160,24 @@ def pairwise_auc(scores, labels):
     return total / (pos.size * neg.size)
 
 
-def adam_recurrence(grads, x0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam unrolled step by step on a scalar variable."""
-    m = 0.0
-    v = 0.0
+def adam_update(x, m, v, g, t, lr):
+    """Step t of bias-corrected Adam, allocating: returns the new (x, m, v).
+
+    The bias corrections are folded into scalars as Kingma and Ba order
+    them (arXiv 1412.6980, end of section 2), with r = sqrt(1 - beta2^t)."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * g * g
+    r = math.sqrt(1.0 - 0.999 ** t)
+    x = x - lr * r / (1.0 - 0.9 ** t) * (m / (np.sqrt(v) + 1e-8 * r))
+    return x, m, v
+
+
+def adam_recurrence(grads, x0, lr):
+    """Adam unrolled step by step from zero moments over the leading axis of grads."""
     x = x0
+    m = v = 0.0
     for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+        x, m, v = adam_update(x, m, v, g, t, lr)
     return x
 
 
@@ -278,8 +285,7 @@ def _ref_canary(x_star, y, models, column, cfg, rng, alt, offline):
     if cfg.noise_scale > 0:
         delta = rng.normal(0.0, cfg.noise_scale, size=x_star.shape)
     delta, x = _ref_project(x_star, delta, cfg.epsilon)
-    m = np.zeros_like(x_star)
-    v = np.zeros_like(x_star)
+    m = v = 0.0
     ids_out = [i for i, flag in enumerate(column) if not flag]
     ids_in = [i for i, flag in enumerate(column) if flag]
     for t in range(1, cfg.steps + 1):
@@ -293,11 +299,7 @@ def _ref_canary(x_star, y, models, column, cfg, rng, alt, offline):
                 g += _ref_input_gradient(rec._params, rec.arch.activation, x, y,
                                          cfg.objective, direction, alt, CONF_CLAMP)
             grad = g / b if grad is None else grad + g / b
-        m = 0.9 * m + (1.0 - 0.9) * grad
-        v = 0.999 * v + (1.0 - 0.999) * grad * grad
-        m_hat = m / (1.0 - 0.9 ** t)
-        v_hat = v / (1.0 - 0.999 ** t)
-        delta = delta - cfg.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        delta, m, v = adam_update(delta, m, v, grad, t, cfg.lr)
         delta, x = _ref_project(x_star, delta, cfg.epsilon)
     return x
 
@@ -496,8 +498,7 @@ def reference_train(dataset, mask, arch, config, seed):
         for part in (init.normal(0.0, math.sqrt(gain / in_d), size=(out_d, in_d)).ravel(),
                      np.zeros(out_d))
     ])
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m = v = 0.0
     t = 0
     for epoch in range(config.epochs):
         order = _ref_stream(seed, 1, epoch).permutation(n)
@@ -511,9 +512,5 @@ def reference_train(dataset, mask, arch, config, seed):
                 g = ghost_dp_gradient(weights, biases, arch.activation, X[batch], y[batch],
                                       config.dp.clip_norm, config.dp.noise_multiplier, noise)
             t += 1
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat = m / (1.0 - 0.9 ** t)
-            v_hat = v / (1.0 - 0.999 ** t)
-            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            theta, m, v = adam_update(theta, m, v, g, t, config.lr)
     return theta

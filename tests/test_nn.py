@@ -387,18 +387,40 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(init_adam(3), np.zeros(3), np.zeros(4), lr=0.1)
 
-    def test_stacked_rows_match_recurrence_bitwise(self):
-        # one (G, P) update is G independent scalar recurrences, bit for bit
+    @staticmethod
+    def _run_200_steps():
+        # 200 steps on (8, 16): long enough that the folded and textbook
+        # orders round differently in some entries
         rng = np.random.default_rng(13)
-        grads = rng.normal(0.0, 2.0, (5, 3, 4))
-        x0 = rng.normal(0.0, 1.0, (3, 4))
+        return rng.normal(0.0, 2.0, (200, 8, 16)), rng.normal(0.0, 1.0, (8, 16))
+
+    def test_stacked_rows_match_recurrence_bitwise(self):
+        # one (G, P) update is G*P independent scalar recurrences, bit for bit
+        grads, x0 = self._run_200_steps()
         x = x0.copy()
         state = init_adam(x.shape)
         for g in grads:
             adam_step(state, x, g, lr=0.01)
-        assert state.step == 5
+        assert state.step == 200
         for i, j in np.ndindex(*x.shape):
             assert x[i, j] == adam_recurrence(grads[:, i, j], x0[i, j], lr=0.01)
+
+    def test_folded_step_stays_near_the_textbook_form(self):
+        # the declared size of the folding: within 1e-12 relative at every
+        # step of lr * m_hat / (sqrt(v_hat) + eps), yet not bitwise equal to it
+        grads, x0 = self._run_200_steps()
+        x, textbook = x0.copy(), x0.copy()
+        state = init_adam(x.shape)
+        m = v = 0.0
+        for t, g in enumerate(grads, start=1):
+            adam_step(state, x, g, lr=0.01)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            textbook = textbook - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_allclose(x, textbook, rtol=1e-12, atol=0)
+        assert not np.array_equal(x, textbook)
 
     def test_gradient_left_untouched(self):
         state = init_adam(3)
