@@ -19,7 +19,6 @@ from .errors import ConfigError, FingerprintMismatchError, FormatError, Isolatio
 from .farm import ShadowFarm, TargetOracle, check_farm_fits, model_confidence_batch
 from .metrics import read_csv_rows, write_lines
 from .nn import (
-    CONF_CLAMP,
     IN_MINIMIZE,
     OUT_MAXIMIZE,
     OBJECTIVE_KINDS,
@@ -29,7 +28,6 @@ from .nn import (
     input_backward,
     input_forward,
     input_gradient,  # noqa: F401  stays bound here for perfbench's tracer
-    math_elementwise,
     objective_grad_logits,
     scale_confidence,
 )
@@ -53,12 +51,13 @@ SCORE_HEADER = ["target_index", "is_member", "query_id", "score", "aggregated_sc
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc: the one math-module call in scoring
 
 
 @dataclass(frozen=True)
 class GaussianStats:
     """One Gaussian fit, or arrays of fits; the score functions below take a
-    float conf_t or an array, and score each element alone in math-module bits."""
+    float conf_t or an array, and score each element alone in numpy's bits."""
 
     mu: float | np.ndarray
     sigma: float | np.ndarray
@@ -66,13 +65,6 @@ class GaussianStats:
     def __post_init__(self):
         if np.any(np.less_equal(self.sigma, 0)):
             raise ValueError("sigma must be positive")
-
-
-def scale_confidence_batch(f: np.ndarray) -> np.ndarray:
-    """nn.scale_confidence in np.log's bits, for the shadows' confidences; the
-    target's conf_t keeps math.log's, which differ on some inputs."""
-    f = np.clip(np.asarray(f, dtype=np.float64), CONF_CLAMP, 1.0 - CONF_CLAMP)
-    return np.log(f / (1.0 - f))
 
 
 def fit_gaussians(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +99,7 @@ def _grouped_fits(phi: np.ndarray, side: np.ndarray) -> GaussianStats:
 
 def _log_pdf(x, stats: GaussianStats):
     z = (x - stats.mu) / stats.sigma
-    return -0.5 * z * z - math_elementwise(math.log, stats.sigma) - _LOG_SQRT_2PI
+    return -0.5 * z * z - np.log(stats.sigma) - _LOG_SQRT_2PI
 
 
 def lira_online_log_ratio(conf_t, in_stats: GaussianStats, out_stats: GaussianStats):
@@ -115,14 +107,14 @@ def lira_online_log_ratio(conf_t, in_stats: GaussianStats, out_stats: GaussianSt
 
 
 def lira_online_score(conf_t, in_stats: GaussianStats, out_stats: GaussianStats):
-    """Likelihood ratio pdf_in(conf) / pdf_out(conf), via log space.
+    """Likelihood ratio pdf_in(conf) / pdf_out(conf): np.exp of the log ratio.
 
-    Ratios beyond float range saturate to inf/0; use the log ratio when
-    thresholding, the ranking is identical.
+    np.exp saturates to inf above log(DBL_MAX) ~ 709.78 (its overflow is
+    silenced) and to 0 below ~ -745.13; use the log ratio when thresholding,
+    the ranking is identical.
     """
-    log_ratio = lira_online_log_ratio(conf_t, in_stats, out_stats)
-    saturated = np.select([log_ratio > 709.0, log_ratio < -745.0], [math.inf, -math.inf], log_ratio)
-    return math_elementwise(math.exp, saturated)
+    with np.errstate(over="ignore"):
+        return np.exp(lira_online_log_ratio(conf_t, in_stats, out_stats))
 
 
 def lira_offline_score(conf_t, out_stats: GaussianStats):
@@ -133,7 +125,7 @@ def lira_offline_score(conf_t, out_stats: GaussianStats):
     tail resolvable down to z around -38 instead of rounding to zero at -8.
     """
     z = (conf_t - out_stats.mu) / out_stats.sigma
-    return 0.5 * math_elementwise(math.erfc, -z / _SQRT2)
+    return 0.5 * np.asarray(_erfc(-z / _SQRT2), dtype=np.float64)
 
 
 def ensemble_scores(scores) -> np.ndarray:
@@ -424,7 +416,7 @@ def _score_block(
         if sel.size:
             in_evaluations += int(member[sel, m].sum())
             phi[m, sel] = model_confidence_batch(rec, shadow_queries[sel], y[sel])
-    phi = scale_confidence_batch(phi)
+    phi = scale_confidence(phi)
     conf_t = scale_confidence(oracle.confidences(queries, y))
     out_fits = _grouped_fits(phi, ~member)
     if online:

@@ -246,10 +246,11 @@ def save_farm(farm: ShadowFarm, path) -> str:
 
 def load_farm(path) -> ShadowFarm:
     """Read the farm store at path. Magic, version, length and checksum are
-    checked in that order before any of the payload is decoded; the farm's
-    sha256 is the file's, from the hasher that checked the trailer. A file
-    shorter than the header, which every store version shares, is truncated
-    unless its bytes already differ from the magic (or it has none)."""
+    checked in that order before any of the payload is decoded, then every
+    parameter must be finite; the farm's sha256 is the file's, from the hasher
+    that checked the trailer. A file shorter than the header, which every store
+    version shares, is truncated unless its bytes already differ from the magic
+    (or it has none)."""
     path = Path(path)
     blob = memoryview(path.read_bytes())
     head = bytes(blob[:HEADER.size])
@@ -297,8 +298,11 @@ def load_farm(path) -> ShadowFarm:
     # (8567 for the desk farm), rarely a multiple of 8, and BLAS kernels on
     # unaligned rows round differently, so scores would not be bitwise.
     thetas = np.frombuffer(blob, "<f8", pcount * n_models, block_at).astype(np.float64)
-    records = [ModelRecord(arch, seed, row)
-               for seed, row in zip(seeds, thetas.reshape(n_models, pcount))]
+    thetas = thetas.reshape(n_models, pcount)
+    finite = np.isfinite(thetas).all(axis=1)
+    if not finite.all():  # a NaN weight would score NaN for every target it sees
+        raise FormatError(f"{path}: model {np.argmin(finite)} has a non-finite parameter")
+    records = [ModelRecord(arch, seed, row) for seed, row in zip(seeds, thetas)]
     farm = ShadowFarm(fingerprint, arch, splits, records, master_seed)
     farm.sha256 = digest.hexdigest()
     return farm

@@ -215,18 +215,12 @@ def softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 
-def math_elementwise(f, x):
-    """Math-module f element by element, in its bits (np.log and np.exp differ from
-    math.log and math.exp in the last bit on some inputs): float to float, array to array."""
-    y = np.frompyfunc(f, 1, 1)(x)
-    return y if isinstance(y, float) else y.astype(np.float64)
-
-
 def scale_confidence(f):
     """Scaled log score log(f'/(1-f')) with f clamped to [CONF_CLAMP, 1-CONF_CLAMP],
-    in math.log's bits: a float gives a float, an array of confidences an array."""
+    element by element: the one scaled log, for the target's answers and the
+    shadows' confidences alike."""
     f = np.clip(f, CONF_CLAMP, 1.0 - CONF_CLAMP)
-    return math_elementwise(math.log, f / (1.0 - f))
+    return np.log(f / (1.0 - f))
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ def _ref_confidence(rec, X, y):
 
 def _ref_phi(f, clamp):
     f = min(max(float(f), clamp), 1.0 - clamp)
-    return math.log(f / (1.0 - f))
+    return float(np.log(f / (1.0 - f)))
 
 
 def _ref_fit(column, floor):
@@ -322,13 +322,14 @@ def _ref_fit(column, floor):
 
 def _ref_log_pdf(x, mu, sigma):
     z = (x - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+    return -0.5 * z * z - float(np.log(sigma)) - 0.5 * float(np.log(2.0 * math.pi))
 
 
 def ref_online_score(conf_t, mu_i, sd_i, mu_o, sd_o):
-    """Saturating likelihood ratio of one query, in plain math."""
+    """Likelihood ratio of one query: np.exp of its log ratio, inf past float range."""
     log_ratio = _ref_log_pdf(conf_t, mu_i, sd_i) - _ref_log_pdf(conf_t, mu_o, sd_o)
-    return math.inf if log_ratio > 709.0 else 0.0 if log_ratio < -745.0 else math.exp(log_ratio)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_ratio))
 
 
 def ref_offline_score(conf_t, mu_o, sd_o):

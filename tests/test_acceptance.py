@@ -21,7 +21,6 @@ from mialab.attacks import (
     optimize_canary,
     run_attack,
     scale_confidence,
-    scale_confidence_batch,
 )
 from mialab.cli import main
 from mialab.data import synthetic_mixture
@@ -289,10 +288,10 @@ def _held_out_gap(farm, ds, master_seed, epsilon):
         member = np.arange(len(records))[None, :] >= len(train_out)
         (x_mal,), _ = optimize_canary(x[None], np.array([y]), member, records, cfg, True,
                                       [substream(master_seed, 44, int(t))], None)
-        phi_in = scale_confidence_batch(
+        phi_in = scale_confidence(
             np.stack([model_confidence_batch(m, x_mal[None], y) for m in held_in])[:, 0]
         )
-        phi_out = scale_confidence_batch(
+        phi_out = scale_confidence(
             np.stack([model_confidence_batch(m, x_mal[None], y) for m in held_out])[:, 0]
         )
         gaps.append(float(phi_in.mean() - phi_out.mean()))

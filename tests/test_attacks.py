@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,10 +173,12 @@ class TestOfflineScore:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-# np.log rounds these apart from math.log in the last bit
+# sigmas whose log np.log and math.log round apart in the last bit: the log pdf
+# takes np.log's, as the reference does
 _LOG_ROUNDS_APART = [0.7372569546021128, 0.8476811963434164, 2.344837549636431,
                      6.026449400250284, 0.9862786443356566, 2.238406528390617]
-# and these give f / (1 - f) that it rounds apart
+# confidences whose f / (1 - f) the two logs round apart: the target's answers
+# and the shadows' confidences are scaled by the one np.log alike
 _PHI_ROUNDS_APART = [0.48826044533597246, 0.47524947280546326, 0.5019269762292697,
                      0.5041845493050985, 0.2724943917517305, 0.49253432141119324]
 
@@ -184,7 +188,7 @@ def _bits(values) -> list[int]:
 
 
 class TestElementwiseScores:
-    """One call on arrays of fits scores every element as the plain-math
+    """One call on arrays of fits scores every element as the one-query
     reference formulas score it alone, bit for bit."""
 
     @pytest.fixture(scope="class")
@@ -217,16 +221,24 @@ class TestElementwiseScores:
         assert _bits(log_ratio) == _bits(ref_log_ratio)
 
     def test_saturation_thresholds(self):
-        # conf 0 against N(0, 1) and N(mu, 1) has log ratio +-mu^2 / 2
-        mu = np.sqrt(2.0 * np.array([708.9, 709.2, 744.9, 745.2]))
-        upper = np.array([True, True, False, False])
+        # np.exp's own edges: finite up to log(DBL_MAX) ~ 709.7827, inf above;
+        # the smallest subnormal down to log(2^-1075) ~ -745.1332, 0 below.
+        # conf 0 against N(0, 1) and N(mu, 1) has log ratio +-mu^2 / 2.
+        target = np.array([709.78, 709.79, -745.13, -745.14])
+        mu = np.sqrt(2.0 * np.abs(target))
+        upper = target > 0
         in_stats = GaussianStats(np.where(upper, 0.0, mu), 1.0)
         out_stats = GaussianStats(np.where(upper, mu, 0.0), 1.0)
-        scores = lira_online_score(0.0, in_stats, out_stats)
-        ref = [ref_online_score(0.0, mi, 1.0, mo, 1.0)
-               for mi, mo in zip(in_stats.mu.tolist(), out_stats.mu.tolist())]
+        log_ratio = lira_online_log_ratio(0.0, in_stats, out_stats)
+        assert np.abs(log_ratio - target).max() < 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow stays silenced
+            scores = lira_online_score(0.0, in_stats, out_stats)
+            ref = [ref_online_score(0.0, mi, 1.0, mo, 1.0)
+                   for mi, mo in zip(in_stats.mu.tolist(), out_stats.mu.tolist())]
         assert _bits(scores) == _bits(ref)
-        assert scores[0] > 1e307 and scores[1] == math.inf and scores[2] > 0.0 == scores[3]
+        assert 1.7e308 < scores[0] < math.inf and scores[1] == math.inf
+        assert scores[2] == 5e-324 and scores[3] == 0.0
 
     def test_offline_score(self, grid):
         conf, _, out_stats = grid
@@ -253,18 +265,32 @@ class TestElementwiseScores:
             one_in = GaussianStats(float(in_stats.mu[i]), float(in_stats.sigma[i]))
             one_out = GaussianStats(float(out_stats.mu[i]), float(out_stats.sigma[i]))
             score = lira_online_score(float(conf[i]), one_in, one_out)
-            assert type(score) is float and _bits(score) == _bits(online[i])
+            assert _bits(score) == _bits(online[i])
             score = lira_offline_score(float(conf[i]), one_out)
-            assert type(score) is float and _bits(score) == _bits(offline[i])
+            assert _bits(score) == _bits(offline[i])
 
-    def test_scale_confidence_matches_math_log(self):
+    def test_scale_confidence_matches_reference(self):
         rng = np.random.default_rng(42)
         f = np.concatenate([rng.random(2994), _PHI_ROUNDS_APART,
                             [0.0, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0]])
         phi = scale_confidence(f.reshape(3, -1))
         assert phi.shape == (3, 1002)
         assert _bits(phi) == _bits([_ref_phi(v, 1e-6) for v in f.tolist()])
-        assert type(scale_confidence(0.25)) is float
+        assert _bits(scale_confidence(0.25)) == _bits(_ref_phi(0.25, 1e-6))
+
+    def test_target_and_shadows_are_scaled_alike(self, monkeypatch):
+        # a LiRA-offline block whose one OUT shadow answers exactly what the
+        # oracle answers: its fit is (phi, SIGMA_FLOOR), so a target scaled as the
+        # shadows are sits on the fit's mean, z = 0, and scores exactly 0.5
+        f = np.array(_PHI_ROUNDS_APART)[:, None]  # (targets, 1): LiRA's one query
+        y = np.arange(len(f))  # each target's label picks its confidence row
+        oracle = SimpleNamespace(confidences=lambda queries, labels: f[labels])
+        monkeypatch.setattr(attacks, "model_confidence_batch", lambda rec, X, labels: f[labels])
+        queries = np.zeros((len(f), 1, 1))
+        member = np.zeros((len(f), 1), dtype=bool)
+        scores, in_evaluations = attacks._score_block(queries, queries, y, member, [None], oracle,
+                                                      online=False)
+        assert scores.tolist() == [[0.5]] * len(f) and in_evaluations == 0
 
     def test_sigma_checked_for_every_fit(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -389,7 +415,6 @@ class TestCanaryOptimizer:
         # mean scaled-confidence gap between held-out IN and OUT models is
         # wider (in the optimized direction) at the canary than at the target
         ds, farm = toy_farm
-        from mialab.attacks import scale_confidence_batch
         from mialab.farm import model_confidence_batch
 
         gaps_star, gaps_mal = [], []
@@ -409,9 +434,9 @@ class TestCanaryOptimizer:
             xm = one_row_canary(x, y, train_in, train_out, cfg, substream(16, int(t)))
 
             def gap(point):
-                phi_in = scale_confidence_batch(
+                phi_in = scale_confidence(
                     np.stack([model_confidence_batch(m, point[None], y) for m in held_in])[:, 0])
-                phi_out = scale_confidence_batch(
+                phi_out = scale_confidence(
                     np.stack([model_confidence_batch(m, point[None], y) for m in held_out])[:, 0])
                 return phi_in.mean() - phi_out.mean()
 

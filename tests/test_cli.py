@@ -16,6 +16,7 @@ from mialab.config import ExperimentConfig
 from mialab.farm import CHECKSUM_BYTES, load_farm, save_farm
 from mialab.metrics import read_report_csv
 from mialab.rng import generators, state_seeds
+from mialab.training import ModelRecord
 
 from oracles import _ref_stream, csv_writer_bytes
 
@@ -500,6 +501,29 @@ class TestAttack:
         assert rc == 1 and err.startswith(f"error:{error}: ") and err.count("\n") == 1
         if error == "UnsupportedVersionError":
             assert "rerun train-shadows" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_is_refused(self, trained, tmp_path, capsys, mode, value):
+        # a checksummed store whose parameter block holds a NaN is refused on
+        # load, before attack could write NaN scores and exit 0
+        _, _, out = trained
+        farm = load_farm(out / "farm.bin")
+        theta = farm.records[5]._theta.copy()
+        theta[17] = value
+        farm.records[5] = ModelRecord(farm.arch, farm.records[5].seed, theta)
+        save_farm(farm, tmp_path / "farm.bin")
+        cfg = base_config()
+        cfg["attack"]["mode"] = mode
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["attack", "--config", str(cfg_path), "--farm", str(tmp_path / "farm.bin"),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err == (f"error:FormatError: {tmp_path / 'farm.bin'}: model 5 has a "
+                       "non-finite parameter\n")
         assert not (tmp_path / "x").exists()
 
 
