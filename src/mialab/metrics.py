@@ -60,11 +60,6 @@ def auc(fpr, tpr) -> float:
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
 
 
-def roc_auc(scores, labels) -> float:
-    fpr, tpr = roc_curve(scores, labels)
-    return auc(fpr, tpr)
-
-
 def tpr_at_fpr(fpr, tpr, fpr_target: float = 0.01) -> float:
     """Largest TPR achievable at FPR <= fpr_target using realized thresholds.
 
@@ -77,13 +72,12 @@ def tpr_at_fpr(fpr, tpr, fpr_target: float = 0.01) -> float:
     return float(np.max(tpr[admissible]))
 
 
-def aggregate_runs(values) -> tuple[float, float, list[float]]:
-    """Mean, population standard deviation, and the per-seed list."""
-    values = [float(v) for v in values]
-    if not values:
+def aggregate_runs(values) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    arr = np.asarray([float(v) for v in values])
+    if not arr.size:
         raise ValueError("no values to aggregate")
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std()), values
+    return float(arr.mean()), float(arr.std())
 
 
 @dataclass
@@ -151,7 +145,7 @@ def write_report_csv(path, per_seed: dict[int, dict[str, float]]) -> str:
     lines += [f"{metric},{seed},{float(per_seed[seed][metric])!r}"
               for metric in metrics for seed in sorted(per_seed)]
     for metric in metrics:
-        mean, std, _ = aggregate_runs([per_seed[s][metric] for s in sorted(per_seed)])
+        mean, std = aggregate_runs([per_seed[s][metric] for s in sorted(per_seed)])
         lines += [f"{metric},mean,{mean!r}", f"{metric},std,{std!r}"]
     return write_lines(path, lines)
 

@@ -9,12 +9,31 @@ use the (fan_out, fan_in) layout, so a single linear layer computes
 from __future__ import annotations
 
 import copy
+import ctypes
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
+
+
+def _pin_blas() -> str:
+    """Set numpy's bundled OpenBLAS to one thread, so that no product's bits
+    depend on the thread count; returns "pinned", or "unpinned: " and why."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    if not libs:  # numpy built on MKL, Accelerate or a system BLAS, or a wheel for another OS
+        return "unpinned: no numpy.libs/libscipy_openblas64_*.so beside numpy"
+    try:
+        ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
+    except (OSError, AttributeError) as exc:
+        return f"unpinned: {exc}"
+    return "pinned"
+
+
+# "pinned": this process and its forked map_jobs workers multiply on one thread.
+BLAS_PIN = _pin_blas()
 
 ACTIVATIONS = ("relu", "tanh")
 

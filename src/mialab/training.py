@@ -129,31 +129,22 @@ def make_even_splits(n_points: int, n_models: int, seed: int) -> np.ndarray:
 
 
 def dp_step(
-    arch: ArchDescriptor,
-    params: Params,
-    X: np.ndarray,
-    y: np.ndarray,
-    dp: DpConfig,
-    rngs,
-    grad: np.ndarray,
-    ws: Workspace | None = None,
+    arch: ArchDescriptor, params: Params, ws: Workspace, dp: DpConfig, rngs, grad: np.ndarray
 ) -> None:
     """One DP-SGD gradient for each of G models, written into grad (G, P).
 
-    params are layer_views of the models' (G, P) parameters, X the
-    (G, B, input_dim) batches and y the (G, B) labels. Each example's
+    params are layer_views of the models' (G, P) parameters; the batch is
+    the training loop's Workspace: ws.X the (G, B, input_dim) batches, ws.y
+    the (G, B) labels and ws.x_norms their |x|^2 + 1. Each example's
     gradient is clipped to L2 norm dp.clip_norm without being built
     (ghost clipping): its squared norm is sum_l |delta_l|^2 (|a_l|^2 + 1)
     over the layers' per-example deltas and inputs, and the clipped sum is
     (c * delta_l)^T a_l per layer. Model g then adds noise of standard
     deviation noise_multiplier * clip_norm drawn from rngs[g] and divides
     by B. Every product and reduction runs per model, so each row is
-    bitwise that of the model alone. ws is the training loop's Workspace.
+    bitwise that of the model alone.
     """
-    if ws is None:
-        ws = Workspace(arch, y.shape)
-        ws.x_norms = np.sum(X * X, axis=-1) + 1.0
-    deltas, acts = per_example_deltas(arch, params, X, y, 1, ws)
+    deltas, acts = per_example_deltas(arch, params, ws.X, ws.y, 1, ws)
     squares = ws.act_grads + ws.outs[-1:]  # buffers backprop is done with, one per layer width
     norms = ws.x_norms * np.sum(np.multiply(deltas[0], deltas[0], out=squares[0]), axis=-1)
     for l in range(1, len(deltas)):
@@ -173,7 +164,7 @@ def dp_step(
     if dp.noise_multiplier > 0:
         for row, rng in zip(grad, rngs):
             row += normal_noise(rng, dp.noise_multiplier * dp.clip_norm, ws.noise)
-    grad /= X.shape[-2]
+    grad /= ws.y.shape[-1]
 
 
 def normal_noise(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
@@ -253,7 +244,7 @@ def _train_group(
                 y.take(batch, out=step.y, mode="clip")
                 if dp is not None:
                     x_norms.take(batch, out=step.x_norms, mode="clip")
-                    dp_step(arch, params, step.X, step.y, dp, noise_rngs, grad, step)
+                    dp_step(arch, params, step, dp, noise_rngs, grad)
                 else:
                     param_gradient(arch, params, step.X, step.y, out=grads, ws=step)
                 adam_step(adam, theta, grad, config.lr)

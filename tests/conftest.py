@@ -18,8 +18,8 @@ def clip_checks(monkeypatch):
     counter = SimpleNamespace(count=0)
     real = training.dp_step
 
-    def counted(arch, params, X, y, dp, rngs, grad, *args, **kwargs):
-        real(arch, params, X, y, dp, rngs, grad, *args, **kwargs)
+    def counted(arch, params, ws, dp, rngs, grad):
+        real(arch, params, ws, dp, rngs, grad)
         counter.count += len(grad)
 
     monkeypatch.setattr(training, "dp_step", counted)

@@ -30,7 +30,7 @@ from mialab.farm import (
     in_out_partition,
     model_confidence_batch,
 )
-from mialab.metrics import roc_auc
+from mialab.metrics import summarize
 from mialab.nn import (
     IN_MINIMIZE,
     OUT_MAXIMIZE,
@@ -137,7 +137,7 @@ def test_criterion_2_roc_oracle_equivalence():
         # small integer grid guarantees ties
         scores = rng.integers(-3, 4, n).astype(float)
         checked += 1
-        worst = max(worst, abs(roc_auc(scores, labels) - pairwise_auc(scores, labels)))
+        worst = max(worst, abs(summarize(scores, labels).auc - pairwise_auc(scores, labels)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10.0
     report(2, "ROC oracle equivalence", ok, f"1000 sets, worst |diff| {worst:.2e}, {elapsed:.1f}s")
@@ -227,7 +227,7 @@ def desk_experiment():
 
         def auc_of(method, mode, cfg):
             table = run_attack(ds, oracle, shadows, targets, method, mode, cfg, seed=aseed)
-            return roc_auc(table.aggregated, table.member), table
+            return summarize(table.aggregated, table.member).auc, table
 
         on, _ = auc_of("lira", "online", base)
         off, _ = auc_of("lira", "offline", base)
@@ -338,7 +338,7 @@ def _dp_pair_auc(ds, arch, master_seed, dp):
     table = run_attack(ds, oracle, shadows, targets, "lira", "online",
                        CanaryConfig(epsilon=CANARY_EPSILON, num_queries=10),
                        seed=state_seeds(stream_states([(master_seed, 15, 0)]))[0])
-    return roc_auc(table.aggregated, table.member)
+    return summarize(table.aggregated, table.member).auc
 
 
 def test_criterion_7_dp_direction(clip_checks):

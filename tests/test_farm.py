@@ -102,30 +102,44 @@ class TestBuild:
     def test_store_bytes_identical_across_blas_threads(self, tmp_path):
         # batch 128 x hidden 256: products large enough for a 2-thread BLAS to split;
         # one plain and one DP farm
-        script = (
-            "import sys\n"
-            "from mialab.data import synthetic_mixture\n"
-            "from mialab.farm import build_farm, save_farm\n"
-            "from mialab.nn import ArchDescriptor\n"
-            "from mialab.training import DpConfig, TrainConfig\n"
-            "ds = synthetic_mixture(400, 20, 10, seed=5, noise=0.25)\n"
-            "for dp, path in ((None, sys.argv[1]), (DpConfig(5.0, 1.0), sys.argv[2])):\n"
-            "    farm = build_farm(ds, 6, ArchDescriptor(20, (256,), 10),\n"
-            "                      TrainConfig(epochs=2, batch_size=128, lr=0.01, dp=dp),\n"
-            "                      master_seed=9)\n"
-            "    save_farm(farm, path)\n"
-        )
-        src = str(Path(mialab.__file__).resolve().parents[1])
-        stores = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            paths = [tmp_path / f"{kind}_{threads}.bin" for kind in ("plain", "dp")]
-            subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env, check=True)
-            stores.append([path.read_bytes() for path in paths])
-        assert stores[0][0] == stores[1][0]
-        assert stores[0][1] == stores[1][1]
+        stores = [_blas_stores(tmp_path, threads, 1, 400, 20, 256, 128) for threads in (1, 2)]
+        assert stores[0] == stores[1]
+
+    def test_wide_store_bytes_identical_across_blas_threads_and_jobs(self, tmp_path):
+        # a 784-64-10 net at batch 32, whose (32, 784)·(784, 64) training gemm a
+        # 2-thread OpenBLAS splits: built on two forked workers in a 2-thread
+        # process and serially in a 1-thread one
+        stores = [_blas_stores(tmp_path, n, n, 300, 784, 64, 32) for n in (2, 1)]
+        assert stores[0] == stores[1]
+
+
+_BLAS_STORE_SCRIPT = """
+import sys
+from mialab.data import synthetic_mixture
+from mialab.farm import build_farm, save_farm
+from mialab.nn import ArchDescriptor
+from mialab.training import DpConfig, TrainConfig
+jobs, n, dim, hidden, batch = map(int, sys.argv[1:6])
+ds = synthetic_mixture(n, dim, 10, seed=5, noise=0.25)
+for dp, path in ((None, sys.argv[6]), (DpConfig(5.0, 1.0), sys.argv[7])):
+    farm = build_farm(ds, 6, ArchDescriptor(dim, (hidden,), 10),
+                      TrainConfig(epochs=2, batch_size=batch, lr=0.01, dp=dp),
+                      master_seed=9, jobs=jobs)
+    save_farm(farm, path)
+"""
+
+
+def _blas_stores(tmp_path, threads, jobs, *shape) -> list[bytes]:
+    """The plain and DP farm.bin of six models of one shape (points, input width,
+    hidden width, batch), built in a process started with threads BLAS threads."""
+    src = str(Path(mialab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    paths = [tmp_path / f"{kind}_{threads}_{jobs}.bin" for kind in ("plain", "dp")]
+    subprocess.run([sys.executable, "-c", _BLAS_STORE_SCRIPT, *map(str, (jobs, *shape, *paths))],
+                   env=env, check=True)
+    return [path.read_bytes() for path in paths]
 
 
 class TestPartition:

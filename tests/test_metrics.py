@@ -13,7 +13,6 @@ from mialab.metrics import (
     auc,
     read_csv_rows,
     read_report_csv,
-    roc_auc,
     roc_curve,
     summarize,
     tpr_at_fpr,
@@ -47,8 +46,8 @@ class TestRocCurve:
         labels = rng.random(60) < 0.5
         labels[0] = True
         labels[1] = False
-        a = roc_auc(scores, labels)
-        b = roc_auc(scores, ~labels)
+        a = summarize(scores, labels).auc
+        b = summarize(scores, ~labels).auc
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoints_and_monotonicity(self):
@@ -78,14 +77,14 @@ class TestRocCurve:
                 continue
             # integer grid forces plenty of exact ties
             scores = rng.integers(-3, 4, n).astype(float)
-            assert roc_auc(scores, labels) == pytest.approx(
+            assert summarize(scores, labels).auc == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12
             )
 
     def test_infinite_scores_handled(self):
         scores = np.array([np.inf, 1.0, -np.inf, 0.0])
         labels = np.array([True, True, False, False])
-        assert roc_auc(scores, labels) == 1.0
+        assert summarize(scores, labels).auc == 1.0
 
     def test_nan_scores_refused(self):
         scores = np.array([0.9, np.nan, 0.1, np.nan])
@@ -103,9 +102,9 @@ class TestAucInvariance:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            base = roc_auc(scores, labels)
-            assert roc_auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
-            assert roc_auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
+            base = summarize(scores, labels).auc
+            assert summarize(np.exp(scores), labels).auc == pytest.approx(base, abs=1e-12)
+            assert summarize(3.0 * scores + 7.0, labels).auc == pytest.approx(base, abs=1e-12)
 
 
 class TestTprAtFpr:
@@ -153,13 +152,12 @@ class TestTprAtFpr:
 
 class TestAggregate:
     def test_identical_values(self):
-        mean, std, vals = aggregate_runs([0.7, 0.7, 0.7])
+        mean, std = aggregate_runs([0.7, 0.7, 0.7])
         assert mean == pytest.approx(0.7, abs=1e-12)
         assert std == pytest.approx(0.0, abs=1e-12)
-        assert vals == [0.7, 0.7, 0.7]
 
     def test_mean_of_pair(self):
-        mean, std, _ = aggregate_runs([0.0, 1.0])
+        mean, std = aggregate_runs([0.0, 1.0])
         assert mean == 0.5 and std == 0.5
 
     def test_order_invariance(self):

@@ -311,6 +311,25 @@ class TestRowTiles:
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+# the library mialab.nn pins at import, where this numpy bundles one
+BUNDLED_OPENBLAS = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+
+
+class TestBlasPin:
+    @pytest.mark.skipif(not BUNDLED_OPENBLAS, reason="numpy bundles no scipy-openblas to pin")
+    def test_import_sets_one_thread(self):
+        # a process started with 2 OpenBLAS threads multiplies on one once mialab.nn is imported
+        script = ("import ctypes, sys\n"
+                  "from mialab.nn import BLAS_PIN\n"
+                  "print(BLAS_PIN, ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_())\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(BUNDLED_OPENBLAS[0])], env=env,
+                              check=True, capture_output=True, text=True)
+        assert done.stdout.split() == ["pinned", "1"]
+
+
 class TestParamGradient:
     def test_empty_batch_errors(self):
         arch, params = random_net(np.random.default_rng(8))

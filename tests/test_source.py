@@ -13,13 +13,57 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mialab").glob("*.py"))
 
 
-def _traced_bindings() -> set[tuple[str, str]]:
-    """(module, name) of every binding perfbench/tracing.py's BINDINGS wraps,
-    loaded as tests/test_bench_bindings.py loads it."""
+# Public names that no command reaches and the benchmark neither binds nor
+# imports, kept on purpose: criterion 6 calls Dataset.point and
+# in_out_partition, and Dataset.enable_access_counting instruments tests.
+KEPT_FOR_TESTS = {("data", "Dataset.point"), ("farm", "in_out_partition"),
+                  ("data", "Dataset.enable_access_counting")}
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded as tests/test_bench_bindings.py loads it."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return {(module, attr.split(".")[0]) for _, module, attr in tracing.BINDINGS}
+    return tracing
+
+
+def _traced_bindings() -> set[tuple[str, str]]:
+    """(module, name) of every binding perfbench/tracing.py's BINDINGS wraps."""
+    return {(module, attr.split(".")[0]) for _, module, attr in _tracing().BINDINGS}
+
+
+def _public_definitions():
+    """(module, qualified name) of every public function, class and method in src/mialab."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, node.name
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, f"{node.name}.{item.name}"
+
+
+def _names_read(paths) -> set[str]:
+    """Every name, attribute and imported name that the files read."""
+    return {node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else node.name.rpartition(".")[2]
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def _benchmarked() -> set[tuple[str, str]]:
+    """(module, qualified name) of the definitions that perfbench wraps through
+    BINDINGS or imports from mialab, resolved to where each is defined."""
+    tracing = _tracing()
+    found = [getattr(*tracing._owner(module, attr)) for _, module, attr in tracing.BINDINGS]
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mialab."):
+                module = importlib.import_module(node.module)
+                found += [getattr(module, alias.name) for alias in node.names]
+    return {(obj.__module__.rpartition(".")[2], obj.__qualname__) for obj in found
+            if hasattr(obj, "__qualname__")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -68,6 +112,17 @@ def test_imported_names_are_used(path):
     traced = {name for module, name in _traced_bindings() if module == f"mialab.{path.stem}"}
     unused = sorted(imported - used - traced)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_public_names_are_reached():
+    # every public function, class and method is read elsewhere in src/ or in
+    # tools/, or the benchmark wraps or imports it; a name that only tests call
+    # is surface no command runs
+    read = _names_read([*SOURCES, *(ROOT / "tools").glob("*.py")])
+    allowed = _benchmarked() | KEPT_FOR_TESTS
+    unreached = sorted(f"{module}.{name}" for module, name in _public_definitions()
+                       if name.rpartition(".")[2] not in read and (module, name) not in allowed)
+    assert not unreached, f"public names that no command reaches: {unreached}"
 
 
 def test_importing_a_module_loads_only_its_imports():

@@ -129,8 +129,11 @@ def dp_group(arch, n_models, batch, seed):
 
 
 def run_dp_step(arch, theta, X, y, dp, rng_seeds):
+    """dp_step on the (G, B) batches X, y, filled into a Workspace as training fills its own."""
+    ws = Workspace(arch, y.shape)
+    ws.X[...], ws.y[...], ws.x_norms[...] = X, y, np.sum(X * X, axis=-1) + 1.0
     grad = np.empty_like(theta)
-    training.dp_step(arch, layer_views(arch, theta), X, y, dp,
+    training.dp_step(arch, layer_views(arch, theta), ws, dp,
                      [np.random.default_rng(s) for s in rng_seeds], grad)
     return grad
 
