@@ -39,11 +39,12 @@ from .rng import (  # noqa: F401  substream stays bound here for perfbench's tra
 
 # Gaussian fits floor the standard deviation here, which keeps scores finite.
 SIGMA_FLOOR = 1e-4
-# run_attack processes targets in blocks of at most this many evaluated rows x
-# widest layer elements, which bounds the activations one pass over a block
-# holds: Q rows per target, one for LiRA, whose Q queries repeat one point.
-# Scores do not depend on it.
-BLOCK_ELEMENTS = 1 << 16
+# run_attack cuts its targets into blocks of at most this many bytes, as
+# _block_bytes counts what a target's rows hold; each --jobs worker holds its
+# own block. Scores do not depend on it.
+BLOCK_BYTES = 1 << 24
+# A numpy Generator over PCG64, as tracemalloc counts it: one per query row.
+_GENERATOR_BYTES = 650
 
 METHODS = ("lira", "canary", "random_noise")
 MODES = ("online", "offline")
@@ -183,37 +184,41 @@ class CanaryConfig:
         return self.epsilon / 4.0
 
 
-def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float):
-    """Joint projection onto the epsilon ball and the input domain.
+def _project(x_star: np.ndarray, delta: np.ndarray, epsilon: float, x: np.ndarray) -> None:
+    """Joint projection onto the epsilon ball and the input domain, in place.
 
-    Returns (delta, x) where x is the exactly domain-clamped query point;
-    |x - x_star| can exceed epsilon only by float-addition rounding.
+    Clips delta to the ball, sets x to the exactly domain-clamped query point
+    and delta to x - x_star; |x - x_star| can exceed epsilon only by
+    float-addition rounding.
     """
-    delta = np.clip(delta, -epsilon, epsilon)
-    x = np.clip(x_star + delta, DOMAIN_LOW, DOMAIN_HIGH)
-    delta = x - x_star
-    if np.max(np.abs(delta), initial=0.0) > epsilon + 1e-9 * max(1.0, epsilon):
+    np.clip(delta, -epsilon, epsilon, out=delta)
+    np.clip(np.add(x_star, delta, out=x), DOMAIN_LOW, DOMAIN_HIGH, out=x)
+    np.subtract(x, x_star, out=delta)
+    if max(delta.max(initial=0.0), -delta.min(initial=0.0)) > epsilon + 1e-9 * max(1.0, epsilon):
         raise AssertionError("projection left the epsilon ball")
     if x.min(initial=DOMAIN_LOW) < DOMAIN_LOW or x.max(initial=DOMAIN_HIGH) > DOMAIN_HIGH:
         raise AssertionError("projection left the input domain")
-    return delta, x
 
 
-def _step_gradient(x, picks, records, params, kinds, labels) -> np.ndarray:
+def _step_gradient(x, picks, records, params, kinds, labels, per_pick) -> np.ndarray:
     """One canary step's (n, dim) gradient: the mean over each side's b picks
     of their input gradients, OUT side first. picks is (n, sides, b): entry e,
     ordered (row, side, slot), is row e // (sides * b) of x under model
     picks.flat[e]; side s takes objective kinds[s] with its (n * b) entries'
     labels.
 
-    Entries keep that layout throughout. One stable argsort gives each picked
-    model its run of entry ids, over which it runs one forward and one
-    backward; one objective pass covers each side's logits.
+    Entries keep that layout throughout, but in the (sides, b, n, dim)
+    buffer per_pick, where each (side, slot) is one contiguous block. One
+    stable argsort gives each picked model its run of entry ids, over which
+    it runs one forward and one backward; one objective pass covers each
+    side's logits. The sums and the gradient are made in per_pick, whose
+    first block the returned gradient views.
     """
     n, n_sides, b = picks.shape
     n_classes, models = records[0].arch.num_classes, picks.ravel()
     order = np.argsort(models, kind="stable")
     rows = order // (n_sides * b)  # the row of x of each entry, in model order
+    blocked = order % (n_sides * b) * n + rows  # and its row of per_pick's blocks
     logits = np.empty((n, n_sides, b, n_classes))
     flat = logits.reshape(-1, n_classes)
     runs, lo = [], 0
@@ -221,21 +226,22 @@ def _step_gradient(x, picks, records, params, kinds, labels) -> np.ndarray:
         if hi > lo:  # each model's rows are gathered straight into its tiles
             e = order[lo:hi]
             flat[e], act_grads = input_forward(records[m].arch, params[m], x, rows[lo:hi])
-            runs.append((params[m], e, act_grads))
+            runs.append((params[m], e, blocked[lo:hi], act_grads))
         lo = hi
     for side, kind in enumerate(kinds):  # logits become their gradients
         logits[:, side] = objective_grad_logits(
             logits[:, side].reshape(-1, n_classes), labels, kind).reshape(n, b, n_classes)
-    per_pick = np.empty((models.size, x.shape[1]))
-    for model, e, act_grads in runs:
-        per_pick[e] = input_backward(model, act_grads, flat, e)
-    per_pick = per_pick.reshape(n, n_sides, b, -1)
-    total = np.zeros((n, n_sides, x.shape[1]))  # from +0.0, then in slot order, as one row sums
-    for j in range(b):
-        total += per_pick[:, :, j]
-    grad = total[:, 0] / b
+    entries = per_pick.reshape(-1, x.shape[1])
+    for model, e, dest, act_grads in runs:
+        entries[dest] = input_backward(model, act_grads, flat, e)
+    total = per_pick[:, 0]
+    total += 0.0  # from +0.0, then in slot order, as one row sums
+    for j in range(1, b):
+        total += per_pick[:, j]
+    total /= b
+    grad = total[0]
     for side in range(1, n_sides):
-        grad += total[:, side] / b
+        grad += total[side]
     return grad
 
 
@@ -263,7 +269,9 @@ def optimize_canary(
     block. Per step, each picked model runs one stacked forward and one
     backward over the rows that picked it on either side, around one
     objective pass per side; Adam and the projection onto the epsilon ball
-    within the input domain run once on the block. Only picked models'
+    within the input domain run once on the block, in place, and a row's
+    sides * shadow_batch input gradients share one buffer across steps
+    (what a row holds is counted by _block_bytes). Only picked models'
     params are read, so offline never reads a model IN for its row. For one
     row, pass a (1, d) block whose records hold its OUT models first and
     whose member row is true on the IN tail.
@@ -296,12 +304,13 @@ def optimize_canary(
     kinds = [ObjectiveKind(config.objective, side, alt_labels)
              for side in (OUT_MAXIMIZE, IN_MINIMIZE)[:sides]]
 
-    delta, x = _project(x_star, delta, config.epsilon)
-    adam = init_adam(x_star.shape)
+    x = np.empty_like(x_star)
+    _project(x_star, delta, config.epsilon, x)
+    adam, per_pick = init_adam(x_star.shape), np.empty((sides, b, n, dim))
     for s in range(steps):
-        grad = _step_gradient(x, picks[:, s], records, params, kinds, labels)
+        grad = _step_gradient(x, picks[:, s], records, params, kinds, labels, per_pick)
         adam_step(adam, delta, grad, config.lr)
-        delta, x = _project(x_star, delta, config.epsilon)
+        _project(x_star, delta, config.epsilon, x)
     return x, in_evaluations
 
 
@@ -313,11 +322,14 @@ def random_noise_query(x_star: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.ndim != 2 or len(rngs) != len(x_star):
         raise ValueError(f"expected an (n, d) block with one rng per row, got {x_star.shape}")
-    noise = 0.0
-    if epsilon > 0 and len(x_star):
-        noise = np.stack([rng.uniform(-epsilon, epsilon, size=x_star.shape[1])
-                          for rng in rngs])
-    return np.clip(x_star + noise, DOMAIN_LOW, DOMAIN_HIGH)
+    x = np.zeros_like(x_star)
+    if epsilon > 0:  # each row bitwise rng.uniform(-epsilon, epsilon, size=d)
+        for row, rng in zip(x, rngs):
+            rng.random(out=row)
+        x *= 2.0 * epsilon
+        x += -epsilon
+    x += x_star
+    return np.clip(x, DOMAIN_LOW, DOMAIN_HIGH, out=x)
 
 
 @dataclass(eq=False)
@@ -437,6 +449,57 @@ def _check_eligible(index: np.ndarray, member: np.ndarray, need: int, online: bo
             )
 
 
+def _block_bytes(method: str, config: CanaryConfig, online: bool, farm: ShadowFarm) -> int:
+    """An upper bound on the bytes one target's rows hold in a block.
+
+    An evaluated row holds its point, a tile copy of it, each layer's
+    outputs and two scaled confidences per shadow model: LiRA evaluates one
+    row per target, the other methods Q rows, each with its own generator. A
+    canary row also holds its canary, its perturbation, Adam's three arrays,
+    its OUT key offsets and one picked model's tile and input gradient; and
+    per pick (shadow_batch per side) its input gradient, its logits, its
+    model ids over the steps and its activation derivatives (a bool per ReLU
+    unit, a float per tanh one).
+    """
+    arch = farm.arch
+    d, layers = arch.input_dim, sum(arch.dims[1:])
+    row = 8 * (2 * d + layers + 2 * farm.n_models)
+    if method == "lira":
+        return row
+    row += _GENERATOR_BYTES
+    if method == "canary":
+        picks = (2 if online else 1) * config.shadow_batch
+        derivatives = sum(arch.hidden_dims) * (1 if arch.activation == "relu" else 8)
+        row += 8 * (7 * d + layers + farm.n_models)
+        row += picks * (8 * (d + arch.num_classes + config.steps) + derivatives)
+    return config.num_queries * row
+
+
+def _attack_block(dataset, oracle, farm, idx, member, method, online, config, seed):
+    """(targets, Q) scores of one block of targets, and the IN evaluations
+    made; the block's arrays go when it returns."""
+    n_queries, hits = config.num_queries, 0
+    x_star, y = dataset.take(idx)
+    if method == "lira":
+        queries = np.broadcast_to(x_star[:, None], (len(idx), n_queries, x_star.shape[1]))
+    else:  # one row per (target, query), target-major, each with its own stream
+        x_rows = x_star.repeat(n_queries, axis=0)
+        rngs = substreams([(seed, t, q) for t in idx.tolist() for q in range(n_queries)])
+        if method == "random_noise":
+            x_rows = random_noise_query(x_rows, config.epsilon, rngs)
+        else:
+            alt = None
+            if config.objective.endswith("random_label"):
+                alt = _draw_alt_labels(seed, idx, y, farm.arch.num_classes).repeat(n_queries)
+            x_rows, hits = optimize_canary(
+                x_rows, y.repeat(n_queries), member.repeat(n_queries, axis=0),
+                farm.records, config, online, rngs, alt)
+        queries = x_rows.reshape(len(idx), n_queries, -1)
+    scores, score_hits = _score_block(queries, x_star[:, None] if method == "lira" else queries,
+                                      y, member, farm.records, oracle, online)
+    return scores, hits + score_hits
+
+
 def run_attack(
     dataset: Dataset,
     oracle: TargetOracle,
@@ -454,10 +517,14 @@ def run_attack(
     membership bits come from the held-out target model's own split mask.
     Before any work, the farm must fit the dataset (check_farm_fits), the
     oracle carry its fingerprint, and every target appear once and have
-    enough IN/OUT shadow models. Targets are then processed in blocks sized
-    by BLOCK_ELEMENTS: one optimize_canary call optimises all (target, query)
-    rows of a block, and the oracle and each shadow model evaluate one row per query,
-    or per target for LiRA, whose Q queries are stride-0 copies of the target
+    enough IN/OUT shadow models. Targets are then processed in blocks of at
+    most BLOCK_BYTES (16 MiB), as _block_bytes counts what a target's rows
+    hold: one evaluated row for LiRA, Q for random_noise, and for canary Q
+    rows with their picks, Adam state and per-pick input gradients. Each
+    --jobs worker holds its own block, so peak memory grows with --jobs.
+    One optimize_canary call optimises all (target, query) rows of a block,
+    and the oracle and each shadow model evaluate one row per query, or per
+    target for LiRA, whose Q queries are stride-0 copies of the target
     point; one elementwise pass scores the block's rows of the (targets, Q)
     table, and one ensemble_scores call aggregates the whole table. Every
     row is computed exactly as it would be alone, so a query's score depends
@@ -488,32 +555,12 @@ def run_attack(
     member = farm.splits[:, index].T  # (targets, models): model is IN for the target
     _check_eligible(index, member, config.shadow_batch if method == "canary" else 1, online)
 
-    n_queries = config.num_queries
-    lira = method == "lira"
-    block = max(1, BLOCK_ELEMENTS // ((1 if lira else n_queries) * max(farm.arch.dims)))
-    scores, in_evaluations = np.empty((index.size, n_queries)), 0
+    block = max(1, BLOCK_BYTES // _block_bytes(method, config, online, farm))
+    scores, in_evaluations = np.empty((index.size, config.num_queries)), 0
     for start in range(0, index.size, block):
         rows = slice(start, start + block)
-        idx, blk_member = index[rows], member[rows]
-        x_star, y = dataset.take(idx)
-        if lira:
-            queries = np.broadcast_to(x_star[:, None], (len(idx), n_queries, x_star.shape[1]))
-        else:  # one row per (target, query), target-major, each with its own stream
-            x_rows = x_star.repeat(n_queries, axis=0)
-            rngs = substreams([(seed, t, q) for t in idx.tolist() for q in range(n_queries)])
-            if method == "random_noise":
-                x_rows = random_noise_query(x_rows, config.epsilon, rngs)
-            else:
-                alt = None
-                if config.objective.endswith("random_label"):
-                    alt = _draw_alt_labels(seed, idx, y, farm.arch.num_classes).repeat(n_queries)
-                x_rows, hits = optimize_canary(
-                    x_rows, y.repeat(n_queries), blk_member.repeat(n_queries, axis=0),
-                    farm.records, config, online, rngs, alt)
-                in_evaluations += hits
-            queries = x_rows.reshape(len(idx), n_queries, -1)
-        scores[rows], hits = _score_block(queries, x_star[:, None] if lira else queries, y,
-                                          blk_member, farm.records, oracle, online)
+        scores[rows], hits = _attack_block(dataset, oracle, farm, index[rows], member[rows],
+                                           method, online, config, seed)
         in_evaluations += hits
         if not online and in_evaluations:
             raise IsolationError(

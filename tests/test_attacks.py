@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -768,10 +769,16 @@ class TestBatchComposition:
                            objective="cw_margin_random_label")
         full = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=55)
         subset = [targets[i] for i in np.random.default_rng(56).permutation(len(targets))[:7]]
-        # blocks of 2 targets (3 evaluated rows x widest layer 12 x 2 = 72
-        # elements), or of 6 for LiRA, which evaluates one row per target
-        monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
+        # blocks of 2 targets (a canary target holds 6006 bytes offline and
+        # 6846 online, a noise target 3438), or of 6 for LiRA (496 bytes)
+        budget, per_block = {"lira": (3000, 6), "canary": (15000, 2),
+                             "random_noise": (8000, 2)}[method]
+        monkeypatch.setattr(attacks, "BLOCK_BYTES", budget)
+        blocks, real = [], attacks._score_block
+        monkeypatch.setattr(attacks, "_score_block",
+                            lambda queries, *args: blocks.append(len(queries)) or real(queries, *args))
         part = run_attack(ds, oracle, rest, subset, method, mode, cfg, seed=55)
+        assert blocks == [per_block] * (7 // per_block) + [7 % per_block]
         assert part.index.tolist() == [t for t, _ in subset]
         at = [full.index.tolist().index(t) for t, _ in subset]
         assert tables_equal(part, ScoreTable(full.index[at], full.member[at], full.scores[at],
@@ -787,14 +794,67 @@ class TestBlockPlan:
         shapes, real = [], attacks.model_confidence_batch
         monkeypatch.setattr(attacks, "model_confidence_batch",
                             lambda rec, X, y: shapes.append(X.shape) or real(rec, X, y))
-        monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 72)
+        monkeypatch.setattr(attacks, "BLOCK_BYTES", 3000)
         cfg = CanaryConfig(epsilon=0.1, num_queries=10)
         run_attack(ds, oracle, rest, targets, method, "online", cfg, seed=55)
-        per_block = max(1, attacks.BLOCK_ELEMENTS // (rows_per_target * max(farm.arch.dims)))
+        per_block = max(1, attacks.BLOCK_BYTES // attacks._block_bytes(method, cfg, True, rest))
         assert per_block == (6 if method == "lira" else 1)
         assert len(shapes) == rest.n_models * math.ceil(len(targets) / per_block)
         assert {shape[1] for shape in shapes} == {rows_per_target}
         assert oracle.query_count == len(targets) * 10
+
+    def test_wide_lira_offline_is_one_block(self, monkeypatch):
+        # 100 targets of a 784-64-10 net: one confidence call per shadow model
+        ds = synthetic_mixture(200, 784, 10, seed=18, noise=0.25)
+        farm = build_farm(ds, 12, ArchDescriptor(784, (64,), 10),
+                          TrainConfig(epochs=1, batch_size=32), master_seed=19)
+        oracle, rest = hold_out_target(farm, 0)
+        calls, real = [], attacks.model_confidence_batch
+        monkeypatch.setattr(attacks, "model_confidence_batch",
+                            lambda rec, X, y: calls.append(rec) or real(rec, X, y))
+        targets = _targets_for(farm, 0, 50, np.random.default_rng(60))
+        run_attack(ds, oracle, rest, targets, "lira", "offline", CanaryConfig(epsilon=0.05), seed=61)
+        assert len(calls) == rest.n_models
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("method", ["lira", "canary", "random_noise"])
+    def test_one_target_blocks_match_the_default(self, wide_net_farm, monkeypatch, method, mode):
+        ds, farm = wide_net_farm
+        targets = _targets_for(farm, 0, 3, np.random.default_rng(62))
+        oracle, rest = hold_out_target(farm, 0)
+        cfg = CanaryConfig(epsilon=0.05, steps=3, num_queries=4)
+        blocks, real = [], attacks._score_block
+        monkeypatch.setattr(attacks, "_score_block",
+                            lambda queries, *args: blocks.append(len(queries)) or real(queries, *args))
+        default = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=63)
+        monkeypatch.setattr(attacks, "BLOCK_BYTES", 1)
+        alone = run_attack(ds, oracle, rest, targets, method, mode, cfg, seed=63)
+        assert blocks == [6] + [1] * 6
+        assert tables_equal(alone, default)
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    @pytest.mark.parametrize("shape", ["desk", "wide"])
+    def test_canary_block_peak_stays_within_the_budget(self, desk_net_farm, wide_net_farm,
+                                                       monkeypatch, shape, mode):
+        # the traced peak of a canary attack is that of its largest block, plus
+        # the few arrays the attack holds whatever its block size
+        ds, farm = desk_net_farm if shape == "desk" else wide_net_farm
+        targets = _targets_for(farm, 0, 20 if shape == "desk" else 8, np.random.default_rng(64))
+        oracle, rest = hold_out_target(farm, 0)
+        cfg = CanaryConfig(epsilon=0.05, steps=10, num_queries=10 if shape == "desk" else 4)
+        budget, slack = 1 << 21, 1 << 17
+        monkeypatch.setattr(attacks, "BLOCK_BYTES", budget)
+        rows, real = [], attacks.optimize_canary
+        monkeypatch.setattr(attacks, "optimize_canary",
+                            lambda x_star, *args: rows.append(len(x_star)) or real(x_star, *args))
+        tracemalloc.start()
+        try:
+            run_attack(ds, oracle, rest, targets, "canary", mode, cfg, seed=65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 1 and max(rows) > 4 * cfg.num_queries
+        assert peak <= budget + slack, (peak, max(rows))
 
 
 @pytest.fixture(scope="module")

@@ -71,7 +71,8 @@ def test_canary_attack_calls_the_traced_optimizer_once_per_block(monkeypatch):
     rows, real = [], getattr(owner, leaf)
     monkeypatch.setattr(owner, leaf, lambda x_star, *args: rows.append(len(x_star))
                         or real(x_star, *args))
-    monkeypatch.setattr(attacks, "BLOCK_ELEMENTS", 20)  # 20 // (2 queries * 5 wide): 2 targets
+    # 6000 bytes hold 2 targets of 2 queries: 2876 bytes each online, 2600 offline
+    monkeypatch.setattr(attacks, "BLOCK_BYTES", 6000)
     cfg = CanaryConfig(epsilon=0.1, steps=2, num_queries=2)
     for mode in ("online", "offline"):
         rows.clear()
